@@ -24,6 +24,19 @@ pub enum AccumulatorError {
     },
     /// The same target index appeared twice in one batch request.
     DuplicateTarget(usize),
+    /// A [`BatchProver`](crate::witness::BatchProver) has folded more
+    /// primes than the list it was handed holds — it was built over a
+    /// longer (e.g. since truncated) list.
+    ProverAhead {
+        /// Primes the prover has folded into its running product.
+        folded: usize,
+        /// Length of the prime list presented.
+        len: usize,
+    },
+    /// The targets' product does not divide a
+    /// [`BatchProver`](crate::witness::BatchProver)'s running product: it
+    /// was built over a different list than the one presented.
+    TargetsNotInProduct,
     /// A Merkle tree was requested over an empty leaf set.
     EmptyTree,
     /// A Merkle proof was requested for a leaf outside the tree.
@@ -52,6 +65,12 @@ impl fmt::Display for AccumulatorError {
             }
             AccumulatorError::DuplicateTarget(index) => {
                 write!(f, "duplicate target index {index}")
+            }
+            AccumulatorError::ProverAhead { folded, len } => {
+                write!(f, "prover folded {folded} primes but the list holds {len}")
+            }
+            AccumulatorError::TargetsNotInProduct => {
+                write!(f, "target primes do not divide the prover's product")
             }
             AccumulatorError::EmptyTree => {
                 write!(f, "cannot build a Merkle tree over nothing")

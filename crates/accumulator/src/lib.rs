@@ -21,7 +21,8 @@
 //!   hash-and-increment), deterministic so the on-chain verifier can
 //!   recompute representatives.
 //! * [`Accumulator`] — incremental accumulation.
-//! * [`witness`] — direct, batched (shared-complement) and root-factor
+//! * [`witness`] — direct, batched ([`witness::BatchProver`]: a running
+//!   prime product and a fixed-base generator table) and root-factor
 //!   witness generation strategies.
 //!
 //! # Examples
@@ -46,7 +47,6 @@
 #![warn(missing_docs)]
 
 mod acc;
-mod cache;
 mod error;
 mod hprime;
 pub mod merkle;
@@ -55,7 +55,6 @@ mod params;
 pub mod witness;
 
 pub use acc::Accumulator;
-pub use cache::{CacheError, WitnessCache};
 pub use error::AccumulatorError;
 pub use hprime::{hash_to_prime, hash_to_prime_counted, DEFAULT_PRIME_BITS};
 pub use nonmembership::{nonmembership_witness, verify_nonmembership, NonMembershipWitness};

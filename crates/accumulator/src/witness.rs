@@ -7,16 +7,19 @@
 //!   short exponentiations. This is what the paper's cloud does per search
 //!   token (its VO-generation time in Fig. 5b/5d grows with the record
 //!   count for exactly this reason).
-//! * [`witness_batch`] — for an order query's `b` slices: fold the shared
-//!   complement once, then split among the `b` targets with a root-factor
-//!   tree. Turns `b` direct folds into ~1.
+//! * [`BatchProver`] — for an order query's `b` slices: raise `g` to the
+//!   shared complement exponent `∏ X / ∏ targets` from a fixed-base table
+//!   (no squarings), then split among the `b` targets with a root-factor
+//!   tree. It keeps the running product `∏ X` and the table across calls,
+//!   catching up with primes appended since. [`witness_batch`] is a fresh
+//!   prover used once.
 //! * [`root_factor`] — Sander–Ta-Shma–style divide and conquer producing
-//!   witnesses for *every* member in `O(|X| log |X|)` exponentiations; used
-//!   by the cloud's witness cache ablation.
+//!   witnesses for *every* member of a set in `O(|X| log |X|)`
+//!   exponentiations; the batch prover runs it over the targets only.
 
 use crate::error::AccumulatorError;
 use crate::params::RsaParams;
-use slicer_bignum::BigUint;
+use slicer_bignum::{BigUint, FixedBase};
 use slicer_par::Pool;
 
 /// Subtrees below this size are not worth fanning out to pool workers.
@@ -50,7 +53,8 @@ pub fn membership_witness(
     Ok(w)
 }
 
-/// Witnesses for a subset of members sharing one complement fold.
+/// Witnesses for a subset of members sharing one complement
+/// exponentiation: a fresh [`BatchProver`] used once.
 ///
 /// `targets` are indexes into `primes` (must be distinct). Returns one
 /// witness per target, in target order.
@@ -64,63 +68,141 @@ pub fn witness_batch(
     primes: &[BigUint],
     targets: &[usize],
 ) -> Result<Vec<BigUint>, AccumulatorError> {
-    witness_batch_pooled(params, primes, targets, &Pool::single())
+    BatchProver::new(params)?.witnesses(primes, targets, &Pool::single())
 }
 
-/// [`witness_batch`] with the root-factor tree fanned out over a
-/// deterministic pool: identical output at any worker count.
+/// Batched membership witnesses over an append-only prime list.
 ///
-/// # Errors
+/// Every batched witness raises the fixed generator `g` to "the product of
+/// the list, minus the targets". The prover keeps the running product
+/// `P = ∏ primes[..folded]` and a [`FixedBase`] table for `g` that covers
+/// `bits(P)`, so a call costs:
 ///
-/// Returns [`AccumulatorError::TargetOutOfRange`] or
-/// [`AccumulatorError::DuplicateTarget`] on a malformed target list.
-pub fn witness_batch_pooled(
-    params: &RsaParams,
-    primes: &[BigUint],
-    targets: &[usize],
-    pool: &Pool,
-) -> Result<Vec<BigUint>, AccumulatorError> {
-    if targets.is_empty() {
-        return Ok(Vec::new());
+/// * catching up with primes appended since the last call (one multiply
+///   of `P` by their product, eight squarings per new byte of `P`),
+/// * one exact division `E = P / ∏ targets`,
+/// * one table exponentiation `g^E` (`bits(E)/8 + 512` multiplies), and
+/// * a root-factor split of `g^E` among the targets.
+///
+/// The table is the prover's memory cost: `bits(P) / 8 · element bytes`,
+/// about 64 bytes per accumulated 8-bit slice of `P` at a 512-bit modulus.
+#[derive(Debug, Clone)]
+pub struct BatchProver {
+    params: RsaParams,
+    /// `∏ primes[..folded]`.
+    product: BigUint,
+    folded: usize,
+    table: FixedBase,
+}
+
+impl BatchProver {
+    /// A prover that has folded no primes yet.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AccumulatorError::BadModulus`] if `params` carries no
+    /// Montgomery context.
+    pub fn new(params: &RsaParams) -> Result<Self, AccumulatorError> {
+        let ctx = params.ctx().ok_or(AccumulatorError::BadModulus)?;
+        Ok(BatchProver {
+            params: params.clone(),
+            product: BigUint::one(),
+            folded: 0,
+            table: FixedBase::new(ctx, params.generator()),
+        })
     }
-    let mut span = slicer_telemetry::global::span("accumulator.witness");
-    span.attr("targets", targets.len());
-    slicer_telemetry::global::count("accumulator.witness.batched", targets.len() as u64);
-    let mut in_targets = vec![false; primes.len()];
-    for &t in targets {
-        let slot = in_targets
-            .get_mut(t)
-            .ok_or(AccumulatorError::TargetOutOfRange {
+
+    /// How many primes of the list the running product covers.
+    pub fn folded(&self) -> usize {
+        self.folded
+    }
+
+    /// Witnesses for `targets` (distinct indexes into `primes`), one per
+    /// target in target order, after folding any primes appended to
+    /// `primes` since the last call. `primes[..self.folded()]` must be the
+    /// list this prover saw before: the list is append-only.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AccumulatorError::TargetOutOfRange`] or
+    /// [`AccumulatorError::DuplicateTarget`] on a malformed target list,
+    /// and [`AccumulatorError::ProverAhead`] or
+    /// [`AccumulatorError::TargetsNotInProduct`] when this prover was
+    /// built over another list — never a wrong witness for those. The
+    /// prover is then unusable for this list; build a fresh one.
+    pub fn witnesses(
+        &mut self,
+        primes: &[BigUint],
+        targets: &[usize],
+        pool: &Pool,
+    ) -> Result<Vec<BigUint>, AccumulatorError> {
+        if targets.is_empty() {
+            return Ok(Vec::new());
+        }
+        let mut span = slicer_telemetry::global::span("accumulator.witness");
+        span.attr("targets", targets.len());
+        slicer_telemetry::global::count("accumulator.witness.batched", targets.len() as u64);
+        let mut in_targets = vec![false; primes.len()];
+        let mut target_primes = Vec::with_capacity(targets.len());
+        for &t in targets {
+            let out_of_range = AccumulatorError::TargetOutOfRange {
                 index: t,
                 len: primes.len(),
-            })?;
-        if *slot {
-            return Err(AccumulatorError::DuplicateTarget(t));
+            };
+            let slot = in_targets.get_mut(t).ok_or(out_of_range.clone())?;
+            if *slot {
+                return Err(AccumulatorError::DuplicateTarget(t));
+            }
+            *slot = true;
+            target_primes.push(primes.get(t).cloned().ok_or(out_of_range)?);
         }
-        *slot = true;
+        self.catch_up(primes)?;
+        let divisor = product(&target_primes);
+        if divisor.is_zero() {
+            return Err(AccumulatorError::TargetsNotInProduct);
+        }
+        let (complement, rem) = self.product.div_rem(&divisor);
+        if !rem.is_zero() {
+            return Err(AccumulatorError::TargetsNotInProduct);
+        }
+        let base = self.table.pow(&complement);
+        Ok(root_factor_pooled(
+            &self.params,
+            &base,
+            &target_primes,
+            pool,
+        ))
     }
-    // Fold the complement (all primes not being proven) once.
-    let complement: Vec<BigUint> = primes
-        .iter()
-        .zip(&in_targets)
-        .filter(|(_, proving)| !**proving)
-        .map(|(p, _)| p.clone())
-        .collect();
-    let base = params.powmod_product(params.generator(), &complement);
-    // Distribute the target primes over each other with a root-factor tree.
-    let target_primes: Vec<BigUint> = targets
-        .iter()
-        .map(|&t| {
-            primes
-                .get(t)
-                .cloned()
-                .ok_or(AccumulatorError::TargetOutOfRange {
-                    index: t,
-                    len: primes.len(),
-                })
-        })
-        .collect::<Result<_, _>>()?;
-    Ok(root_factor_pooled(params, &base, &target_primes, pool))
+
+    /// Folds `primes[self.folded..]` into the running product and grows
+    /// the table to cover it.
+    fn catch_up(&mut self, primes: &[BigUint]) -> Result<(), AccumulatorError> {
+        let fresh = primes
+            .get(self.folded..)
+            .ok_or(AccumulatorError::ProverAhead {
+                folded: self.folded,
+                len: primes.len(),
+            })?;
+        if !fresh.is_empty() {
+            self.product = &self.product * &product(fresh);
+            self.folded = primes.len();
+            self.table.extend_to(self.product.bit_len());
+        }
+        Ok(())
+    }
+}
+
+/// `∏ primes` by a balanced product tree, so the large multiplies happen
+/// between operands of similar size (where Karatsuba applies).
+fn product(primes: &[BigUint]) -> BigUint {
+    match primes {
+        [] => BigUint::one(),
+        [p] => p.clone(),
+        _ => {
+            let (left, right) = primes.split_at(primes.len() / 2);
+            &product(left) * &product(right)
+        }
+    }
 }
 
 /// Computes witnesses for every element of `primes` relative to the
@@ -202,7 +284,7 @@ pub fn verify_membership(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{hash_to_prime, Accumulator};
+    use crate::{hash_to_prime, Accumulator, AccumulatorError};
 
     fn primes(n: u32) -> Vec<BigUint> {
         (0..n)
@@ -267,7 +349,6 @@ mod tests {
 
     #[test]
     fn malformed_targets_are_typed_errors() {
-        use crate::AccumulatorError;
         let params = RsaParams::fixed_512();
         assert_eq!(
             witness_batch(&params, &primes(3), &[1, 1]).unwrap_err(),
@@ -320,6 +401,64 @@ mod tests {
             }
             Ok(())
         });
+    }
+
+    #[test]
+    fn stateful_prover_matches_direct_as_the_list_grows() {
+        // One prover across calls, with primes appended between them (the
+        // cloud's ingest-then-search cycle): every witness must be
+        // byte-equal to the direct fold over the list as it stands.
+        use slicer_testkit::{prop_assert_eq, prop_check};
+        prop_check!(0x2012, 32, |g| {
+            let params = RsaParams::fixed_512();
+            let mut prover = BatchProver::new(&params).expect("fixed params");
+            let mut ps: Vec<BigUint> = Vec::new();
+            for round in 0..4u8 {
+                let grow = g.usize_in(if ps.is_empty() { 1 } else { 0 }, 12);
+                for i in 0..grow {
+                    ps.push(hash_to_prime(&[g.u8(), round, i as u8, 0x78], 64).expect("width ok"));
+                }
+                let mut targets: Vec<usize> = (0..ps.len()).filter(|_| g.u8() & 3 == 0).collect();
+                if targets.is_empty() {
+                    targets.push(g.index(ps.len()));
+                }
+                let batch = prover
+                    .witnesses(&ps, &targets, &Pool::single())
+                    .expect("consistent prover");
+                prop_assert_eq!(prover.folded(), ps.len());
+                for (w, &t) in batch.iter().zip(&targets) {
+                    prop_assert_eq!(
+                        w.clone(),
+                        membership_witness(&params, &ps, t).expect("in range"),
+                        "round {round} target {t}"
+                    );
+                }
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn prover_over_another_list_is_a_typed_error() {
+        let params = RsaParams::fixed_512();
+        let ps = primes(6);
+        let pool = Pool::single();
+        // Folded a longer list (a since-truncated one).
+        let mut ahead = BatchProver::new(&params).expect("fixed params");
+        ahead.witnesses(&ps, &[0], &pool).expect("consistent");
+        assert_eq!(
+            ahead.witnesses(&ps[..4], &[1], &pool).unwrap_err(),
+            AccumulatorError::ProverAhead { folded: 6, len: 4 }
+        );
+        // Folded a same-length list whose target prime differs.
+        let mut other = ps.clone();
+        other[2] = hash_to_prime(b"phantom", 64).expect("width ok");
+        let mut stale = BatchProver::new(&params).expect("fixed params");
+        stale.witnesses(&other, &[0], &pool).expect("consistent");
+        assert_eq!(
+            stale.witnesses(&ps, &[2], &pool).unwrap_err(),
+            AccumulatorError::TargetsNotInProduct
+        );
     }
 
     #[test]

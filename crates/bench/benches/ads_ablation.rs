@@ -1,71 +1,123 @@
 //! Ablation: accumulator witness strategies (direct vs batched vs
 //! root-factor) and accumulation itself — the design choice behind
-//! Fig. 5b/5d's VO-generation curves.
+//! Fig. 5b/5d's VO-generation curves — plus the layers of one batched
+//! witness (fold vs fixed-base table, table growth, exact division).
+//!
+//! Sizes: 200 and 800 primes for the Fig. 5 comparisons, and 4,549 — the
+//! prime count of the `search_uniform` benchmark workload — for the
+//! layers of the batch prover, where the direct rows would take seconds
+//! per iteration and are skipped.
 
-use slicer_accumulator::{hash_to_prime, witness, Accumulator, RsaParams, WitnessCache};
-use slicer_bignum::BigUint;
+use slicer_accumulator::{hash_to_prime, witness, Accumulator, RsaParams};
+use slicer_bignum::{BigUint, FixedBase, MontgomeryCtx};
+use slicer_par::Pool;
 use slicer_testkit::bench::{black_box, Bench};
 
-fn primes(n: u32) -> Vec<BigUint> {
-    (0..n)
+fn primes(range: std::ops::Range<u32>) -> Vec<BigUint> {
+    range
         .map(|i| hash_to_prime(&i.to_be_bytes(), 128).expect("width ok"))
         .collect()
 }
 
+fn product(ps: &[BigUint]) -> BigUint {
+    ps.iter().fold(BigUint::one(), |acc, p| &acc * p)
+}
+
 fn main() {
     let params = RsaParams::fixed_512();
+    let ctx = MontgomeryCtx::new(params.modulus()).expect("odd modulus");
+    let pool = Pool::single();
     let mut group = Bench::new("ads_ablation");
 
-    for q in [200u32, 800] {
-        let ps = primes(q);
+    for q in [200u32, 800, 4549] {
+        let ps = primes(0..q);
         group.run(&format!("accumulate/{q}"), || {
             black_box(Accumulator::over(&params, &ps));
         });
-        group.run(&format!("witness_direct_x1/{q}"), || {
-            black_box(witness::membership_witness(&params, &ps, 0).expect("in range"));
-        });
         // 16 slices of an order query: direct does 16 full folds, batched
-        // shares the complement fold.
+        // shares the complement exponentiation.
         let targets: Vec<usize> = (0..16).map(|i| i * (q as usize / 16)).collect();
-        group.run(&format!("witness_direct_x16/{q}"), || {
-            black_box(
-                targets
-                    .iter()
-                    .map(|&t| witness::membership_witness(&params, &ps, t).expect("in range"))
-                    .collect::<Vec<_>>(),
-            );
-        });
+        if q <= 800 {
+            group.run(&format!("witness_direct_x1/{q}"), || {
+                black_box(witness::membership_witness(&params, &ps, 0).expect("in range"));
+            });
+            group.run(&format!("witness_direct_x16/{q}"), || {
+                black_box(
+                    targets
+                        .iter()
+                        .map(|&t| witness::membership_witness(&params, &ps, t).expect("in range"))
+                        .collect::<Vec<_>>(),
+                );
+            });
+            group.run(&format!("root_factor_all/{q}"), || {
+                black_box(witness::root_factor(&params, params.generator(), &ps));
+            });
+        }
+        // A fresh prover used once: product, full table, one exponentiation.
         group.run(&format!("witness_batched_x16/{q}"), || {
             black_box(witness::witness_batch(&params, &ps, &targets).expect("valid targets"));
         });
-        group.run(&format!("root_factor_all/{q}"), || {
-            black_box(witness::root_factor(&params, params.generator(), &ps));
+        // The cloud's steady state: a long-lived prover answering a query
+        // with nothing ingested since the last one ...
+        let mut warm = witness::BatchProver::new(&params).expect("fixed params");
+        warm.witnesses(&ps, &targets, &pool).expect("valid targets");
+        group.run(&format!("prover_warm_x16/{q}"), || {
+            black_box(warm.witnesses(&ps, &targets, &pool).expect("valid targets"));
         });
-        // Witness cache: build once, then per-query cost is a lookup; an
-        // insert-batch update costs q short exponentiations.
-        group.run(&format!("witness_cache_build/{q}"), || {
-            black_box(WitnessCache::build(&params, &ps));
+        // ... and after one single-record ingest (17 new primes at 16-bit).
+        let fresh = primes(100_000..100_017);
+        let mut grown = ps.clone();
+        grown.extend(fresh.iter().cloned());
+        group.run_batched(
+            &format!("prover_ingest17_x16/{q}"),
+            || warm.clone(),
+            |mut p| {
+                black_box(p.witnesses(&grown, &targets, &pool).expect("valid targets"));
+            },
+        );
+        // The split share of a batched witness: root factor over the
+        // 16 targets from a fixed base.
+        let target_primes: Vec<BigUint> = targets.iter().map(|&t| ps[t].clone()).collect();
+        group.run(&format!("root_factor_x16/{q}"), || {
+            black_box(witness::root_factor(
+                &params,
+                params.generator(),
+                &target_primes,
+            ));
         });
-        {
-            let extra: Vec<BigUint> = (10_000..10_016u32)
-                .map(|i| hash_to_prime(&i.to_be_bytes(), 128).expect("width ok"))
-                .collect();
-            let cache = WitnessCache::build(&params, &ps);
-            let mut full = ps.to_vec();
-            full.extend(extra);
-            group.run_batched(
-                &format!("witness_cache_update16/{q}"),
-                || cache.clone(),
-                |mut c| {
-                    c.update(&params, &full).expect("consistent cache");
-                    black_box(&c);
-                },
-            );
-        }
+
+        // Layers of the complement exponentiation `g^(∏ X)`: today's
+        // chunked fold vs the fixed-base table (warm), the table growth
+        // one ingest costs, and the exact division by 16 target primes.
+        let all = product(&ps);
+        group.run(&format!("powmod_product/{q}"), || {
+            black_box(params.powmod_product(params.generator(), &ps));
+        });
+        let mut table = FixedBase::new(&ctx, params.generator());
+        table.extend_to(all.bit_len());
+        group.run(&format!("fixed_base_pow/{q}"), || {
+            black_box(table.pow(&all));
+        });
+        let grown_bits = (&all * &product(&fresh)).bit_len();
+        group.run_batched(
+            &format!("fixed_base_extend17/{q}"),
+            || table.clone(),
+            |mut t| {
+                t.extend_to(grown_bits);
+                black_box(&t);
+            },
+        );
+        let divisor = product(&target_primes);
+        group.run(&format!("exact_div16/{q}"), || {
+            black_box(all.div_rem(&divisor));
+        });
 
         // Verification (the contract-side cost): constant regardless of q.
         let acc = Accumulator::over(&params, &ps);
-        let w = witness::membership_witness(&params, &ps, 0).expect("in range");
+        let w = warm
+            .witnesses(&ps, &[0], &pool)
+            .expect("valid target")
+            .remove(0);
         group.run(&format!("verify/{q}"), || {
             assert!(witness::verify_membership(&params, &ps[0], &w, acc.value()));
         });

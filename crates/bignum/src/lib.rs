@@ -12,8 +12,9 @@
 //!   of arithmetic, bit and comparison operators.
 //! * Knuth Algorithm D division ([`BigUint::div_rem`]).
 //! * Montgomery-form modular exponentiation ([`MontgomeryCtx`],
-//!   [`BigUint::modpow`]) with a 4-bit window, used on every accumulator
-//!   witness computation.
+//!   [`BigUint::modpow`]) with a sliding window of 3 to 6 bits sized to the
+//!   exponent, and fixed-base exponentiation from a precomputed table
+//!   ([`FixedBase`]), which computes the accumulator's batched witnesses.
 //! * Modular inverses via the extended Euclidean algorithm
 //!   ([`BigUint::modinv`]).
 //! * Miller–Rabin primality testing and random (safe-)prime generation
@@ -51,7 +52,7 @@ mod random;
 mod uint;
 
 pub use gcd::ExtendedGcd;
-pub use montgomery::MontgomeryCtx;
+pub use montgomery::{FixedBase, MontgomeryCtx};
 pub use prime::{gen_prime, gen_safe_prime, next_prime, SMALL_PRIMES};
 pub use random::{random_below, random_bits, random_odd_bits};
 pub use uint::{BigUint, ParseBigUintError};

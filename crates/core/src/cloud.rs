@@ -5,7 +5,8 @@ use crate::config::SlicerConfig;
 use crate::error::SlicerError;
 use crate::messages::{BuildOutput, CloudResponse, SearchToken, SliceResult};
 use crate::owner::state_key;
-use slicer_accumulator::{hash_to_prime, witness};
+use slicer_accumulator::{hash_to_prime, witness, AccumulatorError};
+use slicer_bignum::BigUint;
 use slicer_chain::VerifyEntry;
 use slicer_crypto::{sha256, Prf};
 use slicer_mshash::MsetHash;
@@ -20,16 +21,12 @@ pub enum WitnessStrategy {
     /// One direct `O(|X|)` fold per token — what the paper's prototype
     /// does; its cost grows with the record count (Fig. 5b/5d).
     Direct,
-    /// One shared complement fold for all of a query's tokens, then a
-    /// root-factor split among them — asymptotically `b×` cheaper for
-    /// order queries.
+    /// One shared complement exponentiation for all of a query's tokens
+    /// from a long-lived [`witness::BatchProver`] (running prime product
+    /// plus fixed-base generator table), then a root-factor split among
+    /// them.
     #[default]
     Batched,
-    /// Maintain a [`slicer_accumulator::WitnessCache`] over every
-    /// accumulated prime (built lazily, updated incrementally on ingest):
-    /// VO generation becomes a lookup, trading ingest-time work for
-    /// query-time speed.
-    Cached,
 }
 
 /// The (honest) cloud server.
@@ -43,7 +40,11 @@ pub struct CloudServer {
     state: CloudState,
     trapdoor_pk: TrapdoorPublic,
     strategy: WitnessStrategy,
-    witness_cache: slicer_accumulator::WitnessCache,
+    /// Built on the first batched `prove`, never at ingest or restore and
+    /// never persisted: its table costs about one full witness fold to
+    /// build, which set-up and restore should not pay for a cloud that may
+    /// never search.
+    prover: Option<witness::BatchProver>,
     telemetry: TelemetryHandle,
     pool: Pool,
 }
@@ -57,7 +58,7 @@ impl CloudServer {
             state: CloudState::new(),
             trapdoor_pk,
             strategy: WitnessStrategy::default(),
-            witness_cache: slicer_accumulator::WitnessCache::default(),
+            prover: None,
             telemetry: TelemetryHandle::disabled(),
             pool,
         }
@@ -77,7 +78,7 @@ impl CloudServer {
             state,
             trapdoor_pk,
             strategy: WitnessStrategy::default(),
-            witness_cache: slicer_accumulator::WitnessCache::default(),
+            prover: None,
             telemetry: TelemetryHandle::disabled(),
             pool,
         }
@@ -183,7 +184,7 @@ impl CloudServer {
     /// Returns [`SlicerError::IndexCorruption`] if the configured prime
     /// width is outside the supported range — misconfiguration, not a
     /// property of the result.
-    pub fn prime_for(&self, result: &SliceResult) -> Result<slicer_bignum::BigUint, SlicerError> {
+    pub fn prime_for(&self, result: &SliceResult) -> Result<BigUint, SlicerError> {
         let width = self.trapdoor_pk.trapdoor_bytes();
         let mut h = MsetHash::empty();
         for r in &result.er {
@@ -214,7 +215,7 @@ impl CloudServer {
         // Per-result prime derivation (set hash + H_prime) is independent:
         // fan it out over the pool. prime_for emits no telemetry, so the
         // transcript stays worker-count independent.
-        let xs: Vec<slicer_bignum::BigUint> = self
+        let xs: Vec<BigUint> = self
             .pool
             .run(results, |r| self.prime_for(r))
             .into_iter()
@@ -229,9 +230,6 @@ impl CloudServer {
             .collect::<Result<_, _>>()?;
         let params = &self.config.accumulator;
         let elem = params.element_bytes();
-        let corrupt = |e: slicer_accumulator::AccumulatorError| {
-            SlicerError::IndexCorruption(format!("witness generation failed: {e}"))
-        };
         let witnesses = match self.strategy {
             WitnessStrategy::Direct => targets
                 .iter()
@@ -240,49 +238,10 @@ impl CloudServer {
                         .map_err(corrupt)
                 })
                 .collect::<Result<Vec<_>, _>>()?,
-            WitnessStrategy::Batched => {
-                // Duplicate targets (same keyword twice in a query) are
-                // impossible: tokens within one query address distinct
-                // keywords.
-                witness::witness_batch_pooled(
-                    params,
-                    self.state.primes.as_slice(),
-                    &targets,
-                    &self.pool,
-                )
-                .map_err(corrupt)?
-            }
-            WitnessStrategy::Cached => {
-                // Bring the cache up to date with any primes ingested
-                // since the last query, then answer by lookup. An
-                // inconsistent cache (e.g. restored from a truncated
-                // segment) degrades to a full rebuild instead of
-                // killing the server.
-                if self
-                    .witness_cache
-                    .update(params, self.state.primes.as_slice())
-                    .is_err()
-                {
-                    self.telemetry.count("cloud.witness_cache.rebuilds", 1);
-                    self.witness_cache = slicer_accumulator::WitnessCache::default();
-                    self.witness_cache
-                        .update(params, self.state.primes.as_slice())
-                        .map_err(|e| {
-                            SlicerError::IndexCorruption(format!(
-                                "witness cache rebuild failed: {e}"
-                            ))
-                        })?;
-                }
-                xs.iter()
-                    .map(|x| {
-                        self.witness_cache.get(x).cloned().ok_or_else(|| {
-                            SlicerError::IndexCorruption(
-                                "witness cache misses an accumulated prime".into(),
-                            )
-                        })
-                    })
-                    .collect::<Result<_, _>>()?
-            }
+            // Duplicate targets (same keyword twice in a query) are
+            // impossible: tokens within one query address distinct
+            // keywords.
+            WitnessStrategy::Batched => self.batched_witnesses(&xs, &targets)?,
         };
         self.telemetry
             .count("cloud.witnesses.generated", witnesses.len() as u64);
@@ -291,6 +250,47 @@ impl CloudServer {
             .into_iter()
             .map(|w| w.to_bytes_be_padded(elem))
             .collect())
+    }
+
+    /// Batched witnesses from the long-lived prover, which catches up with
+    /// primes ingested since the last call.
+    ///
+    /// A prover that disagrees with the stored list — it folded more
+    /// primes than the list holds, a target does not divide its product,
+    /// or its first witness fails against the stored digest (e.g. state
+    /// swapped under it by a truncated restore) — is rebuilt from the list
+    /// once, never trusted.
+    fn batched_witnesses(
+        &mut self,
+        xs: &[BigUint],
+        targets: &[usize],
+    ) -> Result<Vec<BigUint>, SlicerError> {
+        let primes = self.state.primes.as_slice();
+        if let Some(prover) = self.prover.as_mut() {
+            match prover.witnesses(primes, targets, &self.pool) {
+                Ok(ws) if self.matches_digest(xs, &ws) => return Ok(ws),
+                _ => self.telemetry.count("cloud.prover.rebuilds", 1),
+            }
+        }
+        let params = &self.config.accumulator;
+        let mut prover = witness::BatchProver::new(params).map_err(corrupt)?;
+        let ws = prover
+            .witnesses(primes, targets, &self.pool)
+            .map_err(corrupt)?;
+        self.prover = Some(prover);
+        Ok(ws)
+    }
+
+    /// Whether the first witness verifies against the stored digest (one
+    /// short exponentiation). A cloud with no digest has nothing to
+    /// check against.
+    fn matches_digest(&self, xs: &[BigUint], ws: &[BigUint]) -> bool {
+        match (&self.state.accumulator, xs.first(), ws.first()) {
+            (Some(ac), Some(x), Some(w)) => {
+                witness::verify_membership(&self.config.accumulator, x, w, ac)
+            }
+            _ => true,
+        }
     }
 
     /// Full Algorithm 4: search + VO generation, producing the
@@ -316,6 +316,12 @@ impl CloudServer {
             .collect();
         Ok(CloudResponse { entries, results })
     }
+}
+
+/// Witness generation failing on the cloud's own state is local state
+/// corruption.
+fn corrupt(e: AccumulatorError) -> SlicerError {
+    SlicerError::IndexCorruption(format!("witness generation failed: {e}"))
 }
 
 /// The server-visible identity of a token: tokens carrying the same
@@ -438,13 +444,7 @@ mod tests {
         let (owner, mut cloud) = setup(25);
         let tokens = owner.search_tokens(&Query::less_than(100));
         let resp = cloud.respond(&tokens).unwrap();
-        let params = &owner.config().accumulator;
-        let acc = Accumulator::from_value(params, owner.accumulator().clone());
-        for (entry, result) in resp.entries.iter().zip(&resp.results) {
-            let x = cloud.prime_for(result).unwrap();
-            let w = slicer_bignum::BigUint::from_bytes_be(&entry.vo);
-            assert!(acc.verify(&x, &w));
-        }
+        assert_verifies(&owner, &cloud, &resp);
     }
 
     #[test]
@@ -456,56 +456,91 @@ mod tests {
         let direct = cloud.prove(&results).unwrap();
         cloud.set_strategy(WitnessStrategy::Batched);
         let batched = cloud.prove(&results).unwrap();
-        cloud.set_strategy(WitnessStrategy::Cached);
-        let cached = cloud.prove(&results).unwrap();
         assert_eq!(direct, batched);
-        assert_eq!(direct, cached);
     }
 
-    #[test]
-    fn cached_strategy_survives_inserts() {
-        let (mut owner, mut cloud) = setup(15);
-        cloud.set_strategy(WitnessStrategy::Cached);
-        // Warm the cache.
-        let tokens = owner.search_tokens(&Query::less_than(100));
-        let results = cloud.search(&tokens);
-        cloud.prove(&results).unwrap();
-        // Insert rotates trapdoors and appends primes; the cache must
-        // catch up incrementally and still verify.
-        let out = owner.insert(&[(RecordId::from_u64(77), 42)]).unwrap();
-        cloud.ingest(&out).unwrap();
-        let tokens = owner.search_tokens(&Query::equal(42));
-        let resp = cloud.respond(&tokens).unwrap();
+    /// Every witness of `resp` verifies against the owner's digest.
+    fn assert_verifies(owner: &DataOwner, cloud: &CloudServer, resp: &CloudResponse) {
         let params = &owner.config().accumulator;
         let acc = Accumulator::from_value(params, owner.accumulator().clone());
+        assert!(!resp.entries.is_empty());
         for (entry, result) in resp.entries.iter().zip(&resp.results) {
             let x = cloud.prime_for(result).unwrap();
-            let w = slicer_bignum::BigUint::from_bytes_be(&entry.vo);
+            let w = BigUint::from_bytes_be(&entry.vo);
             assert!(acc.verify(&x, &w));
         }
     }
 
     #[test]
-    fn cached_strategy_recovers_from_poisoned_cache() {
+    fn prover_catches_up_across_interleaved_inserts() {
+        // One cloud, one long-lived prover: each insert appends primes
+        // that the next prove must fold in before answering.
+        let (mut owner, mut cloud) = setup(15);
+        for round in 0..6u64 {
+            let value = (round * 37) % 256;
+            let out = owner
+                .insert(&[(RecordId::from_u64(1000 + round), value)])
+                .unwrap();
+            cloud.ingest(&out).unwrap();
+            for query in [Query::equal(value), Query::less_than(128)] {
+                let resp = cloud.respond(&owner.search_tokens(&query)).unwrap();
+                assert_verifies(&owner, &cloud, &resp);
+            }
+            let folded = cloud.prover.as_ref().map(|p| p.folded());
+            assert_eq!(folded, Some(cloud.state.primes.len()), "round {round}");
+        }
+    }
+
+    #[test]
+    fn poisoned_prover_is_rebuilt_once() {
+        // Provers that a truncated or swapped restore could leave behind,
+        // each built through the public API over the wrong list.
         let (owner, mut cloud) = setup(15);
-        cloud.set_strategy(WitnessStrategy::Cached);
         let tokens = owner.search_tokens(&Query::less_than(100));
-        // Poison the cache the way a truncated restore would: build it
-        // over the canonical primes plus a phantom, so it claims to cover
-        // more primes than the stored list holds.
-        let mut over: Vec<slicer_bignum::BigUint> = cloud.state.primes.as_slice().to_vec();
-        over.push(hash_to_prime(b"phantom", cloud.config.prime_bits).unwrap());
-        cloud.witness_cache =
-            slicer_accumulator::WitnessCache::build(&cloud.config.accumulator, &over);
-        // prove() must degrade to a full cache rebuild, not panic, and
-        // still produce witnesses that verify against the accumulator.
-        let resp = cloud.respond(&tokens).unwrap();
-        let params = &owner.config().accumulator;
-        let acc = Accumulator::from_value(params, owner.accumulator().clone());
-        for (entry, result) in resp.entries.iter().zip(&resp.results) {
-            let x = cloud.prime_for(result).unwrap();
-            let w = slicer_bignum::BigUint::from_bytes_be(&entry.vo);
-            assert!(acc.verify(&x, &w));
+        let params = cloud.config.accumulator.clone();
+        let real: Vec<BigUint> = cloud.state.primes.as_slice().to_vec();
+        let phantom = hash_to_prime(b"phantom", cloud.config.prime_bits).unwrap();
+        let targets: Vec<usize> = cloud
+            .search(&tokens)
+            .iter()
+            .map(|r| {
+                let x = cloud.prime_for(r).unwrap();
+                real.iter().position(|p| *p == x).unwrap()
+            })
+            .collect();
+        let bystander = (0..real.len()).find(|i| !targets.contains(i)).unwrap();
+        // Product over a phantom extra prime: folded count ahead of X.
+        let mut longer = real.clone();
+        longer.push(phantom.clone());
+        // Same length, a non-target prime swapped: only the digest check
+        // can tell.
+        let mut swapped = real.clone();
+        swapped[bystander] = phantom.clone();
+        // Same length, a target prime swapped: the division leaves a
+        // remainder.
+        let mut missing = real.clone();
+        missing[targets[0]] = phantom;
+        for (name, list) in [
+            ("longer", longer),
+            ("swapped", swapped),
+            ("missing", missing),
+        ] {
+            let mut prover = witness::BatchProver::new(&params).unwrap();
+            prover.witnesses(&list, &[0], &Pool::single()).unwrap();
+            cloud.prover = Some(prover);
+            let telemetry = TelemetryHandle::enabled();
+            cloud.set_telemetry(telemetry.clone());
+            let resp = cloud.respond(&tokens).unwrap();
+            assert_verifies(&owner, &cloud, &resp);
+            assert_eq!(
+                telemetry.counter_value("cloud.prover.rebuilds"),
+                Some(1),
+                "{name}"
+            );
+            assert_eq!(cloud.prover.as_ref().map(|p| p.folded()), Some(real.len()));
+            // The rebuilt prover is trusted from then on.
+            cloud.respond(&tokens).unwrap();
+            assert_eq!(telemetry.counter_value("cloud.prover.rebuilds"), Some(1));
         }
     }
 

@@ -187,6 +187,14 @@ wait "$slicerd_pid"
 slicerd_pid=""
 echo "slicerd smoke OK"
 
+echo "==> perfbench self-test (every benchmark workload end to end against slicerd)"
+# Smoke-sized runs of each BENCHMARK.json workload over the wire, traced
+# and untraced: every search is checked against a plaintext oracle and
+# must verify on chain, and the daemon's digest must equal an in-process
+# replay's. A wrong witness from the serving path fails here, not only
+# as a benchmark regression.
+python3 perfbench/run.py --self-test
+
 echo "==> observability smoke (metrics scrape + tail + crash flight recorder)"
 # Boot a daemon, drive traffic, scrape the Metrics surface and validate
 # both exports (the CLI runs the in-crate RFC 8259 parser over the JSON
