@@ -55,6 +55,15 @@ pub const ALLOWED_ATTR_KEYS: &[&str] = &[
     // Settlement outcome (public by construction).
     "verified",
     "paid_cloud",
+    // Persistence shape (`persist.commit` / `persist.load` spans): sizes
+    // and counts of files and commits. A delta's size follows from the
+    // shipment's entry and prime counts, already in L^build.
+    "bytes",
+    "files",
+    "fsyncs",
+    "generation",
+    "deltas",
+    "fallbacks",
 ];
 
 /// The leakage a run *declares*: accumulated by

@@ -79,6 +79,6 @@ pub use messages::{
 pub use owner::DataOwner;
 pub use profile::{PhaseStat, SearchProfile};
 pub use record::{Record, RecordId, RECORD_CIPHERTEXT_LEN};
-pub use state::{KeywordState, OwnerState};
-pub use system::{SearchOutcome, SlicerInstance, SlicerSystem};
+pub use state::{KeywordState, OwnerDelta, OwnerState};
+pub use system::{InsertOutcome, SearchOutcome, SlicerInstance, SlicerSystem};
 pub use user::DataUser;

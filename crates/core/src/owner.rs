@@ -6,7 +6,7 @@ use crate::keys::KeySet;
 use crate::keyword::Keyword;
 use crate::messages::{BuildOutput, Query, SearchToken};
 use crate::record::{Record, RecordId};
-use crate::state::{KeywordState, OwnerState};
+use crate::state::{KeywordState, OwnerDelta, OwnerState};
 use crate::user::DataUser;
 use slicer_accumulator::hash_to_prime;
 use slicer_bignum::BigUint;
@@ -49,6 +49,8 @@ pub struct DataOwner {
     config: SlicerConfig,
     keys: KeySet,
     state: OwnerState,
+    /// Changes to `state` not yet handed out by [`DataOwner::take_delta`].
+    delta: OwnerDelta,
     accumulator: BigUint,
     built: bool,
     telemetry: TelemetryHandle,
@@ -76,6 +78,7 @@ impl DataOwner {
             config,
             keys,
             state: OwnerState::new(),
+            delta: OwnerDelta::default(),
             accumulator,
             built: false,
             telemetry: TelemetryHandle::disabled(),
@@ -132,6 +135,14 @@ impl DataOwner {
     /// The owner state (`T` and `S`).
     pub fn state(&self) -> &OwnerState {
         &self.state
+    }
+
+    /// Hands out what builds and inserts changed in [`DataOwner::state`]
+    /// since the last call (or since construction or restore), leaving
+    /// nothing behind: the state as of the last call, with the returned
+    /// delta applied ([`OwnerState::apply`]), is the current state.
+    pub fn take_delta(&mut self) -> OwnerDelta {
+        std::mem::take(&mut self.delta)
     }
 
     /// Derives all SSE keywords of a record: the equality keyword per
@@ -269,6 +280,13 @@ impl DataOwner {
             if let Some(old) = &out.old_state_key {
                 self.state.set_hashes.remove(old);
             }
+            self.delta.record(
+                &out.keyword,
+                &out.new_state,
+                out.old_state_key.as_deref(),
+                &out.state_key,
+                &h,
+            );
             primes.push(x);
             self.state.set_hashes.insert(out.state_key, h);
             self.state.trapdoors.insert(out.keyword, out.new_state);

@@ -5,10 +5,11 @@ use crate::cloud::CloudServer;
 use crate::config::SlicerConfig;
 use crate::error::SlicerError;
 use crate::leakage::{BuildLeakage, SearchLeakage};
-use crate::messages::Query;
+use crate::messages::{BuildOutput, Query};
 use crate::owner::DataOwner;
 use crate::profile::{PhaseStat, SearchProfile};
 use crate::record::{Record, RecordId};
+use crate::state::OwnerDelta;
 use crate::user::DataUser;
 use slicer_chain::{Address, Blockchain, SlicerCall, SlicerContract, Transaction, TxReceipt};
 use slicer_crypto::sha256;
@@ -36,6 +37,19 @@ pub struct SearchOutcome {
     /// Identity of this search's trace (the `protocol.search` root span's
     /// [`slicer_telemetry::TraceId`]), or 0 when telemetry is disabled.
     pub trace_id: u64,
+}
+
+/// What one [`SlicerInstance::insert`] did: everything a caller needs
+/// to persist the insert on its own, without re-reading the whole state.
+#[derive(Debug, Clone)]
+pub struct InsertOutcome {
+    /// Receipt of the on-chain digest update (the 29 144-gas operation
+    /// of Table II).
+    pub receipt: TxReceipt,
+    /// The shipment the cloud ingested: index entries, primes and `Ac`.
+    pub shipment: BuildOutput,
+    /// The owner-state changes: `T` and `S` entries set, `S` keys retired.
+    pub owner: OwnerDelta,
 }
 
 /// Lowercase hex of `bytes` — tx hashes as span attributes.
@@ -309,7 +323,7 @@ impl SlicerInstance {
     ) -> Result<TxReceipt, SlicerError> {
         let mut span = self.telemetry.span("phase.build");
         let out = self.owner.build(db)?;
-        self.deploy_shipment(chain, &mut span, &out)
+        Ok(self.deploy_shipment(chain, &mut span, out)?.receipt)
     }
 
     /// Multi-attribute `Build`.
@@ -324,11 +338,12 @@ impl SlicerInstance {
     ) -> Result<TxReceipt, SlicerError> {
         let mut span = self.telemetry.span("phase.build");
         let out = self.owner.build_records(db)?;
-        self.deploy_shipment(chain, &mut span, &out)
+        Ok(self.deploy_shipment(chain, &mut span, out)?.receipt)
     }
 
     /// Full forward-secure `Insert` flow. Returns the receipt of the
-    /// on-chain digest update (the 29 144-gas operation of Table II).
+    /// on-chain digest update together with the shipment and the owner
+    /// changes, which a durable deployment persists as one delta.
     ///
     /// # Errors
     ///
@@ -337,10 +352,10 @@ impl SlicerInstance {
         &mut self,
         chain: &mut Blockchain,
         db_plus: &[(RecordId, u64)],
-    ) -> Result<TxReceipt, SlicerError> {
+    ) -> Result<InsertOutcome, SlicerError> {
         let mut span = self.telemetry.span("phase.build");
         let out = self.owner.insert(db_plus)?;
-        self.deploy_shipment(chain, &mut span, &out)
+        self.deploy_shipment(chain, &mut span, out)
     }
 
     /// Multi-attribute `Insert`.
@@ -355,7 +370,7 @@ impl SlicerInstance {
     ) -> Result<TxReceipt, SlicerError> {
         let mut span = self.telemetry.span("phase.build");
         let out = self.owner.insert_records(db_plus)?;
-        self.deploy_shipment(chain, &mut span, &out)
+        Ok(self.deploy_shipment(chain, &mut span, out)?.receipt)
     }
 
     /// Shared tail of every build/insert (inserts fold into the Build
@@ -367,12 +382,13 @@ impl SlicerInstance {
         &mut self,
         chain: &mut Blockchain,
         span: &mut Span,
-        out: &crate::messages::BuildOutput,
-    ) -> Result<TxReceipt, SlicerError> {
-        self.cloud.ingest(out)?;
-        self.user.sync_state(self.owner.state().user_view());
+        out: BuildOutput,
+    ) -> Result<InsertOutcome, SlicerError> {
+        self.cloud.ingest(&out)?;
+        let owner = self.owner.take_delta();
+        self.user.sync_state(owner.trapdoors.clone());
         let leak =
-            BuildLeakage::of(out).map_err(|e| SlicerError::IndexCorruption(e.to_string()))?;
+            BuildLeakage::of(&out).map_err(|e| SlicerError::IndexCorruption(e.to_string()))?;
         let receipt = self.publish_accumulator(chain)?;
         self.telemetry.count("phase.build.gas", receipt.gas_used);
         if span.is_recording() {
@@ -395,7 +411,11 @@ impl SlicerInstance {
             ],
         );
         self.declared.builds.push(leak);
-        Ok(receipt)
+        Ok(InsertOutcome {
+            receipt,
+            shipment: out,
+            owner,
+        })
     }
 
     /// The full verifiable-search workflow of Fig. 1:
@@ -644,7 +664,7 @@ impl SlicerSystem {
     ///
     /// Propagates owner-side and chain errors.
     pub fn insert(&mut self, db_plus: &[(RecordId, u64)]) -> Result<TxReceipt, SlicerError> {
-        self.instance.insert(&mut self.chain, db_plus)
+        Ok(self.instance.insert(&mut self.chain, db_plus)?.receipt)
     }
 
     /// Inserts multi-attribute records. See

@@ -49,9 +49,18 @@ impl DataUser {
         self.telemetry = telemetry;
     }
 
-    /// Replaces the local trapdoor state with the owner's newest `T`.
-    pub fn sync_state(&mut self, states: BTreeMap<Vec<u8>, KeywordState>) {
-        self.states = states;
+    /// Merges the owner's newest `T` entries into the local trapdoor
+    /// state. `T` keys are never removed, so the owner may pass its full
+    /// view ([`crate::OwnerState::user_view`]) or only the entries an
+    /// insert changed ([`crate::OwnerDelta::trapdoors`]).
+    pub fn sync_state(&mut self, mut states: BTreeMap<Vec<u8>, KeywordState>) {
+        // A few entries insert one by one; a view of comparable size
+        // merges faster in one linear pass over both maps.
+        if states.len() < self.states.len() / 8 {
+            self.states.extend(states);
+        } else {
+            self.states.append(&mut states);
+        }
     }
 
     /// Generates the search tokens for a query (Algorithm 3). Slices (or
@@ -203,5 +212,29 @@ mod tests {
         let mut fresh = stale.clone();
         fresh.sync_state(o.state().user_view());
         assert_eq!(fresh.tokens_for(&Query::equal(20)).len(), 1);
+    }
+
+    #[test]
+    fn incremental_sync_tracks_the_owner_view() {
+        let mut chain = slicer_chain::Blockchain::new();
+        let mut inst = crate::SlicerInstance::try_setup_with(
+            SlicerConfig::test_8bit(),
+            5,
+            &mut chain,
+            slicer_telemetry::TelemetryHandle::disabled(),
+        )
+        .unwrap();
+        let base: Vec<(RecordId, u64)> = (0..20)
+            .map(|i| (RecordId::from_u64(i), i * 13 % 256))
+            .collect();
+        inst.insert(&mut chain, &base).unwrap();
+        for i in 20..40u64 {
+            // Repeated and fresh values: rotations and new keywords.
+            let out = inst
+                .insert(&mut chain, &[(RecordId::from_u64(i), i * 7 % 64)])
+                .unwrap();
+            assert!(out.owner.trapdoors.len() <= 9, "one chain per keyword");
+            assert_eq!(inst.user.states, inst.owner.state().user_view());
+        }
     }
 }

@@ -230,6 +230,20 @@ fn metrics(client: &mut DaemonClient, rest: &[String]) -> Result<i32, DaemonErro
                 "metrics-check uptime_ns={} version={} boot={} generation={}",
                 reply.uptime_ns, reply.version, reply.boot, reply.generation
             );
+            let counter = |name: &str| {
+                reply
+                    .counters
+                    .iter()
+                    .find(|(n, _)| n == name)
+                    .map_or(0, |(_, v)| *v)
+            };
+            println!(
+                "metrics-check persist commits_base={} commits_delta={} commit_bytes={} fallbacks={}",
+                counter("persist.commits.base"),
+                counter("persist.commits.delta"),
+                counter("persist.commit.bytes"),
+                counter("persist.recovery.fallbacks")
+            );
             Ok(if ok { 0 } else { 2 })
         }
         Some(other) => Err(DaemonError::Config(format!(

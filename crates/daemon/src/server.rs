@@ -22,7 +22,7 @@ use crate::proto::{
 };
 use slicer_chain::Blockchain;
 use slicer_core::{Query, RecordId, SlicerConfig, SlicerInstance};
-use slicer_persist::{SegmentStore, Snapshot};
+use slicer_persist::{Delta, SegmentStore, Snapshot};
 use slicer_telemetry::{
     FanoutSink, Level, MemoryLogSink, MemorySink, MonotonicClock, ProfileAggregator, ProfileMode,
     Sink, TelemetryHandle, TraceId,
@@ -167,7 +167,8 @@ impl Daemon {
                 config.value_bits
             )));
         }
-        let store = SegmentStore::open(data_dir)?;
+        let mut store = SegmentStore::open(data_dir)?;
+        store.set_telemetry(telemetry.clone());
         let mut chain = Blockchain::new();
         let workers = slicer_par::configured_workers();
 
@@ -380,14 +381,25 @@ impl Daemon {
             .iter()
             .map(|&(id, value)| (RecordId::from_u64(id), value))
             .collect();
-        self.instance.insert(&mut self.chain, &batch)?;
-        let snapshot = Snapshot::capture(self.seed, &self.instance.owner, &self.instance.cloud);
-        self.generation = self.store.commit(&snapshot)?;
+        let outcome = match self.instance.insert(&mut self.chain, &batch) {
+            Ok(outcome) => outcome,
+            Err(e) => {
+                // The insert may have changed the live state before it
+                // failed; no delta records that, so the next commit must
+                // write the whole state.
+                self.store.require_base();
+                return Err(e.into());
+            }
+        };
+        let (seed, instance) = (self.seed, &self.instance);
+        self.generation = self.store.commit_delta(&Delta::from(outcome), || {
+            Snapshot::capture(seed, &instance.owner, &instance.cloud)
+        })?;
         self.telemetry.count("daemon.commits", 1);
         Ok(ResponseBody::Ingested {
             records: batch.len() as u64,
             generation: self.generation,
-            digest: snapshot.accumulator_digest(),
+            digest: self.digest(),
         })
     }
 
@@ -758,6 +770,70 @@ mod tests {
         };
         assert!(verified, "restored index must serve verifiable results");
         assert_eq!(ids, vec![8]);
+    }
+
+    #[test]
+    fn ingests_commit_deltas_and_persist_reports_through_metrics() {
+        use slicer_telemetry::{LogicalClock, NullSink};
+        let dir = tmp("deltas");
+        let _ = std::fs::remove_dir_all(&dir);
+        let live =
+            || TelemetryHandle::with(Arc::new(LogicalClock::with_step(1_000)), Arc::new(NullSink));
+        let ingest = |daemon: &mut Daemon, records: Vec<(u64, u64)>| {
+            daemon.handle(&Request {
+                trace_id: 0,
+                body: RequestBody::Ingest { records },
+            })
+        };
+        let counter = |daemon: &Daemon, name: &str| daemon.telemetry.counter_value(name);
+
+        let mut daemon = Daemon::open(&dir, cfg(), live()).unwrap();
+        // A base large enough that small deltas do not outgrow it.
+        ingest(&mut daemon, (100..140).map(|id| (id, id)).collect());
+        for id in 4..7 {
+            ingest(&mut daemon, vec![(id, id * 10)]);
+        }
+        // A rejected ingest forces the next commit to be a base.
+        ingest(&mut daemon, vec![(99, 9_999)]);
+        ingest(&mut daemon, vec![(7, 70)]);
+        assert_eq!(daemon.generation(), 5);
+        assert_eq!(counter(&daemon, "persist.commits.base"), Some(2));
+        assert_eq!(counter(&daemon, "persist.commits.delta"), Some(3));
+        assert!(counter(&daemon, "persist.commit.bytes").unwrap_or(0) > 0);
+        let digest = daemon.digest();
+        ingest(&mut daemon, vec![(8, 80)]);
+        assert_eq!(counter(&daemon, "persist.commits.delta"), Some(4));
+        let ResponseBody::MetricsReport { prometheus, .. } = daemon.metrics_report() else {
+            panic!("want MetricsReport");
+        };
+        for name in [
+            "slicer_persist_commits_base 2",
+            "slicer_persist_commits_delta 4",
+            "slicer_persist_commit_bytes",
+            "slicer_persist_commit_ns",
+            "slicer_persist_load_ns",
+        ] {
+            assert!(
+                prometheus.contains(name),
+                "{name} missing from {prometheus}"
+            );
+        }
+        drop(daemon);
+
+        // Tear generation 6's delta: the restart falls back to 5, says
+        // why in the log, and counts the fallback.
+        let victim = dir.join("seg-0000000006-0000.slc");
+        let bytes = std::fs::read(&victim).unwrap();
+        std::fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
+        let daemon = Daemon::open(&dir, cfg(), live()).unwrap();
+        assert_eq!(daemon.boot(), Boot::Restored(5));
+        assert_eq!(daemon.digest(), digest);
+        assert_eq!(counter(&daemon, "persist.recovery.fallbacks"), Some(1));
+        let log = daemon.log_ring.transcript();
+        assert!(
+            log.contains("falling back") && log.contains("seg-0000000006-0000.slc"),
+            "{log}"
+        );
     }
 
     #[test]

@@ -89,7 +89,7 @@ const DEBUG_MACROS: &[&str] = &[
 ];
 
 /// Durable-storage entry points in `slicer_persist`.
-const PERSIST_SINKS: &[&str] = &["write_frames", "commit"];
+const PERSIST_SINKS: &[&str] = &["write_frames", "commit", "commit_delta"];
 
 /// Wire-protocol encoder in `crates/daemon`.
 const WIRE_SINKS: &[&str] = &["write_message"];
@@ -800,6 +800,9 @@ mod tests {
     fn persist_and_wire_sinks_fire() {
         let p = "fn f(w: &mut W, key: &KeySet) { write_frames(w, key); }";
         let found = scan(&[("crates/persist/src/x.rs", p)]);
+        assert_eq!(rules(&found), vec!["taint.secret_to_persist"]);
+        let d = "fn f(store: &S, key: &KeySet) { store.commit_delta(key, snap); }";
+        let found = scan(&[("crates/daemon/src/x.rs", d)]);
         assert_eq!(rules(&found), vec!["taint.secret_to_persist"]);
         let w = "fn f(s: &mut S, key: &KeySet) { write_message(s, key); }";
         let found = scan(&[("crates/daemon/src/x.rs", w)]);

@@ -27,6 +27,14 @@ pub enum PersistError {
         /// What the validator found.
         detail: String,
     },
+    /// A segment file carries the magic of another format version: it
+    /// was written by an incompatible build and is never reinterpreted.
+    UnsupportedVersion {
+        /// The offending file.
+        path: String,
+        /// The magic found, without its trailing NUL (e.g. `SLCSEG1`).
+        magic: String,
+    },
     /// No generation in the directory could be loaded; carries a
     /// human-readable summary of every attempt.
     NoSealedGeneration {
@@ -58,6 +66,10 @@ impl fmt::Display for PersistError {
         match self {
             PersistError::Io { path, msg } => write!(f, "i/o error on {path}: {msg}"),
             PersistError::Corrupt { path, detail } => write!(f, "corrupt file {path}: {detail}"),
+            PersistError::UnsupportedVersion { path, magic } => write!(
+                f,
+                "unsupported segment version in {path}: found {magic}, this build reads SLCSEG2"
+            ),
             PersistError::NoSealedGeneration { dir, attempts } => {
                 write!(f, "no sealed generation in {dir}")?;
                 for a in attempts {

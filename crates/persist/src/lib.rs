@@ -11,23 +11,27 @@
 //! * [`Snapshot`] — everything one instance needs to resume, captured
 //!   from a live owner/cloud pair and encoded with the workspace's own
 //!   [`slicer_crypto::codec`] (no serialization framework).
-//! * [`SegmentStore`] — a generation-numbered segment directory. Every
-//!   commit writes checksummed segment files, a manifest listing them,
-//!   and finally flips the `CURRENT` pointer by atomic rename. A torn
-//!   write — truncated segment, flipped bit, missing manifest — is
-//!   detected by the per-frame SHA-256 checksums and recovery falls back
-//!   to the last *sealed* generation.
+//! * [`SegmentStore`] — a generation-numbered segment directory. A
+//!   generation is a base (the whole snapshot) plus one [`Delta`]
+//!   segment per ingest since. Every commit writes checksummed segment
+//!   files, a manifest listing the base's and the deltas' segments, and
+//!   finally flips the `CURRENT` pointer by atomic rename. A torn write —
+//!   truncated segment, flipped bit, missing manifest — is detected by
+//!   the SHA-256 checksums and recovery falls back to the last *sealed*
+//!   generation.
 //!
 //! On-disk layout (see DESIGN.md §11 for the full diagram):
 //!
 //! ```text
 //! <dir>/
 //!   CURRENT                 "gen <n>\n" — flipped last, by rename
-//!   manifest-<n>.slc        framed Manifest: segment names + checksums
-//!   seg-<n>-<idx>.slc       framed payload chunks
+//!   manifest-<n>.slc        framed Manifest: base b's segments, then the
+//!                           deltas b+1..n, with sizes and checksums
+//!   seg-<b>-<idx>.slc       base payload chunks
+//!   seg-<g>-0000.slc        the delta of generation g
 //! ```
 //!
-//! Every `.slc` file is a magic header followed by frames of
+//! Every `.slc` file is the magic `SLCSEG2\0` followed by frames of
 //! `[u64 LE length ‖ payload ‖ SHA-256(payload)]`.
 //!
 //! # Examples
@@ -54,4 +58,4 @@ mod store;
 pub use error::PersistError;
 pub use frame::{read_frames, write_frames};
 pub use snapshot::{Snapshot, SnapshotMeta};
-pub use store::{Manifest, SegmentEntry, SegmentRole, SegmentStore};
+pub use store::{Delta, Manifest, SegmentEntry, SegmentRole, SegmentStore};

@@ -182,6 +182,44 @@ cli search lt 25 | grep -q "verified=true" || {
   echo "slicerd smoke FAILED: restored search not verified" >&2
   exit 1
 }
+
+# Delta commits: single-record ingests on the restored state persist as
+# one small delta segment each. Five of them, then kill -9: the restart
+# must land on the last one (identical digest, every record searchable)
+# and the data directory may grow by at most 64 KB per ingest.
+data_bytes() { du -sb "$smoke_tmp/data" | cut -f1; }
+bytes_before="$(data_bytes)"
+for i in 1 2 3 4 5; do
+  cli ingest "$((100 + i)):$((200 + i))" >/dev/null
+done
+growth=$(($(data_bytes) - bytes_before))
+if [ "$growth" -gt $((5 * 64 * 1024)) ]; then
+  echo "slicerd smoke FAILED: 5 single-record ingests grew the data directory by $growth bytes" >&2
+  exit 1
+fi
+digest_before="$(cli stat | grep -o 'digest=[0-9a-f]*')"
+kill -9 "$slicerd_pid"
+wait "$slicerd_pid" 2>/dev/null || true
+./target/release/slicerd --listen "unix://$sock" --data "$smoke_tmp/data" >/dev/null &
+slicerd_pid=$!
+wait_ready
+digest_after="$(cli stat | grep -o 'digest=[0-9a-f]*')"
+if [ -z "$digest_before" ] || [ "$digest_before" != "$digest_after" ]; then
+  echo "slicerd smoke FAILED: digest diverged across kill -9 after delta commits" >&2
+  echo "  before: $digest_before" >&2
+  echo "  after:  $digest_after" >&2
+  exit 1
+fi
+delta_search="$(cli search gt 200)" || {
+  echo "slicerd smoke FAILED: search over delta-committed records not verified" >&2
+  exit 1
+}
+for id in 101 102 103 104 105; do
+  grep -Eq "records=\[([0-9]+,)*$id(,[0-9]+)*\]" <<<"$delta_search" || {
+    echo "slicerd smoke FAILED: record $id lost across kill -9: $delta_search" >&2
+    exit 1
+  }
+done
 cli shutdown >/dev/null
 wait "$slicerd_pid"
 slicerd_pid=""
@@ -241,6 +279,12 @@ grep -q "metrics-check json=ok" <<<"$check_out" || {
 }
 grep -q "metrics-check prometheus=ok" <<<"$check_out" || {
   echo "observability smoke FAILED: Prometheus export did not validate" >&2
+  exit 1
+}
+# The first ingest is the store's first commit, so it writes a base.
+grep -q "metrics-check persist commits_base=1 commits_delta=0" <<<"$check_out" || {
+  echo "observability smoke FAILED: persist commit counters missing from the scrape" >&2
+  echo "$check_out" >&2
   exit 1
 }
 ocli tail 50 | grep -q '"target":"slicerd.boot"' || {

@@ -297,3 +297,114 @@ fn restored_instance_serves_verifiable_search_on_fresh_chain() {
     assert_eq!(ids, vec![1, 2]);
     assert!(chain.verify_chain());
 }
+
+// ---------------------------------------------------------------------------
+// Delta commits
+// ---------------------------------------------------------------------------
+
+/// Commits a `base_records`-record 16-bit base, then one single-record
+/// ingest as a delta. Returns the names and sizes of the files the
+/// ingest wrote, and the delta segment's size.
+fn single_record_ingest(name: &str, base_records: u64) -> (Vec<(String, u64)>, u64) {
+    let dir = store_dir(name);
+    let seed = 71;
+    let mut chain = Blockchain::new();
+    let mut instance = SlicerInstance::try_setup_with(
+        SlicerConfig::test_16bit(),
+        seed,
+        &mut chain,
+        TelemetryHandle::disabled(),
+    )
+    .expect("setup");
+    let base: Vec<(RecordId, u64)> = (0..base_records)
+        .map(|i| (RecordId::from_u64(i), i * 7919 % 65_536))
+        .collect();
+    instance.insert(&mut chain, &base).expect("bulk insert");
+    let store = SegmentStore::open(&dir).expect("open store");
+    let snapshot = Snapshot::capture(seed, &instance.owner, &instance.cloud);
+    assert_eq!(store.commit(&snapshot).expect("base"), 1);
+    let before = listing(&dir);
+
+    // Record 0's value is in every base, so every keyword rotates an
+    // existing chain: the delta is the same shape at any base size.
+    let outcome = instance
+        .insert(&mut chain, &[(RecordId::from_u64(1 << 40), 0)])
+        .expect("insert");
+    let delta = slicer_persist::Delta::from(outcome);
+    let generation = store
+        .commit_delta(&delta, || {
+            Snapshot::capture(seed, &instance.owner, &instance.cloud)
+        })
+        .expect("delta commit");
+    assert_eq!(generation, 2);
+
+    // CURRENT is replaced by rename; every other file written is new.
+    assert_eq!(
+        std::fs::read_to_string(dir.join("CURRENT")).expect("CURRENT"),
+        "gen 2\n"
+    );
+    let written: Vec<(String, u64)> = listing(&dir)
+        .into_iter()
+        .filter(|name| name == "CURRENT" || !before.contains(name))
+        .map(|name| {
+            let len = std::fs::metadata(dir.join(&name)).expect("stat").len();
+            (name, len)
+        })
+        .collect();
+    let delta_bytes = written
+        .iter()
+        .find(|(n, _)| n == "seg-0000000002-0000.slc")
+        .map(|(_, len)| *len)
+        .expect("the ingest wrote its delta segment");
+
+    let (loaded, restored) = store.load().expect("load").expect("sealed");
+    assert_eq!(loaded, 2);
+    let width = instance.owner.config().accumulator.element_bytes();
+    assert_eq!(
+        restored.accumulator_digest(),
+        instance.owner.accumulator().to_bytes_be_padded(width)
+    );
+    assert_eq!(
+        restored.cloud.index.len(),
+        instance.cloud.storage().index.len()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    (written, delta_bytes)
+}
+
+/// The names of the files in `dir`, sorted.
+fn listing(dir: &PathBuf) -> Vec<String> {
+    let mut files: Vec<String> = std::fs::read_dir(dir)
+        .expect("readdir")
+        .filter_map(Result::ok)
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn single_record_ingest_writes_a_small_delta_independent_of_base_size() {
+    let (small, small_delta) = single_record_ingest("delta-100", 100);
+    let (large, large_delta) = single_record_ingest("delta-2000", 2_000);
+    for written in [&small, &large] {
+        let mut names: Vec<&str> = written.iter().map(|(n, _)| n.as_str()).collect();
+        names.sort_unstable();
+        assert_eq!(
+            names,
+            [
+                "CURRENT",
+                "manifest-0000000002.slc",
+                "seg-0000000002-0000.slc"
+            ],
+            "a delta commit writes its segment, its manifest and CURRENT"
+        );
+        let total: u64 = written.iter().map(|(_, len)| len).sum();
+        println!("single-record delta commit: {written:?}");
+        assert!(total < 64 * 1024, "{total} bytes for one record");
+    }
+    assert_eq!(
+        small_delta, large_delta,
+        "the delta holds the ingest, not the base"
+    );
+}
