@@ -38,9 +38,10 @@ impl<'a> Accumulator<'a> {
 
     /// Accumulates an entire prime set (`Accumulation(X)`).
     pub fn over(params: &'a RsaParams, primes: &[BigUint]) -> Self {
-        let mut acc = Self::new(params);
-        acc.add_batch(primes);
-        acc
+        Accumulator {
+            params,
+            value: params.powmod_product(params.generator(), primes),
+        }
     }
 
     /// Resumes from a previously computed accumulator value.
@@ -53,31 +54,9 @@ impl<'a> Accumulator<'a> {
         self.value = self.params.powmod(&self.value, prime);
     }
 
-    /// Adds a batch of primes.
-    pub fn add_all<'p, I: IntoIterator<Item = &'p BigUint>>(&mut self, primes: I) {
-        for p in primes {
-            self.add(p);
-        }
-    }
-
-    /// Adds a slice of primes in one chunked-product exponentiation:
-    /// `Ac ← Ac^{∏ x} mod n`, identical in value to folding them one by
-    /// one but sharing window tables across each exponent chunk.
-    pub fn add_batch(&mut self, primes: &[BigUint]) {
-        if primes.is_empty() {
-            return;
-        }
-        self.value = self.params.powmod_product(&self.value, primes);
-    }
-
     /// The current accumulator value `Ac`.
     pub fn value(&self) -> &BigUint {
         &self.value
-    }
-
-    /// Consumes the accumulator, returning `Ac`.
-    pub fn into_value(self) -> BigUint {
-        self.value
     }
 
     /// `VerifyMem`: checks `witness^x ≡ Ac (mod n)`.
@@ -120,7 +99,9 @@ mod tests {
         let ps = primes(6);
         let batch = Accumulator::over(&params, &ps);
         let mut inc = Accumulator::over(&params, &ps[..3]);
-        inc.add_all(&ps[3..]);
+        for p in &ps[3..] {
+            inc.add(p);
+        }
         assert_eq!(batch.value(), inc.value());
     }
 

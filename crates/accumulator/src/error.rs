@@ -37,15 +37,6 @@ pub enum AccumulatorError {
     /// [`BatchProver`](crate::witness::BatchProver)'s running product: it
     /// was built over a different list than the one presented.
     TargetsNotInProduct,
-    /// A Merkle tree was requested over an empty leaf set.
-    EmptyTree,
-    /// A Merkle proof was requested for a leaf outside the tree.
-    LeafOutOfRange {
-        /// The offending leaf index.
-        index: usize,
-        /// Number of leaves in the tree.
-        len: usize,
-    },
 }
 
 impl fmt::Display for AccumulatorError {
@@ -71,12 +62,6 @@ impl fmt::Display for AccumulatorError {
             }
             AccumulatorError::TargetsNotInProduct => {
                 write!(f, "target primes do not divide the prover's product")
-            }
-            AccumulatorError::EmptyTree => {
-                write!(f, "cannot build a Merkle tree over nothing")
-            }
-            AccumulatorError::LeafOutOfRange { index, len } => {
-                write!(f, "leaf index {index} out of range for {len} leaves")
             }
         }
     }

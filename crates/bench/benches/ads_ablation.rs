@@ -127,15 +127,15 @@ fn main() {
         // and position leakage.
         let leaves: Vec<Vec<u8>> = ps.iter().map(|p| p.to_bytes_be()).collect();
         group.run(&format!("merkle_build/{q}"), || {
-            black_box(slicer_accumulator::merkle::MerkleTree::build(&leaves).expect("non-empty"));
+            black_box(slicer_bench::merkle::MerkleTree::build(&leaves).expect("non-empty"));
         });
-        let tree = slicer_accumulator::merkle::MerkleTree::build(&leaves).expect("non-empty");
+        let tree = slicer_bench::merkle::MerkleTree::build(&leaves).expect("non-empty");
         group.run(&format!("merkle_prove/{q}"), || {
             black_box(tree.prove(0).expect("in range"));
         });
         let proof = tree.prove(0).expect("in range");
         group.run(&format!("merkle_verify/{q}"), || {
-            assert!(slicer_accumulator::merkle::MerkleTree::verify(
+            assert!(slicer_bench::merkle::MerkleTree::verify(
                 &tree.root(),
                 &leaves[0],
                 &proof

@@ -5,6 +5,7 @@
 
 use slicer_chain::{Address, Blockchain, SlicerContract};
 use slicer_core::{Query, RecordId, SlicerConfig, SlicerSystem};
+use slicer_telemetry::TelemetryHandle;
 use slicer_testkit::bench::{black_box, Bench};
 use slicer_workload::DatasetSpec;
 
@@ -30,7 +31,9 @@ fn main() {
     let probe = db[0].1;
 
     {
-        let mut sys = SlicerSystem::setup(SlicerConfig::test_8bit(), 1);
+        let mut sys =
+            SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), 1, TelemetryHandle::disabled())
+                .expect("chain accepts the deployment");
         sys.build(&db).expect("in-domain");
         let mut next = 1_000_000u64;
         group.run("insert_tx", || {
@@ -43,7 +46,9 @@ fn main() {
     }
 
     {
-        let mut sys = SlicerSystem::setup(SlicerConfig::test_8bit(), 1);
+        let mut sys =
+            SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), 1, TelemetryHandle::disabled())
+                .expect("chain accepts the deployment");
         sys.build(&db).expect("in-domain");
         group.run("verify_tx", || {
             let out = sys.search(&Query::equal(probe), 10).expect("search runs");

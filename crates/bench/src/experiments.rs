@@ -11,7 +11,7 @@ use crate::{mb, record_sweep, secs};
 use slicer_core::{
     CloudServer, DataOwner, Query, RecordId, SlicerConfig, SlicerSystem, WitnessStrategy,
 };
-use slicer_telemetry::{Clock, MonotonicClock};
+use slicer_telemetry::{Clock, MonotonicClock, TelemetryHandle};
 use slicer_workload::{sample_query_values, DatasetSpec};
 
 /// Seconds elapsed since `start_ns` on `clock` (timing goes through the
@@ -234,7 +234,9 @@ pub fn gas_experiment() -> Vec<Table> {
     // Data insertion + verification: a representative small deployment
     // (the paper's costs are per-operation, independent of data size for
     // insertion and near-constant for single-slice verification).
-    let mut sys = SlicerSystem::setup(SlicerConfig::test_8bit(), 4242);
+    let mut sys =
+        SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), 4242, TelemetryHandle::disabled())
+            .expect("chain accepts the deployment");
     let db = dataset(500, 8, 4242);
     sys.build(&db).expect("in-domain");
     let ins = sys
@@ -264,7 +266,13 @@ pub fn gas_experiment() -> Vec<Table> {
     // Ablation: the same verification under Berlin (EIP-2565) MODEXP
     // pricing — shows how much of the cost is precompile pricing policy.
     let mut chain = slicer_chain::Blockchain::with_schedule(slicer_chain::GasSchedule::eip2565());
-    let mut inst = slicer_core::SlicerInstance::setup(SlicerConfig::test_8bit(), 4242, &mut chain);
+    let mut inst = slicer_core::SlicerInstance::try_setup_with(
+        SlicerConfig::test_8bit(),
+        4242,
+        &mut chain,
+        TelemetryHandle::disabled(),
+    )
+    .expect("chain accepts the deployment");
     inst.build(&mut chain, &db).expect("in-domain");
     let outcome = inst
         .search(&mut chain, &Query::equal(db[0].1), 1_000)
@@ -287,7 +295,7 @@ pub fn telemetry_experiment(
     queries: usize,
     out: Option<&std::path::Path>,
 ) -> Vec<Table> {
-    use slicer_telemetry::{global, Snapshot, TelemetryHandle};
+    use slicer_telemetry::{global, Snapshot};
 
     let n = record_sweep(scale)[0];
     let db = dataset(n, 8, 42);
@@ -296,7 +304,8 @@ pub fn telemetry_experiment(
     // counters: SORE tuples, index lookups, witness generation).
     let build_handle = TelemetryHandle::enabled();
     global::set(build_handle.clone());
-    let mut sys = SlicerSystem::setup_with(SlicerConfig::test_8bit(), 42, build_handle.clone());
+    let mut sys = SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), 42, build_handle.clone())
+        .expect("chain accepts the deployment");
     sys.build(&db).expect("in-domain");
     let build_snap = build_handle.snapshot();
 

@@ -10,6 +10,7 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod merkle;
 pub mod table;
 
 pub use table::Table;

@@ -14,8 +14,35 @@
 //! The `ads_ablation` benchmark and the unit tests below quantify the
 //! trade-off.
 
-use crate::error::AccumulatorError;
 use slicer_crypto::sha256;
+use std::fmt;
+
+/// Typed errors for tree construction and proving.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MerkleError {
+    /// A tree was requested over an empty leaf set.
+    EmptyTree,
+    /// A proof was requested for a leaf outside the tree.
+    LeafOutOfRange {
+        /// The offending leaf index.
+        index: usize,
+        /// Number of leaves in the tree.
+        len: usize,
+    },
+}
+
+impl fmt::Display for MerkleError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MerkleError::EmptyTree => write!(f, "cannot build a Merkle tree over nothing"),
+            MerkleError::LeafOutOfRange { index, len } => {
+                write!(f, "leaf index {index} out of range for {len} leaves")
+            }
+        }
+    }
+}
+
+impl std::error::Error for MerkleError {}
 
 /// Domain-separation prefixes preventing leaf/node second-preimage splices.
 const LEAF_TAG: u8 = 0x00;
@@ -68,11 +95,11 @@ impl MerkleTree {
     ///
     /// # Errors
     ///
-    /// Returns [`AccumulatorError::EmptyTree`] on an empty leaf set (an
+    /// Returns [`MerkleError::EmptyTree`] on an empty leaf set (an
     /// empty ADS commits to nothing; use a sentinel leaf if needed).
-    pub fn build<D: AsRef<[u8]>>(leaves: &[D]) -> Result<Self, AccumulatorError> {
+    pub fn build<D: AsRef<[u8]>>(leaves: &[D]) -> Result<Self, MerkleError> {
         if leaves.is_empty() {
-            return Err(AccumulatorError::EmptyTree);
+            return Err(MerkleError::EmptyTree);
         }
         let mut levels = vec![leaves
             .iter()
@@ -98,7 +125,7 @@ impl MerkleTree {
             .last()
             .and_then(|level| level.first())
             .copied()
-            .ok_or(AccumulatorError::EmptyTree)?;
+            .ok_or(MerkleError::EmptyTree)?;
         Ok(MerkleTree { levels, root })
     }
 
@@ -121,11 +148,11 @@ impl MerkleTree {
     ///
     /// # Errors
     ///
-    /// Returns [`AccumulatorError::LeafOutOfRange`] if `index` is out of
+    /// Returns [`MerkleError::LeafOutOfRange`] if `index` is out of
     /// range.
-    pub fn prove(&self, index: usize) -> Result<MerkleProof, AccumulatorError> {
+    pub fn prove(&self, index: usize) -> Result<MerkleProof, MerkleError> {
         if index >= self.len() {
-            return Err(AccumulatorError::LeafOutOfRange {
+            return Err(MerkleError::LeafOutOfRange {
                 index,
                 len: self.len(),
             });
@@ -141,7 +168,7 @@ impl MerkleTree {
             } else {
                 level.get(i - 1)
             };
-            let sibling = *pair.ok_or(AccumulatorError::LeafOutOfRange {
+            let sibling = *pair.ok_or(MerkleError::LeafOutOfRange {
                 index,
                 len: self.len(),
             })?;
@@ -178,16 +205,15 @@ mod tests {
 
     #[test]
     fn empty_and_out_of_range_are_typed_errors() {
-        use crate::AccumulatorError;
         let none: &[&[u8]] = &[];
         assert!(matches!(
             MerkleTree::build(none),
-            Err(AccumulatorError::EmptyTree)
+            Err(MerkleError::EmptyTree)
         ));
         let tree = MerkleTree::build(&leaves(4)).unwrap();
         assert_eq!(
             tree.prove(4),
-            Err(AccumulatorError::LeafOutOfRange { index: 4, len: 4 })
+            Err(MerkleError::LeafOutOfRange { index: 4, len: 4 })
         );
     }
 

@@ -650,7 +650,7 @@ impl MontgomeryCtx {
     /// insert.
     ///
     /// For an above-width `x`, one ordinary pass forms
-    /// `b = acc · 2^(64 (len+2)) · R mod n` from the baked [`Self::r_wide`]
+    /// `b = acc · 2^(64 (len+2)) · R mod n` from the baked `r_wide`
     /// constant, and one extended pass over all `len + 2` limbs of `x`
     /// computes `x · b · 2^(-64 (len+2)) = acc · x mod n` — two passes
     /// total, never materializing a reduced `x`.
@@ -816,7 +816,7 @@ impl MontgomeryCtx {
 
     /// `base^(e_1 * e_2 * ... * e_k) mod n` without materializing the full
     /// exponent product: the factors are folded in chunks of at most
-    /// [`Powmod::MAX_CHUNK_BITS`] bits, each chunk exponentiated with one
+    /// `Powmod::MAX_CHUNK_BITS` bits, each chunk exponentiated with one
     /// shared window table. For the accumulator this turns "one `modpow`
     /// per prime" into "one window pass per ~32 primes", trading
     /// per-exponent multiplies for a handful of integer products.

@@ -380,14 +380,4 @@ impl LeakageAuditor {
             distinct_tokens: distinct,
         })
     }
-
-    /// Number of builds re-derived from the transcript.
-    pub fn observed_builds(&self) -> usize {
-        self.builds.len()
-    }
-
-    /// Number of searches re-derived from the transcript.
-    pub fn observed_searches(&self) -> usize {
-        self.searches.len()
-    }
 }

@@ -14,6 +14,7 @@ use crate::messages::Query;
 use crate::record::RecordId;
 use crate::system::{SearchOutcome, SlicerInstance};
 use slicer_chain::Blockchain;
+use slicer_telemetry::TelemetryHandle;
 use std::collections::BTreeMap;
 
 /// A Slicer deployment with deletion and update support: two instances
@@ -24,7 +25,7 @@ use std::collections::BTreeMap;
 /// ```
 /// use slicer_core::{DualSlicer, Query, RecordId, SlicerConfig};
 ///
-/// let mut dual = DualSlicer::setup(SlicerConfig::test_8bit(), 9);
+/// let mut dual = DualSlicer::try_setup(SlicerConfig::test_8bit(), 9).unwrap();
 /// dual.insert(&[(RecordId::from_u64(1), 50), (RecordId::from_u64(2), 60)]).unwrap();
 /// dual.delete(RecordId::from_u64(1)).unwrap();
 /// let out = dual.search(&Query::less_than(100), 10).unwrap();
@@ -45,16 +46,28 @@ pub struct DualSlicer {
 
 impl DualSlicer {
     /// Sets up both instances (distinct key material) over a fresh chain.
-    pub fn setup(config: SlicerConfig, seed: u64) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Propagates chain failures from either contract deployment.
+    pub fn try_setup(config: SlicerConfig, seed: u64) -> Result<Self, SlicerError> {
         let mut chain = Blockchain::new();
-        let inserts = SlicerInstance::setup(config.clone(), seed.wrapping_mul(2) + 1, &mut chain);
-        let deletes = SlicerInstance::setup(config, seed.wrapping_mul(2) + 2, &mut chain);
-        DualSlicer {
+        let mut instance = |seed| {
+            SlicerInstance::try_setup_with(
+                config.clone(),
+                seed,
+                &mut chain,
+                TelemetryHandle::disabled(),
+            )
+        };
+        let inserts = instance(seed.wrapping_mul(2) + 1)?;
+        let deletes = instance(seed.wrapping_mul(2) + 2)?;
+        Ok(DualSlicer {
             inserts,
             deletes,
             chain,
             live: BTreeMap::new(),
-        }
+        })
     }
 
     /// Inserts new records into the insert-instance.
@@ -170,7 +183,7 @@ mod tests {
     }
 
     fn dual() -> DualSlicer {
-        DualSlicer::setup(SlicerConfig::test_8bit(), 21)
+        DualSlicer::try_setup(SlicerConfig::test_8bit(), 21).unwrap()
     }
 
     #[test]

@@ -31,9 +31,12 @@
 //!
 //! ```
 //! use slicer_core::{Query, RecordId, SlicerConfig, SlicerSystem};
+//! use slicer_telemetry::TelemetryHandle;
 //!
-//! // 8-bit values, deterministic seed.
-//! let mut system = SlicerSystem::setup(SlicerConfig::test_8bit(), 42);
+//! // 8-bit values, deterministic seed, telemetry off.
+//! let mut system =
+//!     SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), 42, TelemetryHandle::disabled())
+//!         .unwrap();
 //! let db: Vec<(RecordId, u64)> = (0u64..50)
 //!     .map(|i| (RecordId::from_u64(i), (i * 3) % 256))
 //!     .collect();

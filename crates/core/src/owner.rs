@@ -159,58 +159,35 @@ impl DataOwner {
         out
     }
 
-    /// `Build` (Algorithm 1) over single-attribute records.
+    /// `Build` (Algorithm 1) over single-attribute `(id, value)` pairs or
+    /// multi-attribute [`Record`]s (Section V-F).
     ///
     /// # Errors
     ///
     /// Returns [`SlicerError::ValueOutOfDomain`] if any value exceeds the
     /// configured bit width, or [`SlicerError::AlreadyBuilt`] on a second
     /// call (use [`DataOwner::insert`] for updates).
-    pub fn build(&mut self, db: &[(RecordId, u64)]) -> Result<BuildOutput, SlicerError> {
+    pub fn build<R: Clone + Into<Record>>(&mut self, db: &[R]) -> Result<BuildOutput, SlicerError> {
         if self.built {
             return Err(SlicerError::AlreadyBuilt);
         }
-        let records: Vec<Record> = db.iter().map(|&(id, v)| Record::single(id, v)).collect();
-        let out = self.process(&records)?;
+        let out = self.process(&records(db))?;
         self.built = true;
         Ok(out)
     }
 
-    /// `Build` over multi-attribute records (Section V-F).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DataOwner::build`].
-    pub fn build_records(&mut self, db: &[Record]) -> Result<BuildOutput, SlicerError> {
-        if self.built {
-            return Err(SlicerError::AlreadyBuilt);
-        }
-        let out = self.process(db)?;
-        self.built = true;
-        Ok(out)
-    }
-
-    /// Forward-secure `Insert` (Algorithm 2) of single-attribute records.
+    /// Forward-secure `Insert` (Algorithm 2) of `(id, value)` pairs or
+    /// [`Record`]s.
     ///
     /// # Errors
     ///
     /// Returns [`SlicerError::ValueOutOfDomain`] for out-of-range values.
-    pub fn insert(&mut self, db_plus: &[(RecordId, u64)]) -> Result<BuildOutput, SlicerError> {
-        let records: Vec<Record> = db_plus
-            .iter()
-            .map(|&(id, v)| Record::single(id, v))
-            .collect();
-        self.insert_records(&records)
-    }
-
-    /// Forward-secure `Insert` of multi-attribute records.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SlicerError::ValueOutOfDomain`] for out-of-range values.
-    pub fn insert_records(&mut self, db_plus: &[Record]) -> Result<BuildOutput, SlicerError> {
+    pub fn insert<R: Clone + Into<Record>>(
+        &mut self,
+        db_plus: &[R],
+    ) -> Result<BuildOutput, SlicerError> {
         self.built = true; // inserting into an empty instance is permitted
-        self.process(db_plus)
+        self.process(&records(db_plus))
     }
 
     /// Shared core of Algorithms 1 and 2.
@@ -412,6 +389,11 @@ impl DataOwner {
     }
 }
 
+/// Converts an owner input batch to records.
+fn records<R: Clone + Into<Record>>(db: &[R]) -> Vec<Record> {
+    db.iter().cloned().map(Into::into).collect()
+}
+
 /// The keyword-state key `t ‖ j ‖ G1 ‖ G2` indexing `S` and feeding
 /// `H_prime`.
 pub(crate) fn state_key(t_bytes: &[u8], j: u32, g1: &[u8; 32], g2: &[u8; 32]) -> Vec<u8> {
@@ -507,6 +489,23 @@ mod tests {
         assert_eq!(out1.accumulator, out2.accumulator);
         assert_eq!(out1.entries, out2.entries);
         assert_eq!(out1.primes, out2.primes);
+
+        // `(id, value)` pairs and the single-attribute records they convert
+        // to are one input: Build and then Insert give byte-identical
+        // shipments, owner state and accumulator.
+        use slicer_crypto::codec::to_bytes;
+        let single = |db: &[(RecordId, u64)]| -> Vec<Record> {
+            db.iter().map(|&(id, v)| Record::single(id, v)).collect()
+        };
+        let mut o3 = DataOwner::new(SlicerConfig::test_8bit(), 99);
+        let out3 = o3.build(&single(&db(20))).unwrap();
+        assert_eq!(to_bytes(&out3).unwrap(), to_bytes(&out1).unwrap());
+        let extra = [(RecordId::from_u64(500), 42), (RecordId::from_u64(501), 7)];
+        let ins1 = o1.insert(&extra).unwrap();
+        let ins3 = o3.insert(&single(&extra)).unwrap();
+        assert_eq!(to_bytes(&ins3).unwrap(), to_bytes(&ins1).unwrap());
+        assert_eq!(o3.accumulator(), o1.accumulator());
+        assert_eq!(to_bytes(o3.state()).unwrap(), to_bytes(o1.state()).unwrap());
     }
 
     #[test]
@@ -532,7 +531,7 @@ mod tests {
             RecordId::from_u64(1),
             vec![("age".into(), 30), ("score".into(), 90)],
         );
-        let out = o.build_records(&[rec]).unwrap();
+        let out = o.build(&[rec]).unwrap();
         // 2 attributes × 9 keywords.
         assert_eq!(out.entries.len(), 18);
     }

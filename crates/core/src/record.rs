@@ -90,6 +90,12 @@ impl Record {
     }
 }
 
+impl From<(RecordId, u64)> for Record {
+    fn from((id, value): (RecordId, u64)) -> Self {
+        Record::single(id, value)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -90,35 +90,9 @@ pub struct SlicerInstance {
 
 impl SlicerInstance {
     /// Creates the parties, funds their accounts and deploys the
-    /// verification contract on `chain`.
-    pub fn setup(config: SlicerConfig, seed: u64, chain: &mut Blockchain) -> Self {
-        Self::setup_with(config, seed, chain, TelemetryHandle::disabled())
-    }
-
-    /// [`SlicerInstance::setup`] with a telemetry context that is installed
-    /// into all three parties and used for phase metrics. Pass
+    /// verification contract on `chain`. The telemetry context is
+    /// installed into all three parties and used for phase metrics; pass
     /// [`TelemetryHandle::disabled`] for the zero-overhead path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the contract deployment fails, which cannot happen on a
-    /// chain that accepts the accounts funded here. Use
-    /// [`SlicerInstance::try_setup_with`] to handle the error instead.
-    pub fn setup_with(
-        config: SlicerConfig,
-        seed: u64,
-        chain: &mut Blockchain,
-        telemetry: TelemetryHandle,
-    ) -> Self {
-        match Self::try_setup_with(config, seed, chain, telemetry) {
-            Ok(instance) => instance,
-            // slicer-lint: allow(panic.panic) — convenience constructor for tests/benches; the fallible path is try_setup_with
-            Err(e) => panic!("slicer setup failed: {e}"),
-        }
-    }
-
-    /// Fallible [`SlicerInstance::setup_with`]: every chain interaction is
-    /// surfaced as a typed error instead of a panic.
     ///
     /// # Errors
     ///
@@ -131,30 +105,13 @@ impl SlicerInstance {
     ) -> Result<Self, SlicerError> {
         let mut span = telemetry.span("phase.setup");
         let owner = DataOwner::new(config.clone(), seed);
-        let cloud = CloudServer::new(config.clone(), owner.keys().trapdoor().public().clone());
-        let user = owner.delegate();
+        let cloud = CloudServer::new(config, owner.keys().trapdoor().public().clone());
+        let (mut instance, deployed) = Self::deploy(owner, cloud, seed, chain)?;
 
-        // Derive distinct addresses from the seed.
-        let addr = |tag: &str| {
-            let h = sha256(&[tag.as_bytes(), &seed.to_be_bytes()].concat());
-            Address(*h.first_chunk().unwrap_or(&[0u8; 20]))
-        };
-        let owner_addr = addr("owner");
-        let user_addr = addr("user");
-        let cloud_addr = addr("cloud");
-        chain.create_account(owner_addr, 10_000_000_000);
-        chain.create_account(user_addr, 10_000_000_000);
-        chain.create_account(cloud_addr, 10_000_000_000);
-
-        let contract =
-            SlicerContract::new(config.accumulator.clone(), config.prime_bits, owner_addr);
-        let deployed = chain.deploy_contract(owner_addr, Box::new(contract), 0)?;
-        chain.seal_block();
-
-        telemetry.count("phase.setup.gas", deployed.receipt.gas_used);
+        telemetry.count("phase.setup.gas", deployed.gas_used);
         if span.is_recording() {
-            span.attr("gas.used", deployed.receipt.gas_used);
-            span.attr("tx.hash", hex_bytes(&deployed.receipt.tx_hash.0));
+            span.attr("gas.used", deployed.gas_used);
+            span.attr("tx.hash", hex_bytes(&deployed.tx_hash.0));
         }
         drop(span);
         // Deterministic fields only (gas, never wall time), so same-seed
@@ -163,22 +120,8 @@ impl SlicerInstance {
             Level::Info,
             "slicer.setup",
             "parties deployed",
-            vec![("gas.used", deployed.receipt.gas_used.into())],
+            vec![("gas.used", deployed.gas_used.into())],
         );
-
-        let mut instance = SlicerInstance {
-            owner,
-            cloud,
-            user,
-            owner_addr,
-            user_addr,
-            cloud_addr,
-            contract: deployed.address,
-            request_counter: 0,
-            telemetry: TelemetryHandle::disabled(),
-            clock: crate::owner::timing_clock(&TelemetryHandle::disabled()),
-            declared: DeclaredLeakage::default(),
-        };
         instance.set_telemetry(telemetry);
         Ok(instance)
     }
@@ -206,12 +149,38 @@ impl SlicerInstance {
         let mut span = telemetry.span("phase.restore");
         let owner = DataOwner::restore(config.clone(), seed, owner_state, accumulator);
         let cloud = CloudServer::from_state(
-            config.clone(),
+            config,
             owner.keys().trapdoor().public().clone(),
             cloud_state,
         );
-        let user = owner.delegate();
+        let (mut instance, deployed) = Self::deploy(owner, cloud, seed, chain)?;
+        // Every gas-bearing span must have a matching phase counter, so
+        // profile gas totals reconcile with the counter surface on
+        // restored deployments too (slicer-cli profile --check).
+        telemetry.count("phase.restore.gas", deployed.gas_used);
+        if span.is_recording() {
+            span.attr("gas.used", deployed.gas_used);
+        }
+        drop(span);
 
+        instance.set_telemetry(telemetry);
+        // The on-chain digest must match the restored accumulator before
+        // any search verifies against it.
+        instance.publish_accumulator(chain)?;
+        Ok(instance)
+    }
+
+    /// The block both constructors share: derives the parties' addresses
+    /// from `seed`, funds them, deploys the verification contract and
+    /// assembles the instance (telemetry still disabled). Returns the
+    /// deployment receipt for the caller's phase span.
+    fn deploy(
+        owner: DataOwner,
+        cloud: CloudServer,
+        seed: u64,
+        chain: &mut Blockchain,
+    ) -> Result<(Self, TxReceipt), SlicerError> {
+        let user = owner.delegate();
         let addr = |tag: &str| {
             let h = sha256(&[tag.as_bytes(), &seed.to_be_bytes()].concat());
             Address(*h.first_chunk().unwrap_or(&[0u8; 20]))
@@ -223,20 +192,13 @@ impl SlicerInstance {
         chain.create_account(user_addr, 10_000_000_000);
         chain.create_account(cloud_addr, 10_000_000_000);
 
+        let config = owner.config();
         let contract =
             SlicerContract::new(config.accumulator.clone(), config.prime_bits, owner_addr);
         let deployed = chain.deploy_contract(owner_addr, Box::new(contract), 0)?;
         chain.seal_block();
-        // Every gas-bearing span must have a matching phase counter, so
-        // profile gas totals reconcile with the counter surface on
-        // restored deployments too (slicer-cli profile --check).
-        telemetry.count("phase.restore.gas", deployed.receipt.gas_used);
-        if span.is_recording() {
-            span.attr("gas.used", deployed.receipt.gas_used);
-        }
-        drop(span);
 
-        let mut instance = SlicerInstance {
+        let instance = SlicerInstance {
             owner,
             cloud,
             user,
@@ -249,11 +211,7 @@ impl SlicerInstance {
             clock: crate::owner::timing_clock(&TelemetryHandle::disabled()),
             declared: DeclaredLeakage::default(),
         };
-        instance.set_telemetry(telemetry);
-        // The on-chain digest must match the restored accumulator before
-        // any search verifies against it.
-        instance.publish_accumulator(chain)?;
-        Ok(instance)
+        Ok((instance, deployed.receipt))
     }
 
     /// The instance's telemetry context.
@@ -310,34 +268,20 @@ impl SlicerInstance {
         Ok(receipt)
     }
 
-    /// Full `Build` flow: owner builds, cloud ingests `(I, X, Ac)`, the
-    /// digest goes on chain and the user receives the fresh state.
+    /// Full `Build` flow over `(id, value)` pairs or multi-attribute
+    /// [`Record`]s: owner builds, cloud ingests `(I, X, Ac)`, the digest
+    /// goes on chain and the user receives the fresh state.
     ///
     /// # Errors
     ///
     /// Propagates owner-side domain errors and chain failures.
-    pub fn build(
+    pub fn build<R: Clone + Into<Record>>(
         &mut self,
         chain: &mut Blockchain,
-        db: &[(RecordId, u64)],
+        db: &[R],
     ) -> Result<TxReceipt, SlicerError> {
         let mut span = self.telemetry.span("phase.build");
         let out = self.owner.build(db)?;
-        Ok(self.deploy_shipment(chain, &mut span, out)?.receipt)
-    }
-
-    /// Multi-attribute `Build`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates owner-side domain errors and chain failures.
-    pub fn build_records(
-        &mut self,
-        chain: &mut Blockchain,
-        db: &[Record],
-    ) -> Result<TxReceipt, SlicerError> {
-        let mut span = self.telemetry.span("phase.build");
-        let out = self.owner.build_records(db)?;
         Ok(self.deploy_shipment(chain, &mut span, out)?.receipt)
     }
 
@@ -348,29 +292,14 @@ impl SlicerInstance {
     /// # Errors
     ///
     /// Propagates owner-side domain errors and chain failures.
-    pub fn insert(
+    pub fn insert<R: Clone + Into<Record>>(
         &mut self,
         chain: &mut Blockchain,
-        db_plus: &[(RecordId, u64)],
+        db_plus: &[R],
     ) -> Result<InsertOutcome, SlicerError> {
         let mut span = self.telemetry.span("phase.build");
         let out = self.owner.insert(db_plus)?;
         self.deploy_shipment(chain, &mut span, out)
-    }
-
-    /// Multi-attribute `Insert`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates owner-side domain errors and chain failures.
-    pub fn insert_records(
-        &mut self,
-        chain: &mut Blockchain,
-        db_plus: &[Record],
-    ) -> Result<TxReceipt, SlicerError> {
-        let mut span = self.telemetry.span("phase.build");
-        let out = self.owner.insert_records(db_plus)?;
-        Ok(self.deploy_shipment(chain, &mut span, out)?.receipt)
     }
 
     /// Shared tail of every build/insert (inserts fold into the Build
@@ -627,17 +556,20 @@ pub struct SlicerSystem {
 }
 
 impl SlicerSystem {
-    /// Sets up chain, contract and parties.
-    pub fn setup(config: SlicerConfig, seed: u64) -> Self {
-        Self::setup_with(config, seed, TelemetryHandle::disabled())
-    }
-
-    /// [`SlicerSystem::setup`] with a telemetry context. See
-    /// [`SlicerInstance::setup_with`].
-    pub fn setup_with(config: SlicerConfig, seed: u64, telemetry: TelemetryHandle) -> Self {
+    /// Sets up chain, contract and parties. See
+    /// [`SlicerInstance::try_setup_with`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates chain failures from the contract deployment.
+    pub fn try_setup_with(
+        config: SlicerConfig,
+        seed: u64,
+        telemetry: TelemetryHandle,
+    ) -> Result<Self, SlicerError> {
         let mut chain = Blockchain::new();
-        let instance = SlicerInstance::setup_with(config, seed, &mut chain, telemetry);
-        SlicerSystem { instance, chain }
+        let instance = SlicerInstance::try_setup_with(config, seed, &mut chain, telemetry)?;
+        Ok(SlicerSystem { instance, chain })
     }
 
     /// Builds the initial database. See [`SlicerInstance::build`].
@@ -645,17 +577,8 @@ impl SlicerSystem {
     /// # Errors
     ///
     /// Propagates owner-side and chain errors.
-    pub fn build(&mut self, db: &[(RecordId, u64)]) -> Result<TxReceipt, SlicerError> {
+    pub fn build<R: Clone + Into<Record>>(&mut self, db: &[R]) -> Result<TxReceipt, SlicerError> {
         self.instance.build(&mut self.chain, db)
-    }
-
-    /// Builds multi-attribute records. See [`SlicerInstance::build_records`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates owner-side and chain errors.
-    pub fn build_records(&mut self, db: &[Record]) -> Result<TxReceipt, SlicerError> {
-        self.instance.build_records(&mut self.chain, db)
     }
 
     /// Inserts new records. See [`SlicerInstance::insert`].
@@ -663,18 +586,11 @@ impl SlicerSystem {
     /// # Errors
     ///
     /// Propagates owner-side and chain errors.
-    pub fn insert(&mut self, db_plus: &[(RecordId, u64)]) -> Result<TxReceipt, SlicerError> {
+    pub fn insert<R: Clone + Into<Record>>(
+        &mut self,
+        db_plus: &[R],
+    ) -> Result<TxReceipt, SlicerError> {
         Ok(self.instance.insert(&mut self.chain, db_plus)?.receipt)
-    }
-
-    /// Inserts multi-attribute records. See
-    /// [`SlicerInstance::insert_records`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates owner-side and chain errors.
-    pub fn insert_records(&mut self, db_plus: &[Record]) -> Result<TxReceipt, SlicerError> {
-        self.instance.insert_records(&mut self.chain, db_plus)
     }
 
     /// Runs a verified search. See [`SlicerInstance::search`].
@@ -728,6 +644,11 @@ mod tests {
     use super::*;
     use crate::cloud::malicious;
 
+    fn system(seed: u64) -> SlicerSystem {
+        SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), seed, TelemetryHandle::disabled())
+            .unwrap()
+    }
+
     fn db(n: u64) -> Vec<(RecordId, u64)> {
         (0..n)
             .map(|i| (RecordId::from_u64(i), (i * 13) % 256))
@@ -736,7 +657,7 @@ mod tests {
 
     #[test]
     fn end_to_end_equality() {
-        let mut sys = SlicerSystem::setup(SlicerConfig::test_8bit(), 1);
+        let mut sys = system(1);
         sys.build(&db(30)).unwrap();
         let out = sys.search(&Query::equal(13), 100).unwrap();
         assert!(out.verified);
@@ -746,7 +667,7 @@ mod tests {
 
     #[test]
     fn end_to_end_order_query_matches_oracle() {
-        let mut sys = SlicerSystem::setup(SlicerConfig::test_8bit(), 2);
+        let mut sys = system(2);
         let data = db(40);
         sys.build(&data).unwrap();
         for q in [Query::less_than(60), Query::greater_than(200)] {
@@ -766,7 +687,7 @@ mod tests {
 
     #[test]
     fn empty_query_settles_nothing() {
-        let mut sys = SlicerSystem::setup(SlicerConfig::test_8bit(), 3);
+        let mut sys = system(3);
         sys.build(&[(RecordId::from_u64(1), 10)]).unwrap();
         let out = sys.search(&Query::equal(99), 500).unwrap();
         assert!(out.verified);
@@ -777,7 +698,7 @@ mod tests {
 
     #[test]
     fn search_after_insert_sees_fresh_data_and_verifies() {
-        let mut sys = SlicerSystem::setup(SlicerConfig::test_8bit(), 4);
+        let mut sys = system(4);
         sys.build(&db(10)).unwrap();
         sys.insert(&[(RecordId::from_u64(100), 13)]).unwrap();
         let out = sys.search(&Query::equal(13), 10).unwrap();
@@ -789,7 +710,7 @@ mod tests {
 
     #[test]
     fn tampered_response_fails_verification_and_refunds() {
-        let mut sys = SlicerSystem::setup(SlicerConfig::test_8bit(), 5);
+        let mut sys = system(5);
         sys.build(&db(30)).unwrap();
         let (_, user_addr, cloud_addr) = sys.instance().addresses();
         let user_before = sys.chain().balance(&user_addr);
@@ -807,7 +728,7 @@ mod tests {
 
     #[test]
     fn profile_reconciles_with_receipt_gas() {
-        let mut sys = SlicerSystem::setup(SlicerConfig::test_8bit(), 7);
+        let mut sys = system(7);
         sys.build(&db(30)).unwrap();
         let out = sys.search(&Query::less_than(100), 1_000).unwrap();
         assert!(out.verified);
@@ -826,7 +747,8 @@ mod tests {
         use std::sync::Arc;
         let sink = Arc::new(MemorySink::new());
         let handle = TelemetryHandle::with(Arc::new(LogicalClock::default()), sink.clone() as _);
-        let mut sys = SlicerSystem::setup_with(SlicerConfig::test_8bit(), 8, handle.clone());
+        let mut sys =
+            SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), 8, handle.clone()).unwrap();
         sys.build(&db(20)).unwrap();
         sys.insert(&[(RecordId::from_u64(100), 13)]).unwrap();
         let out = sys.search(&Query::equal(13), 10).unwrap();
@@ -853,7 +775,7 @@ mod tests {
 
     #[test]
     fn honest_search_pays_the_cloud() {
-        let mut sys = SlicerSystem::setup(SlicerConfig::test_8bit(), 6);
+        let mut sys = system(6);
         sys.build(&db(30)).unwrap();
         let (_, user_addr, cloud_addr) = sys.instance().addresses();
         let user_before = sys.chain().balance(&user_addr);

@@ -112,11 +112,6 @@ impl DataUser {
     pub fn config(&self) -> &SlicerConfig {
         &self.config
     }
-
-    /// Number of keyword states currently known.
-    pub fn known_keywords(&self) -> usize {
-        self.states.len()
-    }
 }
 
 /// Shared token-generation core (Algorithm 3): maps a user query to the

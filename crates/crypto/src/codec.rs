@@ -7,7 +7,7 @@
 //! length prefix; options a one-byte tag; enum variants (encoded by hand in
 //! each enum's impl) a `u32` index.
 //!
-//! Struct impls are one-liners via [`impl_codec!`]:
+//! Struct impls are one-liners via [`impl_codec!`](crate::impl_codec):
 //!
 //! ```
 //! use slicer_crypto::codec::{from_bytes, to_bytes};

@@ -28,9 +28,8 @@
 //! usage, transport, daemon or validation errors.
 
 use slicer_core::Query;
-use slicer_daemon::{
-    hex, DaemonClient, DaemonError, Endpoint, FlightRecording, MetricsReply, IN_FLIGHT,
-};
+use slicer_daemon::{hex, DaemonClient, DaemonError, Endpoint, FlightRecording, IN_FLIGHT};
+use slicer_telemetry::Snapshot;
 use std::path::Path;
 
 fn main() {
@@ -201,25 +200,27 @@ fn stat(client: &mut DaemonClient) -> Result<i32, DaemonError> {
 /// line-shape check) and prints machine-readable `metrics-check` markers.
 fn metrics(client: &mut DaemonClient, rest: &[String]) -> Result<i32, DaemonError> {
     let reply = client.metrics()?;
+    let snap = reply.snapshot();
     match rest.first().map(String::as_str) {
         None => {
-            print!("{}", reply.prometheus);
+            print!("{}", snap.to_prometheus_text());
             Ok(0)
         }
         Some("--json") => {
-            println!("{}", reply.json);
+            println!("{}", snap.to_json());
             Ok(0)
         }
         Some("--check") => {
             let mut ok = true;
-            match slicer_telemetry::json::parse(&reply.json) {
-                Ok(()) => println!("metrics-check json=ok bytes={}", reply.json.len()),
+            let json = snap.to_json();
+            match slicer_telemetry::json::parse(&json) {
+                Ok(_) => println!("metrics-check json=ok bytes={}", json.len()),
                 Err(e) => {
                     ok = false;
                     println!("metrics-check json=INVALID error={e}");
                 }
             }
-            match check_prometheus(&reply.prometheus) {
+            match check_prometheus(&snap.to_prometheus_text()) {
                 Ok(samples) => println!("metrics-check prometheus=ok samples={samples}"),
                 Err(e) => {
                     ok = false;
@@ -230,13 +231,7 @@ fn metrics(client: &mut DaemonClient, rest: &[String]) -> Result<i32, DaemonErro
                 "metrics-check uptime_ns={} version={} boot={} generation={}",
                 reply.uptime_ns, reply.version, reply.boot, reply.generation
             );
-            let counter = |name: &str| {
-                reply
-                    .counters
-                    .iter()
-                    .find(|(n, _)| n == name)
-                    .map_or(0, |(_, v)| *v)
-            };
+            let counter = |name: &str| snap.counter(name).unwrap_or(0);
             println!(
                 "metrics-check persist commits_base={} commits_delta={} commit_bytes={} fallbacks={}",
                 counter("persist.commits.base"),
@@ -339,16 +334,17 @@ fn top(client: &mut DaemonClient, rest: &[String]) -> Result<i32, DaemonError> {
         second.uptime_ns as f64 / 1e9,
         window_ns / 1_000_000
     );
-    let rate = |name: &str| {
-        let delta = counter(&second, name).saturating_sub(counter(&first, name));
-        delta as f64 * 1e9 / window_ns as f64
+    let (before, after) = (first.snapshot(), second.snapshot());
+    let rate = |value: fn(&Snapshot, &str) -> Option<u64>, name: &str| {
+        let at = |snap| value(snap, name).unwrap_or(0);
+        at(&after).saturating_sub(at(&before)) as f64 * 1e9 / window_ns as f64
     };
     println!(
         "req/s {:>8.1}   conn/s {:>6.1}   in {:>10.0} B/s   out {:>10.0} B/s",
-        rate("rpc.requests"),
-        rate("net.connections"),
-        gauge_rate(&first, &second, "net.bytes_in", window_ns),
-        gauge_rate(&first, &second, "net.bytes_out", window_ns),
+        rate(Snapshot::counter, "rpc.requests"),
+        rate(Snapshot::counter, "net.connections"),
+        rate(Snapshot::gauge, "net.bytes_in"),
+        rate(Snapshot::gauge, "net.bytes_out"),
     );
     let errors: Vec<String> = second
         .counters
@@ -364,13 +360,7 @@ fn top(client: &mut DaemonClient, rest: &[String]) -> Result<i32, DaemonError> {
             errors.join(" ")
         }
     );
-    let gauge = |name: &str| {
-        second
-            .gauges
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, v)| *v)
-    };
+    let gauge = |name: &str| after.gauge(name).unwrap_or(0);
     println!(
         "inflight {}   dropped_events {}",
         gauge("rpc.inflight"),
@@ -551,25 +541,6 @@ fn bench_diff(rest: &[String]) -> Result<i32, DaemonError> {
     let report = slicer_testkit::diff(&old, &new, &config);
     print!("{}", report.render());
     Ok(if report.ok() { 0 } else { 1 })
-}
-
-fn counter(reply: &MetricsReply, name: &str) -> u64 {
-    reply
-        .counters
-        .iter()
-        .find(|(n, _)| n == name)
-        .map_or(0, |(_, v)| *v)
-}
-
-fn gauge_rate(first: &MetricsReply, second: &MetricsReply, name: &str, window_ns: u64) -> f64 {
-    let at = |reply: &MetricsReply| {
-        reply
-            .gauges
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, v)| *v)
-    };
-    at(second).saturating_sub(at(first)) as f64 * 1e9 / window_ns as f64
 }
 
 /// `flightrec <path>` — decode a flight-recorder segment from disk:

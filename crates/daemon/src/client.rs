@@ -3,7 +3,7 @@
 use crate::error::DaemonError;
 use crate::net::{Endpoint, Stream};
 use crate::proto::{
-    read_message, write_message, Request, RequestBody, Response, ResponseBody, WireHistogram,
+    read_message, write_message, MetricsReply, Request, RequestBody, Response, ResponseBody,
 };
 use slicer_core::Query;
 
@@ -134,9 +134,9 @@ impl DaemonClient {
         }
     }
 
-    /// Scrapes the daemon's live metrics: rendered Prometheus-text and
-    /// JSON exports plus the structured counter/gauge/histogram vectors
-    /// (so callers like `slicer-cli top` need no JSON parsing).
+    /// Scrapes the daemon's live metrics: the structured
+    /// counter/gauge/histogram vectors, which
+    /// [`MetricsReply::snapshot`] renders as Prometheus text or JSON.
     ///
     /// # Errors
     ///
@@ -144,27 +144,7 @@ impl DaemonClient {
     /// [`DaemonError::Protocol`] on a daemon-side failure.
     pub fn metrics(&mut self) -> Result<MetricsReply, DaemonError> {
         match self.call(RequestBody::Metrics)? {
-            ResponseBody::MetricsReport {
-                uptime_ns,
-                version,
-                boot,
-                generation,
-                prometheus,
-                json,
-                counters,
-                gauges,
-                histograms,
-            } => Ok(MetricsReply {
-                uptime_ns,
-                version,
-                boot,
-                generation,
-                prometheus,
-                json,
-                counters,
-                gauges,
-                histograms,
-            }),
+            ResponseBody::MetricsReport(report) => Ok(report),
             other => Err(unexpected("MetricsReport", &other)),
         }
     }
@@ -244,29 +224,6 @@ pub struct SearchReply {
     pub verify_gas: u64,
     /// Canonical accumulator digest the proof verified against.
     pub digest: Vec<u8>,
-}
-
-/// A [`DaemonClient::metrics`] result.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsReply {
-    /// Nanoseconds since the daemon booted (its telemetry clock).
-    pub uptime_ns: u64,
-    /// The daemon's crate version.
-    pub version: String,
-    /// `"fresh"` or `"restored:<generation>"`.
-    pub boot: String,
-    /// Last sealed on-disk generation.
-    pub generation: u64,
-    /// Rendered Prometheus text exposition.
-    pub prometheus: String,
-    /// Rendered JSON export of the same snapshot.
-    pub json: String,
-    /// Counter names and values, sorted by name.
-    pub counters: Vec<(String, u64)>,
-    /// Gauge names and values, sorted by name.
-    pub gauges: Vec<(String, u64)>,
-    /// Histogram names and summaries, sorted by name.
-    pub histograms: Vec<(String, WireHistogram)>,
 }
 
 /// A [`DaemonClient::profile`] result.

@@ -29,11 +29,12 @@ mod net;
 pub mod proto;
 mod server;
 
-pub use client::{DaemonClient, MetricsReply, ProfileReply, SearchReply, StatReply};
+pub use client::{DaemonClient, ProfileReply, SearchReply, StatReply};
 pub use error::DaemonError;
 pub use flightrec::{FlightRecord, FlightRecorder, FlightRecording, FLIGHTREC_FILE, IN_FLIGHT};
 pub use net::{Endpoint, Listener, Meter, MeteredStream, Stream};
 pub use proto::{
-    ReadOutcome, Request, RequestBody, Response, ResponseBody, WireHistogram, MAX_FRAME_LEN,
+    MetricsReply, ReadOutcome, Request, RequestBody, Response, ResponseBody, WireHistogram,
+    MAX_FRAME_LEN,
 };
 pub use server::{hex, instrumented_telemetry, Boot, Daemon, DaemonConfig, DEFAULT_EVENT_RING};

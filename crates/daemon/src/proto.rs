@@ -16,6 +16,7 @@
 use crate::error::DaemonError;
 use slicer_core::Query;
 use slicer_crypto::codec::{from_bytes, to_bytes, CodecError, Decode, Encode, Reader};
+use slicer_telemetry::Snapshot;
 use std::io::{Read, Write};
 
 /// Upper bound on a frame's payload length. Large enough for any real
@@ -55,9 +56,8 @@ pub enum RequestBody {
     Stat,
     /// Ask the daemon to stop accepting connections and exit.
     Shutdown,
-    /// Scrape the daemon's metrics registry: Prometheus text + JSON
-    /// exports plus structured counter/gauge/histogram listings and
-    /// uptime/build info.
+    /// Scrape the daemon's metrics registry: counter/gauge/histogram
+    /// listings and uptime/build info.
     Metrics,
     /// Fetch the last `count` structured log records as JSON lines.
     Tail {
@@ -224,28 +224,8 @@ pub enum ResponseBody {
     },
     /// The daemon acknowledges shutdown and will exit.
     ShuttingDown,
-    /// A metrics scrape: rendered exports plus the structured registry,
-    /// so clients (`slicer-cli top`) need no JSON parsing.
-    MetricsReport {
-        /// Nanoseconds since the daemon's clock saw its boot reading.
-        uptime_ns: u64,
-        /// The daemon's crate version (build info).
-        version: String,
-        /// How the daemon booted: `"fresh"` or `"restored:<gen>"`.
-        boot: String,
-        /// Last sealed on-disk generation.
-        generation: u64,
-        /// The registry in Prometheus exposition format.
-        prometheus: String,
-        /// The registry as one JSON document.
-        json: String,
-        /// Sorted `(name, value)` counter pairs.
-        counters: Vec<(String, u64)>,
-        /// Sorted `(name, value)` gauge pairs.
-        gauges: Vec<(String, u64)>,
-        /// Sorted `(name, summary)` histogram pairs.
-        histograms: Vec<(String, WireHistogram)>,
-    },
+    /// A metrics scrape.
+    MetricsReport(MetricsReply),
     /// The last N structured log records, one JSON line each.
     LogTail {
         /// JSON-encoded log records, oldest first.
@@ -268,6 +248,49 @@ pub enum ResponseBody {
         /// Stacks the aggregator discarded at its cap.
         dropped_stacks: u64,
     },
+}
+
+/// A metrics scrape: the structured registry, sent once. Clients render
+/// it as Prometheus text or JSON themselves ([`MetricsReply::snapshot`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct MetricsReply {
+    /// Nanoseconds since the daemon's clock saw its boot reading.
+    pub uptime_ns: u64,
+    /// The daemon's crate version (build info).
+    pub version: String,
+    /// How the daemon booted: `"fresh"` or `"restored:<gen>"`.
+    pub boot: String,
+    /// Last sealed on-disk generation.
+    pub generation: u64,
+    /// Sorted `(name, value)` counter pairs.
+    pub counters: Vec<(String, u64)>,
+    /// Sorted `(name, value)` gauge pairs.
+    pub gauges: Vec<(String, u64)>,
+    /// Sorted `(name, summary)` histogram pairs.
+    pub histograms: Vec<(String, WireHistogram)>,
+}
+
+slicer_crypto::impl_codec!(MetricsReply {
+    uptime_ns,
+    version,
+    boot,
+    generation,
+    counters,
+    gauges,
+    histograms
+});
+
+impl MetricsReply {
+    /// The scraped registry as a [`Snapshot`], ready for the Prometheus
+    /// and JSON exporters.
+    pub fn snapshot(&self) -> Snapshot {
+        let histograms = self.histograms.iter().map(|(n, h)| (n.clone(), h.into()));
+        Snapshot::from_parts(
+            self.counters.clone(),
+            self.gauges.clone(),
+            histograms.collect(),
+        )
+    }
 }
 
 /// A histogram summary on the wire — mirrors
@@ -316,13 +339,16 @@ impl From<&slicer_telemetry::HistogramSummary> for WireHistogram {
     }
 }
 
-impl WireHistogram {
-    /// Mean observation, rounded down (0 when empty).
-    pub fn mean(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.sum / self.count
+impl From<&WireHistogram> for slicer_telemetry::HistogramSummary {
+    fn from(h: &WireHistogram) -> Self {
+        slicer_telemetry::HistogramSummary {
+            count: h.count,
+            sum: h.sum,
+            min: h.min,
+            max: h.max,
+            p50: h.p50,
+            p90: h.p90,
+            p99: h.p99,
         }
     }
 }
@@ -385,27 +411,9 @@ impl Encode for ResponseBody {
                 digest.encode(out);
             }
             ResponseBody::ShuttingDown => 5u32.encode(out),
-            ResponseBody::MetricsReport {
-                uptime_ns,
-                version,
-                boot,
-                generation,
-                prometheus,
-                json,
-                counters,
-                gauges,
-                histograms,
-            } => {
+            ResponseBody::MetricsReport(report) => {
                 6u32.encode(out);
-                uptime_ns.encode(out);
-                version.encode(out);
-                boot.encode(out);
-                generation.encode(out);
-                prometheus.encode(out);
-                json.encode(out);
-                counters.encode(out);
-                gauges.encode(out);
-                histograms.encode(out);
+                report.encode(out);
             }
             ResponseBody::LogTail { lines, dropped } => {
                 7u32.encode(out);
@@ -462,17 +470,7 @@ impl Decode for ResponseBody {
                 digest: Vec::decode(reader)?,
             }),
             5 => Ok(ResponseBody::ShuttingDown),
-            6 => Ok(ResponseBody::MetricsReport {
-                uptime_ns: u64::decode(reader)?,
-                version: String::decode(reader)?,
-                boot: String::decode(reader)?,
-                generation: u64::decode(reader)?,
-                prometheus: String::decode(reader)?,
-                json: String::decode(reader)?,
-                counters: Vec::decode(reader)?,
-                gauges: Vec::decode(reader)?,
-                histograms: Vec::decode(reader)?,
-            }),
+            6 => Ok(ResponseBody::MetricsReport(MetricsReply::decode(reader)?)),
             7 => Ok(ResponseBody::LogTail {
                 lines: Vec::decode(reader)?,
                 dropped: u64::decode(reader)?,
@@ -657,13 +655,11 @@ mod tests {
     #[test]
     fn observability_responses_roundtrip_through_the_frame() {
         for body in [
-            ResponseBody::MetricsReport {
+            ResponseBody::MetricsReport(MetricsReply {
                 uptime_ns: 12_345,
                 version: "0.1.0".into(),
                 boot: "restored:2".into(),
                 generation: 2,
-                prometheus: "# TYPE slicer_rpc_requests counter\n".into(),
-                json: "{\"counters\": {}}".into(),
                 counters: vec![("rpc.requests".into(), 9)],
                 gauges: vec![("net.bytes_in".into(), 100)],
                 histograms: vec![(
@@ -678,7 +674,7 @@ mod tests {
                         p99: 20,
                     },
                 )],
-            },
+            }),
             ResponseBody::LogTail {
                 lines: vec!["{\"ts_ns\":1}".into(), "{\"ts_ns\":2}".into()],
                 dropped: 3,

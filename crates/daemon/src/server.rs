@@ -17,8 +17,8 @@ use crate::error::DaemonError;
 use crate::flightrec::{FlightRecorder, FLIGHTREC_FILE};
 use crate::net::{Listener, Meter, MeteredStream};
 use crate::proto::{
-    read_message_lenient, write_message, ReadOutcome, Request, RequestBody, Response, ResponseBody,
-    MAX_FRAME_LEN,
+    read_message_lenient, write_message, MetricsReply, ReadOutcome, Request, RequestBody, Response,
+    ResponseBody, MAX_FRAME_LEN,
 };
 use slicer_chain::Blockchain;
 use slicer_core::{Query, RecordId, SlicerConfig, SlicerInstance};
@@ -185,13 +185,14 @@ impl Daemon {
         );
         let boot_ns = telemetry.now_nanos();
 
-        let daemon = match store.load()? {
+        // Restore the last sealed generation, or set up afresh; only the
+        // instance and its provenance differ between the two boots.
+        let (instance, seed, generation, boot) = match store.load()? {
             Some((generation, snapshot)) => {
                 let expected = snapshot.accumulator_digest();
                 let seed = snapshot.meta.seed;
-                let slicer_config = snapshot.meta.config_with_workers(workers);
                 let instance = SlicerInstance::try_restore_with(
-                    slicer_config,
+                    snapshot.meta.config_with_workers(workers),
                     seed,
                     &mut chain,
                     telemetry.clone(),
@@ -199,23 +200,7 @@ impl Daemon {
                     snapshot.accumulator,
                     snapshot.cloud,
                 )?;
-                let daemon = Daemon {
-                    instance,
-                    chain,
-                    store,
-                    seed,
-                    generation,
-                    boot: Boot::Restored(generation),
-                    telemetry,
-                    slow_request_ns: config.slow_request_ns,
-                    boot_ns,
-                    meter: Meter::new(),
-                    log_ring,
-                    flightrec,
-                    profile,
-                    events,
-                };
-                let restored = daemon.digest();
+                let restored = digest_of(&instance);
                 if restored != expected {
                     return Err(DaemonError::Slicer(format!(
                         "restored digest diverges from snapshot (generation {generation}): \
@@ -224,34 +209,33 @@ impl Daemon {
                         hex(&expected)
                     )));
                 }
-                daemon
+                (instance, seed, generation, Boot::Restored(generation))
             }
             None => {
-                let slicer_config =
-                    SlicerConfig::with_bits(config.value_bits).with_workers(workers);
                 let instance = SlicerInstance::try_setup_with(
-                    slicer_config,
+                    SlicerConfig::with_bits(config.value_bits).with_workers(workers),
                     config.seed,
                     &mut chain,
                     telemetry.clone(),
                 )?;
-                Daemon {
-                    instance,
-                    chain,
-                    store,
-                    seed: config.seed,
-                    generation: 0,
-                    boot: Boot::Fresh,
-                    telemetry,
-                    slow_request_ns: config.slow_request_ns,
-                    boot_ns,
-                    meter: Meter::new(),
-                    log_ring,
-                    flightrec,
-                    profile,
-                    events,
-                }
+                (instance, config.seed, 0, Boot::Fresh)
             }
+        };
+        let daemon = Daemon {
+            instance,
+            chain,
+            store,
+            seed,
+            generation,
+            boot,
+            telemetry,
+            slow_request_ns: config.slow_request_ns,
+            boot_ns,
+            meter: Meter::new(),
+            log_ring,
+            flightrec,
+            profile,
+            events,
         };
         daemon.telemetry.log(
             Level::Info,
@@ -281,8 +265,7 @@ impl Daemon {
     /// Canonical accumulator digest (big-endian, modulus-width padded) —
     /// the bytes the chain holds and the crash/restart cycle compares.
     pub fn digest(&self) -> Vec<u8> {
-        let width = self.instance.owner.config().accumulator.element_bytes();
-        self.instance.owner.accumulator().to_bytes_be_padded(width)
+        digest_of(&self.instance)
     }
 
     /// The daemon's flight recorder — `slicerd` clones this into its
@@ -324,7 +307,7 @@ impl Daemon {
             RequestBody::Verify => self.verify(),
             RequestBody::Stat => Ok(self.stat()),
             RequestBody::Shutdown => Ok(ResponseBody::ShuttingDown),
-            RequestBody::Metrics => Ok(self.metrics_report()),
+            RequestBody::Metrics => Ok(ResponseBody::MetricsReport(self.metrics_report())),
             RequestBody::Tail { count } => Ok(self.tail(*count)),
             RequestBody::Profile { svg, gas } => self.profile_report(*svg, *gas),
         }
@@ -438,7 +421,7 @@ impl Daemon {
         }
     }
 
-    fn metrics_report(&self) -> ResponseBody {
+    fn metrics_report(&self) -> MetricsReply {
         // Refresh transport gauges right before the snapshot so a
         // scrape always sees current byte counts, not the state at the
         // end of some earlier connection.
@@ -453,7 +436,7 @@ impl Daemon {
         self.telemetry
             .gauge("telemetry.events.dropped", events_dropped);
         let snap = self.telemetry.snapshot();
-        ResponseBody::MetricsReport {
+        MetricsReply {
             uptime_ns: self.telemetry.now_nanos().saturating_sub(self.boot_ns),
             version: env!("CARGO_PKG_VERSION").to_string(),
             boot: match self.boot {
@@ -461,8 +444,6 @@ impl Daemon {
                 Boot::Restored(generation) => format!("restored:{generation}"),
             },
             generation: self.generation,
-            prometheus: snap.to_prometheus_text(),
-            json: snap.to_json(),
             counters: snap.counters().to_vec(),
             gauges: snap.gauges().to_vec(),
             histograms: snap
@@ -521,7 +502,7 @@ impl Daemon {
     ///
     /// # Errors
     ///
-    /// [`DaemonError::Io`] after [`MAX_CONSECUTIVE_ACCEPT_FAILURES`]
+    /// [`DaemonError::Io`] after `MAX_CONSECUTIVE_ACCEPT_FAILURES`
     /// accepts fail back-to-back (the listener is gone — nothing left
     /// to serve). The flight recorder is persisted with reason
     /// `"serve-error"` before bailing.
@@ -639,6 +620,12 @@ fn error_counter(e: &DaemonError) -> &'static str {
         DaemonError::Protocol(_) => "rpc.error.protocol",
         _ => "rpc.error.internal",
     }
+}
+
+/// The canonical accumulator digest of `instance` (fixed-width bytes).
+fn digest_of(instance: &SlicerInstance) -> Vec<u8> {
+    let width = instance.owner.config().accumulator.element_bytes();
+    instance.owner.accumulator().to_bytes_be_padded(width)
 }
 
 /// Lowercase hex rendering for digests in error messages and logs.
@@ -803,9 +790,7 @@ mod tests {
         let digest = daemon.digest();
         ingest(&mut daemon, vec![(8, 80)]);
         assert_eq!(counter(&daemon, "persist.commits.delta"), Some(4));
-        let ResponseBody::MetricsReport { prometheus, .. } = daemon.metrics_report() else {
-            panic!("want MetricsReport");
-        };
+        let prometheus = daemon.metrics_report().snapshot().to_prometheus_text();
         for name in [
             "slicer_persist_commits_base 2",
             "slicer_persist_commits_delta 4",
@@ -885,39 +870,16 @@ mod tests {
             },
         });
 
-        let ResponseBody::MetricsReport {
-            boot,
-            generation,
-            prometheus,
-            json,
-            counters,
-            histograms,
-            ..
-        } = daemon.metrics_report()
-        else {
-            panic!("want MetricsReport");
-        };
-        assert_eq!(boot, "fresh");
-        assert_eq!(generation, 1);
-        let counter = |name: &str| {
-            counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-                .unwrap_or(0)
-        };
+        let report = daemon.metrics_report();
+        assert_eq!(report.boot, "fresh");
+        assert_eq!(report.generation, 1);
+        let snap = report.snapshot();
         // Metrics itself is not yet observed (the report is built
         // mid-request), so only the three handled requests count.
-        assert_eq!(counter("rpc.requests"), 3);
-        assert_eq!(counter("rpc.error.internal"), 1);
-        let (_, ingest) = histograms
-            .iter()
-            .find(|(n, _)| n == "rpc.ingest.ns")
-            .expect("ingest histogram");
+        assert_eq!(snap.counter("rpc.requests"), Some(3));
+        assert_eq!(snap.counter("rpc.error.internal"), Some(1));
+        let ingest = snap.histogram("rpc.ingest.ns").expect("ingest histogram");
         assert_eq!(ingest.count, 2);
-        assert!(prometheus.contains("slicer_rpc_requests 3"), "{prometheus}");
-        // The JSON export must be RFC 8259-valid.
-        slicer_telemetry::json::parse(&json).expect("valid JSON export");
     }
 
     #[test]
@@ -1066,16 +1028,8 @@ mod tests {
 
         // The tiny event ring overflowed; the scrape surfaces it, and
         // the in-flight gauge reads 1 mid-request by construction.
-        let ResponseBody::MetricsReport { gauges, .. } = daemon.metrics_report() else {
-            panic!("want MetricsReport");
-        };
-        let gauge = |name: &str| {
-            gauges
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-                .unwrap_or(0)
-        };
+        let snap = daemon.metrics_report().snapshot();
+        let gauge = |name: &str| snap.gauge(name).unwrap_or(0);
         assert!(gauge("telemetry.events.dropped") > 0);
 
         // An unprofiled daemon answers Profile with a clean error.

@@ -104,7 +104,7 @@ const SECRET_BIT: u64 = 1 << 63;
 /// A function's interprocedural summary.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Summary {
-    /// Return-value taint: [`SECRET_BIT`] and/or parameter-index bits.
+    /// Return-value taint: `SECRET_BIT` and/or parameter-index bits.
     pub ret: u64,
     /// Parameters that (transitively) reach a sink inside this function,
     /// with the sink rule and a human-readable call chain.

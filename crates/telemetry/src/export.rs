@@ -69,9 +69,24 @@ impl Snapshot {
                 (name, summary)
             })
             .collect();
+        Snapshot::from_parts(metrics.counters(), metrics.gauges(), histograms)
+    }
+
+    /// Assembles a snapshot from captured entries, e.g. a registry that
+    /// crossed the wire, so the receiver renders it with the same
+    /// exporters. Entries are sorted by name, as [`Snapshot::of`] leaves
+    /// them.
+    pub fn from_parts(
+        mut counters: Vec<(String, u64)>,
+        mut gauges: Vec<(String, u64)>,
+        mut histograms: Vec<(String, HistogramSummary)>,
+    ) -> Self {
+        counters.sort_by(|a, b| a.0.cmp(&b.0));
+        gauges.sort_by(|a, b| a.0.cmp(&b.0));
+        histograms.sort_by(|a, b| a.0.cmp(&b.0));
         Snapshot {
-            counters: metrics.counters(),
-            gauges: metrics.gauges(),
+            counters,
+            gauges,
             histograms,
         }
     }

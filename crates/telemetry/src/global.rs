@@ -5,7 +5,7 @@
 //! (SORE tuple generation, index lookups, witness-cache access) whose
 //! signatures should not grow a telemetry parameter. Those call sites use
 //! this facade instead: a process-wide handle installed by whoever owns
-//! the run (e.g. `SlicerInstance::setup_with`), guarded by one relaxed
+//! the run (e.g. the `repro` telemetry experiment), guarded by one relaxed
 //! atomic load so the disabled path costs a predictable branch.
 //!
 //! The global handle is process state: parallel tests that install

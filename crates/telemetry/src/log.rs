@@ -73,7 +73,7 @@ impl fmt::Display for Level {
 /// One structured log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogRecord {
-    /// Clock reading when the record was made (the handle's [`Clock`]
+    /// Clock reading when the record was made (the handle's [`Clock`](crate::Clock)
     /// timeline — deterministic under a `LogicalClock`).
     pub ts_ns: u64,
     /// Severity.

@@ -143,11 +143,6 @@ impl Histogram {
         }
         self.max()
     }
-
-    /// Raw bucket counts (for exporters).
-    pub fn bucket_counts(&self) -> [u64; HISTOGRAM_BUCKETS] {
-        std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
-    }
 }
 
 /// A registry of named counters, gauges and histograms.

@@ -358,8 +358,8 @@ impl Sink for ProfileAggregator {
     }
 }
 
-/// Folds a recorded event stream (e.g. [`MemorySink::events`]
-/// (crate::MemorySink::events)) into a [`Profile`] in one shot — the
+/// Folds a recorded event stream (e.g.
+/// [`MemorySink::events`](crate::MemorySink::events)) into a [`Profile`] in one shot — the
 /// offline counterpart of attaching a live [`ProfileAggregator`].
 pub fn fold_events(events: &[Event]) -> Profile {
     let agg = ProfileAggregator::new();

@@ -1,7 +1,7 @@
 //! Minimal XML well-formedness checker, mirroring the RFC 8259 JSON
-//! validator in [`json`](crate::json).
+//! parser in [`json`](crate::json).
 //!
-//! The flamegraph renderer in [`profile`](crate::profile) assembles SVG
+//! The flamegraph renderer ([`Profile::to_svg`](crate::Profile::to_svg)) assembles SVG
 //! by hand (the workspace is hermetic — no XML library), so "does the
 //! output actually parse" is a real risk, exactly as it was for the JSON
 //! exporters. This module ships a small recursive-descent checker used
@@ -11,6 +11,7 @@
 //! character references, comments. It does not validate against a DTD or
 //! schema.
 
+use crate::json::MAX_DEPTH;
 use std::fmt;
 
 /// Where and why validation failed.
@@ -54,11 +55,14 @@ pub fn write_escaped(out: &mut String, value: &str) {
 /// # Errors
 ///
 /// [`XmlError`] carrying the byte offset and reason of the first
-/// violation.
+/// violation, including elements nested deeper than
+/// [`MAX_DEPTH`](crate::json::MAX_DEPTH) (the checker recurses once per
+/// level, and it reads SVG received over the wire).
 pub fn check(input: &str) -> Result<(), XmlError> {
     let mut p = Checker {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     if p.bytes.starts_with("\u{feff}".as_bytes()) {
         p.pos += 3; // tolerate a UTF-8 BOM
@@ -75,6 +79,8 @@ pub fn check(input: &str) -> Result<(), XmlError> {
 struct Checker<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Elements open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Checker<'a> {
@@ -232,6 +238,10 @@ impl<'a> Checker<'a> {
         if self.peek() != Some(b'<') {
             return Err(self.err("expected an element"));
         }
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("elements nested deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
         self.pos += 1;
         let open = self.name()?;
         // Attributes until `>` or `/>`.
@@ -249,6 +259,7 @@ impl<'a> Checker<'a> {
                         return Err(self.err("expected '>' after '/'"));
                     }
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(()); // self-closing
                 }
                 Some(_) => {
@@ -284,6 +295,7 @@ impl<'a> Checker<'a> {
                             return Err(self.err("expected '>' in closing tag"));
                         }
                         self.pos += 1;
+                        self.depth -= 1;
                         return Ok(());
                     } else if self.starts_with("<!--") {
                         self.comment()?;
@@ -347,6 +359,18 @@ mod tests {
         write_escaped(&mut body, "a<b & \"c\" 'd' >e");
         let doc = format!("<t name=\"{body}\">{body}</t>");
         check(&doc).unwrap_or_else(|e| panic!("escaped text invalid: {e}\n{doc}"));
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error_not_a_stack_overflow() {
+        let doc = format!("{}{}", "<a>".repeat(1_000_000), "</a>".repeat(1_000_000));
+        let e = check(&doc).unwrap_err();
+        assert_eq!(e.offset, MAX_DEPTH * 3);
+        assert!(e.message.contains("nested"), "{e}");
+        let ok = format!("{}{}", "<a>".repeat(MAX_DEPTH), "</a>".repeat(MAX_DEPTH));
+        check(&ok).unwrap();
+        // Siblings do not accumulate depth.
+        check(&format!("<r>{}</r>", "<a><b/></a>".repeat(1_000))).unwrap();
     }
 
     #[test]

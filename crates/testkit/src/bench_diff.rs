@@ -14,25 +14,33 @@
 //!
 //! [`Snapshot::to_json`]: slicer_telemetry::Snapshot::to_json
 
+use slicer_telemetry::json::{self, JsonError, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-/// A parse or shape error, with the byte offset where it was detected.
+/// Why a bench document was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BenchDiffError {
-    /// Byte offset into the input at the point of failure.
-    pub offset: usize,
-    /// Human-readable description of the failure.
-    pub message: String,
+pub enum BenchDiffError {
+    /// The input is not well-formed JSON.
+    Json(JsonError),
+    /// Well-formed JSON outside the bench schema.
+    Schema {
+        /// Slash-separated key path to the offending value
+        /// (`counters/phase.build.gas`); empty for the document itself.
+        path: String,
+        /// Human-readable description of the failure.
+        message: String,
+    },
 }
 
 impl fmt::Display for BenchDiffError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "bench json error at byte {}: {}",
-            self.offset, self.message
-        )
+        match self {
+            BenchDiffError::Json(e) => write!(f, "bench json: {e}"),
+            BenchDiffError::Schema { path, message } => {
+                write!(f, "bench json schema error at {path:?}: {message}")
+            }
+        }
     }
 }
 
@@ -52,200 +60,80 @@ pub struct BenchDoc {
 
 /// Parses one bench-JSON document.
 ///
-/// This is a value-producing parser for the exporter's schema subset:
-/// an object of three sections, each an object whose values are either
-/// unsigned integers (counters, gauges) or flat objects of unsigned
-/// integers (histogram summaries). Anything outside that subset —
-/// arrays, floats, booleans, nested depth — is rejected with an offset,
-/// which doubles as a shape check on the files CI commits.
+/// The exporter's schema is an object of three sections, each an object
+/// whose values are either unsigned integers (counters, gauges) or flat
+/// objects of unsigned integers (histogram summaries). Anything outside
+/// it — arrays, floats, booleans, duplicate keys, unknown sections — is
+/// rejected, which doubles as a shape check on the files CI commits.
 ///
 /// # Errors
 ///
-/// [`BenchDiffError`] naming the first offending byte.
+/// [`BenchDiffError::Json`] for malformed JSON (with its byte offset),
+/// [`BenchDiffError::Schema`] naming the first out-of-schema value.
 pub fn parse_bench_json(input: &str) -> Result<BenchDoc, BenchDiffError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    let doc = p.document()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing data after document"));
+    let root = json::parse(input).map_err(BenchDiffError::Json)?;
+    let mut doc = BenchDoc::default();
+    for (name, section) in members(&root, "")? {
+        match name {
+            "counters" => doc.counters = scalars(section, name)?,
+            "gauges" => doc.gauges = scalars(section, name)?,
+            "histograms" => {
+                for (metric, summary) in members(section, name)? {
+                    let summary = scalars(summary, &join(name, metric))?;
+                    doc.histograms.insert(metric.to_string(), summary);
+                }
+            }
+            other => return Err(schema(other, "unexpected section")),
+        }
     }
     Ok(doc)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, message: &str) -> BenchDiffError {
-        BenchDiffError {
-            offset: self.pos,
-            message: message.to_string(),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), BenchDiffError> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", byte as char)))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn string(&mut self) -> Result<String, BenchDiffError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        _ => return Err(self.err("unsupported escape in metric name")),
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) if b < 0x20 => return Err(self.err("control byte in string")),
-                Some(&b) => {
-                    // Metric names are ASCII in practice; pass other
-                    // UTF-8 bytes through untouched.
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<u64, BenchDiffError> {
-        self.skip_ws();
-        let start = self.pos;
-        while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(self.err("expected an unsigned integer"));
-        }
-        if matches!(self.bytes.get(self.pos), Some(b'.' | b'e' | b'E')) {
-            return Err(self.err("floating-point values are not part of the bench schema"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| self.err("integer out of u64 range"))
-    }
-
-    /// `{ "name": <u64>, ... }`
-    fn scalar_map(&mut self) -> Result<BTreeMap<String, u64>, BenchDiffError> {
-        self.object(|p| p.number())
-    }
-
-    fn object<T>(
-        &mut self,
-        mut value: impl FnMut(&mut Self) -> Result<T, BenchDiffError>,
-    ) -> Result<BTreeMap<String, T>, BenchDiffError> {
-        self.expect(b'{')?;
-        let mut out = BTreeMap::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            let v = value(self)?;
-            if out.insert(key, v).is_some() {
-                return Err(self.err("duplicate key"));
-            }
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn document(&mut self) -> Result<BenchDoc, BenchDiffError> {
-        let mut doc = BenchDoc::default();
-        let sections = self.object(|p| {
-            // Defer section-typed parsing: peek one byte past the colon
-            // to decide between a scalar map and a histogram map is not
-            // needed — both are objects; histograms nest one level.
-            p.raw_section()
-        })?;
-        for (name, section) in sections {
-            match (name.as_str(), section) {
-                ("counters", Section::Scalars(m)) => doc.counters = m,
-                ("gauges", Section::Scalars(m)) => doc.gauges = m,
-                ("histograms", Section::Histograms(m)) => doc.histograms = m,
-                ("counters" | "gauges", Section::Histograms(m)) if m.is_empty() => {}
-                ("histograms", Section::Scalars(m)) if m.is_empty() => {}
-                (other, _) => {
-                    return Err(self.err(&format!("unexpected section {other:?} or wrong shape")))
-                }
-            }
-        }
-        Ok(doc)
-    }
-
-    /// A section body: either `{name: u64, ...}` or `{name: {..}, ...}`.
-    fn raw_section(&mut self) -> Result<Section, BenchDiffError> {
-        // Remember where the section object starts, look one key/colon
-        // ahead to learn the value shape, then rewind and parse the
-        // whole object with the matching value parser.
-        self.skip_ws();
-        let start = self.pos;
-        self.expect(b'{')?;
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Section::Scalars(BTreeMap::new()));
-        }
-        let _ = self.string()?;
-        self.expect(b':')?;
-        let nested = self.peek() == Some(b'{');
-        self.pos = start;
-        if nested {
-            Ok(Section::Histograms(self.object(|p| p.scalar_map())?))
-        } else {
-            Ok(Section::Scalars(self.scalar_map()?))
-        }
+fn schema(path: &str, message: &str) -> BenchDiffError {
+    BenchDiffError::Schema {
+        path: path.to_string(),
+        message: message.to_string(),
     }
 }
 
-enum Section {
-    Scalars(BTreeMap<String, u64>),
-    Histograms(BTreeMap<String, BTreeMap<String, u64>>),
+/// The members of the object at `path`, rejecting duplicate keys.
+fn members<'v>(
+    value: &'v Value,
+    path: &str,
+) -> Result<BTreeMap<&'v str, &'v Value>, BenchDiffError> {
+    let Value::Object(pairs) = value else {
+        return Err(schema(path, "expected an object"));
+    };
+    let mut out = BTreeMap::new();
+    for (key, v) in pairs {
+        if out.insert(key.as_str(), v).is_some() {
+            return Err(schema(&join(path, key), "duplicate key"));
+        }
+    }
+    Ok(out)
+}
+
+/// `{ "name": <u64>, ... }` at `path`. Floats, negative numbers and
+/// values beyond `u64::MAX` are rejected, not rounded.
+fn scalars(value: &Value, path: &str) -> Result<BTreeMap<String, u64>, BenchDiffError> {
+    let mut out = BTreeMap::new();
+    for (key, v) in members(value, path)? {
+        let n = match v {
+            Value::Number(text) if text.bytes().all(|b| b.is_ascii_digit()) => text.parse().ok(),
+            _ => None,
+        };
+        let n = n.ok_or_else(|| schema(&join(path, key), "expected an unsigned 64-bit integer"))?;
+        out.insert(key.to_string(), n);
+    }
+    Ok(out)
+}
+
+fn join(path: &str, key: &str) -> String {
+    if path.is_empty() {
+        key.to_string()
+    } else {
+        format!("{path}/{key}")
+    }
 }
 
 /// Noise model for one diff run.
@@ -493,15 +381,36 @@ mod tests {
     #[test]
     fn rejects_out_of_schema_documents() {
         for (input, what) in [
-            ("{\"counters\": {\"a\": 1.5}}", "float"),
-            ("{\"counters\": {\"a\": [1]}}", "array"),
-            ("{\"counters\": {\"a\": 1}} extra", "trailing data"),
-            ("{\"counters\": {\"a\": 1, \"a\": 2}}", "duplicate key"),
-            ("{\"bogus\": {\"a\": 1}}", "unknown section"),
-            ("{\"counters\": {\"a\": 1}", "unterminated object"),
+            (r#"{"counters": {"a": 1.5}}"#, "float"),
+            (r#"{"counters": {"a": -1}}"#, "negative"),
+            (
+                r#"{"counters": {"a": 18446744073709551616}}"#,
+                "u64 overflow",
+            ),
+            (r#"{"histograms": {"h": 1}}"#, "flat histogram"),
+            (r#"{"counters": {}, "counters": {}}"#, "duplicate section"),
+            (r#"{"counters": {"a": [1]}}"#, "array"),
+            (r#"{"counters": {"a": 1, "a": 2}}"#, "duplicate key"),
+            (r#"{"bogus": {"a": 1}}"#, "unknown section"),
         ] {
-            assert!(parse_bench_json(input).is_err(), "accepted {what}: {input}");
+            let err = parse_bench_json(input).expect_err(what);
+            assert!(
+                matches!(err, BenchDiffError::Schema { .. }),
+                "{what}: {err}"
+            );
         }
+        for (input, what) in [
+            (r#"{"counters": {"a": 1}} extra"#, "trailing data"),
+            (r#"{"counters": {"a": 1}"#, "unterminated object"),
+        ] {
+            let err = parse_bench_json(input).expect_err(what);
+            assert!(matches!(err, BenchDiffError::Json(_)), "{what}: {err}");
+        }
+        let err = parse_bench_json(r#"{"counters": {"a": 1.5}}"#).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "bench json schema error at \"counters/a\": expected an unsigned 64-bit integer"
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!   [`prop_check!`], draw inputs from a [`prop::Gen`], assert with
 //!   [`prop_assert!`]/[`prop_assert_eq!`]/[`prop_assert_ne!`]. Failures
 //!   print a reproducible seed and a shrunk counterexample.
-//! * [`bench`] — a monotonic-clock micro-benchmark runner for
+//! * [`bench`](mod@bench) — a monotonic-clock micro-benchmark runner for
 //!   `harness = false` bench targets.
 //! * [`bench_diff`] — a comparator over two bench-JSON documents with a
 //!   noise-aware threshold model; `scripts/ci.sh` uses it (via

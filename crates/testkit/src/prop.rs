@@ -114,12 +114,6 @@ impl Gen {
         self.choice() & 1 == 1
     }
 
-    /// A uniform `f64` in `[0, 1)`.
-    pub fn f64_unit(&mut self) -> f64 {
-        // 53 significand bits, the standard uniform-double construction.
-        (self.choice() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
     /// A random index into a collection of length `len`.
     ///
     /// # Panics

@@ -200,11 +200,12 @@ impl From<DaemonError> for ThroughputError {
 pub fn run_in_process(spec: &ThroughputSpec) -> Result<ThroughputReport, ThroughputError> {
     let data = spec.dataset();
     let db: Vec<(RecordId, u64)> = data.iter().map(|(id, v)| (RecordId(*id), *v)).collect();
-    let mut system = SlicerSystem::setup_with(
+    let mut system = SlicerSystem::try_setup_with(
         SlicerConfig::with_bits(spec.value_bits),
         spec.seed,
         TelemetryHandle::disabled(),
-    );
+    )
+    .map_err(|e| ThroughputError::Protocol(e.to_string()))?;
     system
         .build(&db)
         .map_err(|e| ThroughputError::Protocol(e.to_string()))?;

@@ -38,7 +38,8 @@ fn main() {
     global::set(handle.clone());
     let clock = MonotonicClock::new();
     let t0 = clock.now_nanos();
-    let mut sys = SlicerSystem::setup_with(SlicerConfig::with_bits(bits), 42, handle.clone());
+    let mut sys = SlicerSystem::try_setup_with(SlicerConfig::with_bits(bits), 42, handle.clone())
+        .expect("chain accepts the deployment");
     sys.build(&db).expect("benchmark data is in-domain");
     let wall = clock.now_nanos().saturating_sub(t0);
     let snap = handle.snapshot();

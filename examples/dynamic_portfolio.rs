@@ -9,7 +9,8 @@
 use slicer_core::{DualSlicer, Query, RecordId, SlicerConfig};
 
 fn main() {
-    let mut portfolio = DualSlicer::setup(SlicerConfig::test_8bit(), 2026);
+    let mut portfolio = DualSlicer::try_setup(SlicerConfig::test_8bit(), 2026)
+        .expect("chain accepts the deployment");
 
     // Open five positions with sizes (in lots).
     let positions = [

@@ -9,10 +9,13 @@
 
 use slicer_core::{Query, Record, RecordId, SlicerConfig, SlicerSystem};
 use slicer_crypto::Rng;
+use slicer_telemetry::TelemetryHandle;
 use slicer_workload::splitmix_stream;
 
 fn main() {
-    let mut system = SlicerSystem::setup(SlicerConfig::test_8bit(), 7);
+    let mut system =
+        SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), 7, TelemetryHandle::disabled())
+            .expect("chain accepts the deployment");
 
     // Synthesize a patient cohort: age in [20, 90), resting heart rate in
     // [45, 120).
@@ -28,7 +31,7 @@ fn main() {
         })
         .collect();
     system
-        .build_records(&patients)
+        .build(&patients)
         .expect("attributes fit the 8-bit domain");
     println!("outsourced {} encrypted patient records", patients.len());
 
@@ -81,7 +84,7 @@ fn main() {
             )
         })
         .collect();
-    let receipt = system.insert_records(&admissions).expect("fits the domain");
+    let receipt = system.insert(&admissions).expect("fits the domain");
     println!(
         "admitted {} patients; on-chain digest refresh cost {} gas",
         admissions.len(),

@@ -29,7 +29,8 @@ fn main() {
     global::set(telemetry.clone());
 
     println!("── Setup + Build (Algorithms 1–2) ────────────────────────");
-    let mut sys = SlicerSystem::setup_with(SlicerConfig::test_8bit(), 7, telemetry.clone());
+    let mut sys = SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), 7, telemetry.clone())
+        .expect("chain accepts the deployment");
     let db: Vec<(RecordId, u64)> = (0u64..40)
         .map(|i| (RecordId::from_u64(i), (i * 13) % 256))
         .collect();

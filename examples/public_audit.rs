@@ -8,9 +8,12 @@
 //! ```
 
 use slicer_core::{malicious, Query, RecordId, SlicerConfig, SlicerSystem};
+use slicer_telemetry::TelemetryHandle;
 
 fn main() {
-    let mut system = SlicerSystem::setup(SlicerConfig::test_8bit(), 555);
+    let mut system =
+        SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), 555, TelemetryHandle::disabled())
+            .expect("chain accepts the deployment");
     let db: Vec<(RecordId, u64)> = (0u64..80)
         .map(|i| (RecordId::from_u64(i), (i * 17) % 256))
         .collect();

@@ -6,11 +6,14 @@
 //! ```
 
 use slicer_core::{Query, RecordId, SlicerConfig, SlicerSystem};
+use slicer_telemetry::TelemetryHandle;
 
 fn main() {
     // One call sets up all four parties: data owner, data user, cloud and
     // a blockchain running the Slicer verification contract.
-    let mut system = SlicerSystem::setup(SlicerConfig::test_8bit(), 2024);
+    let mut system =
+        SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), 2024, TelemetryHandle::disabled())
+            .expect("chain accepts the deployment");
 
     // The owner outsources 100 encrypted records (id, value).
     let db: Vec<(RecordId, u64)> = (0u64..100)

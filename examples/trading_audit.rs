@@ -12,10 +12,16 @@
 //! ```
 
 use slicer_core::{malicious, Query, RecordId, SlicerConfig, SlicerSystem};
+use slicer_telemetry::TelemetryHandle;
 use slicer_workload::DatasetSpec;
 
 fn main() {
-    let mut system = SlicerSystem::setup(SlicerConfig::test_16bit(), 31337);
+    let mut system = SlicerSystem::try_setup_with(
+        SlicerConfig::test_16bit(),
+        31337,
+        TelemetryHandle::disabled(),
+    )
+    .expect("chain accepts the deployment");
 
     // 500 trades with 16-bit notional values.
     let trades: Vec<(RecordId, u64)> = DatasetSpec::uniform(500, 16, 8)

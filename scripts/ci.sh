@@ -37,6 +37,10 @@ SLICER_THREADS=4 cargo test -q --offline --workspace --release
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> cargo doc (intra-doc links must resolve)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+  cargo doc --workspace --no-deps --offline
+
 echo "==> pool determinism (bench counters agree across SLICER_THREADS)"
 # The slicer-par contract: worker count is a throughput knob, never a
 # semantic one. Run the telemetry experiment single-threaded and

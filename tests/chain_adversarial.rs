@@ -7,6 +7,7 @@ use slicer_chain::{
     VerifyEntry,
 };
 use slicer_core::{Query, RecordId, SlicerConfig, SlicerSystem};
+use slicer_telemetry::TelemetryHandle;
 
 fn funded_chain_with_contract() -> (Blockchain, Address, Address) {
     let mut chain = Blockchain::new();
@@ -88,7 +89,9 @@ fn request_id_cannot_be_reused() {
 fn settled_request_cannot_be_resubmitted() {
     // A cheating cloud cannot retry after losing, nor double-claim after
     // winning: the request record is consumed at settlement.
-    let mut sys = SlicerSystem::setup(SlicerConfig::test_8bit(), 42);
+    let mut sys =
+        SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), 42, TelemetryHandle::disabled())
+            .unwrap();
     let db: Vec<(RecordId, u64)> = (0u64..30)
         .map(|i| (RecordId::from_u64(i), i % 256))
         .collect();
@@ -118,7 +121,9 @@ fn settled_request_cannot_be_resubmitted() {
 
 #[test]
 fn verification_runs_out_of_gas_gracefully() {
-    let mut sys = SlicerSystem::setup(SlicerConfig::test_8bit(), 43);
+    let mut sys =
+        SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), 43, TelemetryHandle::disabled())
+            .unwrap();
     let db: Vec<(RecordId, u64)> = (0u64..30)
         .map(|i| (RecordId::from_u64(i), i % 256))
         .collect();

@@ -6,6 +6,7 @@
 
 use slicer_core::{Query, RecordId, SlicerConfig, SlicerSystem};
 use slicer_store::codec::to_bytes;
+use slicer_telemetry::TelemetryHandle;
 
 fn db(n: u64) -> Vec<(RecordId, u64)> {
     (0..n)
@@ -13,8 +14,14 @@ fn db(n: u64) -> Vec<(RecordId, u64)> {
         .collect()
 }
 
+/// A fresh 8-bit deployment with telemetry off.
+fn system(seed: u64) -> SlicerSystem {
+    SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), seed, TelemetryHandle::disabled())
+        .unwrap()
+}
+
 fn run_lifecycle(seed: u64) -> SlicerSystem {
-    let mut sys = SlicerSystem::setup(SlicerConfig::test_8bit(), seed);
+    let mut sys = system(seed);
     sys.build(&db(24)).expect("in-domain build");
     sys.insert(&[(RecordId::from_u64(500), 42), (RecordId::from_u64(501), 7)])
         .expect("in-domain insert");
@@ -25,8 +32,7 @@ fn run_lifecycle(seed: u64) -> SlicerSystem {
 
 #[test]
 fn same_seed_same_build_output() {
-    let mut a = SlicerSystem::setup(SlicerConfig::test_8bit(), 0xD5EED);
-    let mut b = SlicerSystem::setup(SlicerConfig::test_8bit(), 0xD5EED);
+    let (mut a, mut b) = (system(0xD5EED), system(0xD5EED));
     let out_a = a.instance_mut().owner.build(&db(24)).expect("in-domain");
     let out_b = b.instance_mut().owner.build(&db(24)).expect("in-domain");
     assert_eq!(
@@ -112,7 +118,7 @@ fn pool_size_does_not_change_any_transcript() {
         let sink = Arc::new(MemorySink::new());
         let handle = TelemetryHandle::with(Arc::new(LogicalClock::default()), sink.clone() as _);
         let cfg = SlicerConfig::test_8bit().with_workers(workers);
-        let mut sys = SlicerSystem::setup_with(cfg, 0xD5EED, handle);
+        let mut sys = SlicerSystem::try_setup_with(cfg, 0xD5EED, handle).unwrap();
         sys.build(&db(24)).expect("in-domain build");
         sys.insert(&[(RecordId::from_u64(500), 42), (RecordId::from_u64(501), 7)])
             .expect("in-domain insert");
@@ -164,7 +170,8 @@ fn telemetry_does_not_perturb_the_transcript() {
     let instrumented = |seed: u64| {
         let sink = Arc::new(MemorySink::new());
         let handle = TelemetryHandle::with(Arc::new(LogicalClock::default()), sink.clone() as _);
-        let mut sys = SlicerSystem::setup_with(SlicerConfig::test_8bit(), seed, handle);
+        let mut sys =
+            SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), seed, handle).unwrap();
         sys.build(&db(24)).expect("in-domain build");
         sys.insert(&[(RecordId::from_u64(500), 42), (RecordId::from_u64(501), 7)])
             .expect("in-domain insert");
@@ -237,7 +244,7 @@ fn structured_log_transcript_is_seed_deterministic() {
         let handle = TelemetryHandle::with(Arc::new(LogicalClock::default()), Arc::new(NullSink));
         handle.add_log_sink(ring.clone() as _);
         let cfg = SlicerConfig::test_8bit().with_workers(workers);
-        let mut sys = SlicerSystem::setup_with(cfg, 0xD5EED, handle);
+        let mut sys = SlicerSystem::try_setup_with(cfg, 0xD5EED, handle).unwrap();
         sys.build(&db(24)).expect("in-domain build");
         sys.insert(&[(RecordId::from_u64(500), 42), (RecordId::from_u64(501), 7)])
             .expect("in-domain insert");
@@ -314,7 +321,7 @@ fn dual_delete_reinsert_transcript_is_seed_deterministic() {
     use slicer_core::DualSlicer;
 
     let lifecycle = |seed: u64| {
-        let mut dual = DualSlicer::setup(SlicerConfig::test_8bit(), seed);
+        let mut dual = DualSlicer::try_setup(SlicerConfig::test_8bit(), seed).unwrap();
         let db: Vec<(RecordId, u64)> = (0..16)
             .map(|i| (RecordId::from_u64(i), (i * 13 + 5) % 256))
             .collect();

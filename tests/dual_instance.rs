@@ -24,7 +24,7 @@ fn oracle(model: &HashMap<u64, u64>, q: &Query) -> Vec<u64> {
 
 #[test]
 fn randomized_lifecycle_matches_model() {
-    let mut dual = DualSlicer::setup(SlicerConfig::test_8bit(), 50);
+    let mut dual = DualSlicer::try_setup(SlicerConfig::test_8bit(), 50).unwrap();
     let mut model: HashMap<u64, u64> = HashMap::new();
     let mut rng = splitmix_stream(123);
     let mut next_id = 0u64;
@@ -69,7 +69,7 @@ fn randomized_lifecycle_matches_model() {
 
 #[test]
 fn delete_everything_yields_empty_results() {
-    let mut dual = DualSlicer::setup(SlicerConfig::test_8bit(), 51);
+    let mut dual = DualSlicer::try_setup(SlicerConfig::test_8bit(), 51).unwrap();
     let records: Vec<(RecordId, u64)> = (0u64..10)
         .map(|i| (RecordId::from_u64(i), i * 20 % 256))
         .collect();
@@ -85,7 +85,7 @@ fn delete_everything_yields_empty_results() {
 
 #[test]
 fn repeated_update_cycles() {
-    let mut dual = DualSlicer::setup(SlicerConfig::test_8bit(), 52);
+    let mut dual = DualSlicer::try_setup(SlicerConfig::test_8bit(), 52).unwrap();
     dual.insert(&[(RecordId::from_u64(1), 10)]).unwrap();
     // Bounce the value around several times, including back to a previous
     // value (multiset semantics must hold up).
@@ -102,7 +102,7 @@ fn repeated_update_cycles() {
 
 #[test]
 fn equality_queries_respect_deletions() {
-    let mut dual = DualSlicer::setup(SlicerConfig::test_8bit(), 53);
+    let mut dual = DualSlicer::try_setup(SlicerConfig::test_8bit(), 53).unwrap();
     dual.insert(&[
         (RecordId::from_u64(1), 42),
         (RecordId::from_u64(2), 42),

@@ -2,6 +2,7 @@
 //! scale, checked against a plaintext oracle.
 
 use slicer_core::{Query, RecordId, SlicerConfig, SlicerSystem};
+use slicer_telemetry::TelemetryHandle;
 use slicer_workload::{sample_query_values, DatasetSpec};
 
 fn load(n: usize, bits: u8, seed: u64) -> (SlicerSystem, Vec<(RecordId, u64)>) {
@@ -10,7 +11,12 @@ fn load(n: usize, bits: u8, seed: u64) -> (SlicerSystem, Vec<(RecordId, u64)>) {
         .into_iter()
         .map(|(id, v)| (RecordId(id), v))
         .collect();
-    let mut sys = SlicerSystem::setup(SlicerConfig::with_bits(bits), seed);
+    let mut sys = SlicerSystem::try_setup_with(
+        SlicerConfig::with_bits(bits),
+        seed,
+        TelemetryHandle::disabled(),
+    )
+    .unwrap();
     sys.build(&db).expect("generated data fits the domain");
     (sys, db)
 }
@@ -95,7 +101,9 @@ fn repeated_identical_queries_stay_consistent() {
 
 #[test]
 fn duplicate_values_return_all_records() {
-    let mut sys = SlicerSystem::setup(SlicerConfig::test_8bit(), 8);
+    let mut sys =
+        SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), 8, TelemetryHandle::disabled())
+            .unwrap();
     let db: Vec<(RecordId, u64)> = (0u64..20).map(|i| (RecordId::from_u64(i), 42)).collect();
     sys.build(&db).expect("fits");
     let out = sys.search(&Query::equal(42), 10).expect("workflow");

@@ -3,6 +3,7 @@
 //! (Theorem 3's soundness, tested end to end).
 
 use slicer_core::{malicious, CloudResponse, Query, RecordId, SlicerConfig, SlicerSystem};
+use slicer_telemetry::TelemetryHandle;
 use slicer_workload::DatasetSpec;
 
 fn system(seed: u64) -> SlicerSystem {
@@ -11,7 +12,9 @@ fn system(seed: u64) -> SlicerSystem {
         .into_iter()
         .map(|(id, v)| (RecordId(id), v))
         .collect();
-    let mut sys = SlicerSystem::setup(SlicerConfig::test_8bit(), seed);
+    let mut sys =
+        SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), seed, TelemetryHandle::disabled())
+            .unwrap();
     sys.build(&db).expect("fits domain");
     sys
 }

@@ -22,7 +22,7 @@ fn db(n: u64) -> Vec<(RecordId, u64)> {
 fn instrumented_run() -> (SlicerSystem, Vec<Event>) {
     let sink = Arc::new(MemorySink::new());
     let handle = TelemetryHandle::with(Arc::new(LogicalClock::default()), sink.clone() as _);
-    let mut sys = SlicerSystem::setup_with(SlicerConfig::test_8bit(), 0xA0D17, handle);
+    let mut sys = SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), 0xA0D17, handle).unwrap();
     sys.build(&db(24)).expect("in-domain build");
     sys.insert(&[(RecordId::from_u64(500), 42), (RecordId::from_u64(501), 7)])
         .expect("in-domain insert");
@@ -53,7 +53,7 @@ fn honest_run_passes_the_audit() {
 fn search_outcome_carries_its_trace_id() {
     let sink = Arc::new(MemorySink::new());
     let handle = TelemetryHandle::with(Arc::new(LogicalClock::default()), sink.clone() as _);
-    let mut sys = SlicerSystem::setup_with(SlicerConfig::test_8bit(), 0xA0D17, handle);
+    let mut sys = SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), 0xA0D17, handle).unwrap();
     sys.build(&db(24)).expect("in-domain build");
     let outcome = sys.search(&Query::less_than(100), 10).expect("search runs");
     assert_ne!(

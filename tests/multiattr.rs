@@ -2,6 +2,12 @@
 //! and dynamic updates.
 
 use slicer_core::{Query, Record, RecordId, SlicerConfig, SlicerSystem};
+use slicer_telemetry::TelemetryHandle;
+
+/// A fresh deployment with telemetry off.
+fn system(config: SlicerConfig, seed: u64) -> SlicerSystem {
+    SlicerSystem::try_setup_with(config, seed, TelemetryHandle::disabled()).unwrap()
+}
 
 fn cohort() -> Vec<Record> {
     (0u64..60)
@@ -36,8 +42,8 @@ fn got(out: &slicer_core::SearchOutcome) -> Vec<u64> {
 #[test]
 fn per_attribute_queries_match_oracle() {
     let db = cohort();
-    let mut sys = SlicerSystem::setup(SlicerConfig::test_8bit(), 31);
-    sys.build_records(&db).unwrap();
+    let mut sys = system(SlicerConfig::test_8bit(), 31);
+    sys.build(&db).unwrap();
     for (attr, q) in [
         ("age", Query::less_than(40).on_attr("age")),
         ("age", Query::greater_than(60).on_attr("age")),
@@ -52,12 +58,12 @@ fn per_attribute_queries_match_oracle() {
 
 #[test]
 fn same_value_different_attr_does_not_leak_across() {
-    let mut sys = SlicerSystem::setup(SlicerConfig::test_8bit(), 32);
+    let mut sys = system(SlicerConfig::test_8bit(), 32);
     let db = vec![
         Record::with_attrs(RecordId::from_u64(1), vec![("a".into(), 5)]),
         Record::with_attrs(RecordId::from_u64(2), vec![("b".into(), 5)]),
     ];
-    sys.build_records(&db).unwrap();
+    sys.build(&db).unwrap();
     let out_a = sys.search(&Query::equal(5).on_attr("a"), 10).unwrap();
     assert_eq!(got(&out_a), vec![1]);
     let out_b = sys.search(&Query::equal(5).on_attr("b"), 10).unwrap();
@@ -71,8 +77,8 @@ fn same_value_different_attr_does_not_leak_across() {
 #[test]
 fn multiattr_insert_flows_end_to_end() {
     let db = cohort();
-    let mut sys = SlicerSystem::setup(SlicerConfig::test_8bit(), 33);
-    sys.build_records(&db).unwrap();
+    let mut sys = system(SlicerConfig::test_8bit(), 33);
+    sys.build(&db).unwrap();
     let newcomers: Vec<Record> = (100u64..105)
         .map(|i| {
             Record::with_attrs(
@@ -81,7 +87,7 @@ fn multiattr_insert_flows_end_to_end() {
             )
         })
         .collect();
-    sys.insert_records(&newcomers).unwrap();
+    sys.insert(&newcomers).unwrap();
 
     let q = Query::greater_than(240).on_attr("score");
     let out = sys.search(&q, 10).unwrap();
@@ -94,10 +100,10 @@ fn multiattr_insert_flows_end_to_end() {
 
 #[test]
 fn record_with_many_attributes() {
-    let mut sys = SlicerSystem::setup(SlicerConfig::test_8bit(), 34);
+    let mut sys = system(SlicerConfig::test_8bit(), 34);
     let attrs: Vec<(String, u64)> = (0..10).map(|i| (format!("f{i}"), i * 11)).collect();
     let db = vec![Record::with_attrs(RecordId::from_u64(7), attrs)];
-    sys.build_records(&db).unwrap();
+    sys.build(&db).unwrap();
     for i in 0..10u64 {
         let out = sys
             .search(&Query::equal(i * 11).on_attr(&format!("f{i}")), 5)

@@ -5,7 +5,13 @@
 
 use slicer_core::{Query, RecordId, SlicerConfig, SlicerSystem};
 use slicer_crypto::Prf;
+use slicer_telemetry::TelemetryHandle;
 use std::collections::HashSet;
+
+/// A fresh deployment with telemetry off.
+fn system(config: SlicerConfig, seed: u64) -> SlicerSystem {
+    SlicerSystem::try_setup_with(config, seed, TelemetryHandle::disabled()).unwrap()
+}
 
 fn ids(records: &[RecordId]) -> Vec<u64> {
     let mut v: Vec<u64> = records.iter().map(|r| r.as_u64().unwrap()).collect();
@@ -17,7 +23,7 @@ fn ids(records: &[RecordId]) -> Vec<u64> {
 fn property_dynamics_additions_are_first_class() {
     // Dynamics: additions work after build and compose with search
     // (deletion/update are exercised in tests/dual_instance.rs).
-    let mut sys = SlicerSystem::setup(SlicerConfig::test_8bit(), 1);
+    let mut sys = system(SlicerConfig::test_8bit(), 1);
     sys.build(&[(RecordId::from_u64(1), 10)]).unwrap();
     for round in 2u64..8 {
         sys.insert(&[(RecordId::from_u64(round), round * 10 % 256)])
@@ -32,7 +38,7 @@ fn property_dynamics_additions_are_first_class() {
 fn property_numerical_comparison_not_just_keywords() {
     // Numerical comparison: a single order query answers a range without
     // enumerating the value space (tokens ≤ b, not O(|domain|)).
-    let mut sys = SlicerSystem::setup(SlicerConfig::test_16bit(), 2);
+    let mut sys = system(SlicerConfig::test_16bit(), 2);
     let db: Vec<(RecordId, u64)> = (0u64..100)
         .map(|i| (RecordId::from_u64(i), i * 601 % 65_536))
         .collect();
@@ -60,7 +66,7 @@ fn property_freshness_stale_results_rejected() {
     // Freshness: after the owner updates the data (and the on-chain
     // digest), a result set missing the newest generation cannot verify —
     // without any online participation of the owner in the check.
-    let mut sys = SlicerSystem::setup(SlicerConfig::test_8bit(), 3);
+    let mut sys = system(SlicerConfig::test_8bit(), 3);
     sys.build(&[(RecordId::from_u64(1), 77)]).unwrap();
     sys.insert(&[(RecordId::from_u64(2), 77)]).unwrap();
     let stale = sys
@@ -83,7 +89,7 @@ fn property_forward_security_old_tokens_miss_new_data() {
     // Forward security: an old search token cannot reach entries inserted
     // later — the insertion rotated the trapdoor with π_sk⁻¹, which the
     // server cannot invert.
-    let mut sys = SlicerSystem::setup(SlicerConfig::test_8bit(), 4);
+    let mut sys = system(SlicerConfig::test_8bit(), 4);
     sys.build(&[(RecordId::from_u64(1), 99)]).unwrap();
 
     // Capture the pre-insert token for value 99.
@@ -118,7 +124,7 @@ fn property_forward_security_insert_output_looks_random() {
     // keyword-correlated structure — labels under the same keyword before
     // and after rotation share no bytes prefix-wise beyond chance. We test
     // a necessary observable: labels are distinct and spread.
-    let mut sys = SlicerSystem::setup(SlicerConfig::test_8bit(), 5);
+    let mut sys = system(SlicerConfig::test_8bit(), 5);
     sys.build(&[(RecordId::from_u64(1), 50)]).unwrap();
     let out = sys
         .instance_mut()
@@ -137,7 +143,7 @@ fn property_public_verifiability_no_secrets_on_chain() {
     // Public verifiability: the contract verifies with only public inputs.
     // The calldata visible on chain never contains K, K_R or plaintext
     // values/record ids.
-    let mut sys = SlicerSystem::setup(SlicerConfig::test_8bit(), 6);
+    let mut sys = system(SlicerConfig::test_8bit(), 6);
     let secret_value = 123u64;
     sys.build(&[(RecordId::from_u64(1), secret_value)]).unwrap();
     let out = sys.search(&Query::equal(secret_value), 100).unwrap();
@@ -159,7 +165,7 @@ fn property_public_verifiability_no_secrets_on_chain() {
 fn property_fairness_payment_follows_verification() {
     // Fairness: the user cannot deny a correct result (contract pays the
     // cloud), and the cloud cannot take the fee for a wrong one.
-    let mut sys = SlicerSystem::setup(SlicerConfig::test_8bit(), 7);
+    let mut sys = system(SlicerConfig::test_8bit(), 7);
     let db: Vec<(RecordId, u64)> = (0u64..50)
         .map(|i| (RecordId::from_u64(i), i % 256))
         .collect();

@@ -10,6 +10,7 @@
 
 use slicer_core::{Query, RecordId, SlicerConfig, SlicerSystem};
 use slicer_crypto::Rng;
+use slicer_telemetry::TelemetryHandle;
 use slicer_workload::splitmix_stream;
 
 #[test]
@@ -17,7 +18,12 @@ fn interleaved_16bit_lifecycle() {
     // An explicit multi-worker pool even on single-core CI boxes: the
     // deterministic fan-out must merge cross-thread results identically
     // regardless of the hardware the test lands on.
-    let mut sys = SlicerSystem::setup(SlicerConfig::test_16bit().with_workers(3), 99);
+    let mut sys = SlicerSystem::try_setup_with(
+        SlicerConfig::test_16bit().with_workers(3),
+        99,
+        TelemetryHandle::disabled(),
+    )
+    .unwrap();
     let mut rng = splitmix_stream(2026);
     let mut model: Vec<(u64, u64)> = Vec::new();
     let mut next_id = 0u64;
