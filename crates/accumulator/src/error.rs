@@ -28,15 +28,18 @@ pub enum AccumulatorError {
     /// primes than the list it was handed holds — it was built over a
     /// longer (e.g. since truncated) list.
     ProverAhead {
-        /// Primes the prover has folded into its running product.
+        /// Primes the prover has folded into its leaves.
         folded: usize,
         /// Length of the prime list presented.
         len: usize,
     },
-    /// The targets' product does not divide a
-    /// [`BatchProver`](crate::witness::BatchProver)'s running product: it
-    /// was built over a different list than the one presented.
-    TargetsNotInProduct,
+    /// A [`BatchProver`](crate::witness::BatchProver) folded a different
+    /// prime at `index` than the list it was handed holds — it was built
+    /// over another list.
+    ProverDiverged {
+        /// First position where the folded primes and the list differ.
+        index: usize,
+    },
 }
 
 impl fmt::Display for AccumulatorError {
@@ -60,8 +63,11 @@ impl fmt::Display for AccumulatorError {
             AccumulatorError::ProverAhead { folded, len } => {
                 write!(f, "prover folded {folded} primes but the list holds {len}")
             }
-            AccumulatorError::TargetsNotInProduct => {
-                write!(f, "target primes do not divide the prover's product")
+            AccumulatorError::ProverDiverged { index } => {
+                write!(
+                    f,
+                    "prover folded a different prime at index {index} than the list holds"
+                )
             }
         }
     }

@@ -21,9 +21,9 @@
 //!   hash-and-increment), deterministic so the on-chain verifier can
 //!   recompute representatives.
 //! * [`Accumulator`] — incremental accumulation.
-//! * [`witness`] — direct, batched ([`witness::BatchProver`]: a running
-//!   prime product and a fixed-base generator table) and root-factor
-//!   witness generation strategies.
+//! * [`witness`] — direct, batched ([`witness::BatchProver`]: cached
+//!   complements of leaves of at most [`witness::LEAF`] primes, caught up
+//!   lazily) and root-factor witness generation strategies.
 //!
 //! # Examples
 //!

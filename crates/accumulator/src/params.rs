@@ -138,12 +138,6 @@ impl RsaParams {
         self.modulus.bit_len().div_ceil(8) as usize
     }
 
-    /// The shared Montgomery context (`None` only for params no
-    /// constructor of this module produces).
-    pub(crate) fn ctx(&self) -> Option<&MontgomeryCtx> {
-        self.ctx.as_ref()
-    }
-
     /// `base^exp mod n` using the shared context.
     pub fn powmod(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         match &self.ctx {

@@ -1,15 +1,15 @@
 //! Ablation: accumulator witness strategies (direct vs batched vs
 //! root-factor) and accumulation itself — the design choice behind
-//! Fig. 5b/5d's VO-generation curves — plus the layers of one batched
-//! witness (fold vs fixed-base table, table growth, exact division).
+//! Fig. 5b/5d's VO-generation curves — plus the states of the batch
+//! prover: cold (leaf build), warm, and after one ingest.
 //!
 //! Sizes: 200 and 800 primes for the Fig. 5 comparisons, and 4,549 — the
 //! prime count of the `search_uniform` benchmark workload — for the
-//! layers of the batch prover, where the direct rows would take seconds
-//! per iteration and are skipped.
+//! batch prover, where the direct rows would take seconds per iteration
+//! and are skipped.
 
 use slicer_accumulator::{hash_to_prime, witness, Accumulator, RsaParams};
-use slicer_bignum::{BigUint, FixedBase, MontgomeryCtx};
+use slicer_bignum::BigUint;
 use slicer_par::Pool;
 use slicer_testkit::bench::{black_box, Bench};
 
@@ -19,14 +19,10 @@ fn primes(range: std::ops::Range<u32>) -> Vec<BigUint> {
         .collect()
 }
 
-fn product(ps: &[BigUint]) -> BigUint {
-    ps.iter().fold(BigUint::one(), |acc, p| &acc * p)
-}
-
 fn main() {
     let params = RsaParams::fixed_512();
-    let ctx = MontgomeryCtx::new(params.modulus()).expect("odd modulus");
-    let pool = Pool::single();
+    // `SLICER_THREADS` sizes the prover's pool (the leaf build fans out).
+    let pool = Pool::configured();
     let mut group = Bench::new("ads_ablation");
 
     for q in [200u32, 800, 4549] {
@@ -49,17 +45,23 @@ fn main() {
                         .collect::<Vec<_>>(),
                 );
             });
+            let all = witness::singletons(ps.len());
             group.run(&format!("root_factor_all/{q}"), || {
-                black_box(witness::root_factor(&params, params.generator(), &ps));
+                black_box(witness::root_factor(&params, params.generator(), &ps, &all));
             });
         }
-        // A fresh prover used once: product, full table, one exponentiation.
+        // A fresh prover used once: the leaf build over the whole list (the
+        // first search after boot or restore), then 16 leaf splits.
         group.run(&format!("witness_batched_x16/{q}"), || {
-            black_box(witness::witness_batch(&params, &ps, &targets).expect("valid targets"));
+            black_box(
+                witness::BatchProver::new(&params)
+                    .witnesses(&ps, &targets, &pool)
+                    .expect("valid targets"),
+            );
         });
         // The cloud's steady state: a long-lived prover answering a query
         // with nothing ingested since the last one ...
-        let mut warm = witness::BatchProver::new(&params).expect("fixed params");
+        let mut warm = witness::BatchProver::new(&params);
         warm.witnesses(&ps, &targets, &pool).expect("valid targets");
         group.run(&format!("prover_warm_x16/{q}"), || {
             black_box(warm.witnesses(&ps, &targets, &pool).expect("valid targets"));
@@ -78,38 +80,20 @@ fn main() {
         // The split share of a batched witness: root factor over the
         // 16 targets from a fixed base.
         let target_primes: Vec<BigUint> = targets.iter().map(|&t| ps[t].clone()).collect();
+        let singles = witness::singletons(target_primes.len());
         group.run(&format!("root_factor_x16/{q}"), || {
             black_box(witness::root_factor(
                 &params,
                 params.generator(),
                 &target_primes,
+                &singles,
             ));
         });
 
-        // Layers of the complement exponentiation `g^(∏ X)`: today's
-        // chunked fold vs the fixed-base table (warm), the table growth
-        // one ingest costs, and the exact division by 16 target primes.
-        let all = product(&ps);
+        // One fold of the whole list, `g^(∏ X)`: the unit of the leaf
+        // build's cost.
         group.run(&format!("powmod_product/{q}"), || {
             black_box(params.powmod_product(params.generator(), &ps));
-        });
-        let mut table = FixedBase::new(&ctx, params.generator());
-        table.extend_to(all.bit_len());
-        group.run(&format!("fixed_base_pow/{q}"), || {
-            black_box(table.pow(&all));
-        });
-        let grown_bits = (&all * &product(&fresh)).bit_len();
-        group.run_batched(
-            &format!("fixed_base_extend17/{q}"),
-            || table.clone(),
-            |mut t| {
-                t.extend_to(grown_bits);
-                black_box(&t);
-            },
-        );
-        let divisor = product(&target_primes);
-        group.run(&format!("exact_div16/{q}"), || {
-            black_box(all.div_rem(&divisor));
         });
 
         // Verification (the contract-side cost): constant regardless of q.

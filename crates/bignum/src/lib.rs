@@ -13,8 +13,8 @@
 //! * Knuth Algorithm D division ([`BigUint::div_rem`]).
 //! * Montgomery-form modular exponentiation ([`MontgomeryCtx`],
 //!   [`BigUint::modpow`]) with a sliding window of 3 to 6 bits sized to the
-//!   exponent, and fixed-base exponentiation from a precomputed table
-//!   ([`FixedBase`]), which computes the accumulator's batched witnesses.
+//!   exponent, and [`MontgomeryCtx::modpow_product`], which raises a base
+//!   to a whole list of primes at once for the accumulator's witnesses.
 //! * Modular inverses via the extended Euclidean algorithm
 //!   ([`BigUint::modinv`]).
 //! * Miller–Rabin primality testing and random (safe-)prime generation
@@ -52,7 +52,7 @@ mod random;
 mod uint;
 
 pub use gcd::ExtendedGcd;
-pub use montgomery::{FixedBase, MontgomeryCtx};
+pub use montgomery::MontgomeryCtx;
 pub use prime::{gen_prime, gen_safe_prime, next_prime, SMALL_PRIMES};
 pub use random::{random_below, random_bits, random_odd_bits};
 pub use uint::{BigUint, ParseBigUintError};

@@ -12,8 +12,6 @@
 //! [`MontgomeryCtx::modpow`] uses a sliding window over odd powers;
 //! [`MontgomeryCtx::modpow_product`] folds a whole list of exponents in
 //! multi-thousand-bit chunks, sharing one window table across each chunk.
-//! [`FixedBase`] raises one fixed base to many huge exponents with a
-//! precomputed table and no squarings at all.
 
 // CIOS walks parallel limb arrays by index on purpose (carry dataflow), and
 // `from_mont` converts a representation rather than constructing from one.
@@ -844,137 +842,6 @@ impl MontgomeryCtx {
     }
 }
 
-/// Fixed-base exponentiation with precomputation (Brickell–Gordon–
-/// McCurley–Wilson, EUROCRYPT '92, "bucket" variant).
-///
-/// Holds `G_i = g^(2^(8 i))` in Montgomery form for every byte position
-/// `i` of the exponents seen so far; the table grows on demand and is
-/// never rebuilt. Writing `E = Σ e_i 2^(8 i)` with byte digits `e_i`,
-///
-/// ```text
-/// g^E = ∏_{d=1}^{255} B_d^d,   B_d = ∏_{i : e_i = d} G_i,
-/// ```
-///
-/// and the outer product is two running products from `d = 255` down, so
-/// one exponentiation costs `⌈bits(E)/8⌉ + 2·255` multiplications and no
-/// squarings — against one squaring per exponent bit for
-/// [`MontgomeryCtx::modpow`]. Extending the table costs eight squarings
-/// per byte of exponent, once. The table takes `⌈bits/8⌉ · 8 · limbs`
-/// bytes: 64 bytes per exponent byte at a 512-bit modulus.
-///
-/// The window is fixed at eight bits: digits are read straight from the
-/// exponent's limbs, and the `2^9` bucket overhead is small next to the
-/// hundred-thousand-digit exponents of the accumulator's witnesses.
-///
-/// # Examples
-///
-/// ```
-/// use slicer_bignum::{BigUint, FixedBase, MontgomeryCtx};
-///
-/// let n = BigUint::from(1000003u64);
-/// let ctx = MontgomeryCtx::new(&n).unwrap();
-/// let mut g = FixedBase::new(&ctx, &BigUint::from(4u64));
-/// let e = BigUint::from(123456789u64);
-/// assert_eq!(g.pow(&e), ctx.modpow(&BigUint::from(4u64), &e));
-/// ```
-#[derive(Debug, Clone)]
-pub struct FixedBase {
-    ctx: MontgomeryCtx,
-    /// `G_0 ‖ G_1 ‖ …`, each `len` limbs: one flat vector instead of one
-    /// allocation per entry (a witness table has ~10^5 entries).
-    table: Vec<Limb>,
-}
-
-impl FixedBase {
-    /// Exponent bits per table entry (and per bucket digit).
-    const WINDOW: u32 = 8;
-
-    /// A table for `base` holding only `G_0 = base` (covers exponents
-    /// below `2^8`).
-    pub fn new(ctx: &MontgomeryCtx, base: &BigUint) -> Self {
-        FixedBase {
-            ctx: ctx.clone(),
-            table: ctx.to_mont(base),
-        }
-    }
-
-    /// Number of exponent bits the table covers without growing.
-    pub fn table_bits(&self) -> u64 {
-        self.entries() as u64 * u64::from(Self::WINDOW)
-    }
-
-    fn entries(&self) -> usize {
-        self.table.len() / self.ctx.limb_len()
-    }
-
-    /// Grows the table until it covers exponents of `bits` bits:
-    /// `G_{i+1} = G_i^(2^8)`, eight squarings per new entry.
-    pub fn extend_to(&mut self, bits: u64) {
-        let want = bits.div_ceil(u64::from(Self::WINDOW)).max(1) as usize;
-        let have = self.entries();
-        if want <= have {
-            return;
-        }
-        let len = self.ctx.limb_len();
-        self.table.reserve((want - have) * len);
-        let mut wide = vec![0 as Limb; 2 * len + 1];
-        let mut cur = self.table[(have - 1) * len..].to_vec();
-        let mut tmp = vec![0 as Limb; len];
-        for _ in have..want {
-            for _ in 0..Self::WINDOW {
-                self.ctx.mont_sqr_into(&cur, &mut wide, &mut tmp);
-                std::mem::swap(&mut cur, &mut tmp);
-            }
-            self.table.extend_from_slice(&cur);
-        }
-    }
-
-    /// `base^exp mod n`, growing the table first if `exp` outruns it.
-    pub fn pow(&mut self, exp: &BigUint) -> BigUint {
-        self.extend_to(exp.bit_len());
-        let ctx = &self.ctx;
-        let len = ctx.limb_len();
-        let mut t = vec![0 as Limb; len + 2];
-        let mut tmp = vec![0 as Limb; len];
-
-        // `slot ← slot · x`, or `x` itself while the slot is empty, so no
-        // multiply by one is ever spent.
-        let mut fold = |slot: &mut Option<Vec<Limb>>, x: &[Limb]| match slot {
-            Some(s) => {
-                ctx.mont_mul_into(s, x, &mut t, &mut tmp);
-                std::mem::swap(s, &mut tmp);
-            }
-            None => *slot = Some(x.to_vec()),
-        };
-
-        // B_d: product of the entries whose digit is d.
-        let mut buckets: Vec<Option<Vec<Limb>>> = vec![None; 1 << Self::WINDOW];
-        let digits = exp.limbs.iter().flat_map(|l| l.to_le_bytes());
-        for (entry, d) in self.table.chunks_exact(len).zip(digits) {
-            if d != 0 {
-                fold(&mut buckets[d as usize], entry);
-            }
-        }
-
-        // ∏ B_d^d = ∏_d (∏_{d' >= d} B_d'): a running suffix product,
-        // folded into the result once per digit value.
-        let mut suffix = None;
-        let mut acc = None;
-        for bucket in buckets.iter().skip(1).rev() {
-            if let Some(b) = bucket {
-                fold(&mut suffix, b);
-            }
-            if let Some(s) = &suffix {
-                fold(&mut acc, s);
-            }
-        }
-        match acc {
-            Some(a) => ctx.from_mont(&a),
-            None => BigUint::one(),
-        }
-    }
-}
-
 /// Borrowed two-limb view of a [`MontgomeryCtx`]: Montgomery values as
 /// `(lo, hi)` limb tuples, every operation allocation-free and branch-lean.
 ///
@@ -1187,7 +1054,7 @@ fn ge(a: &[Limb], b: &[Limb]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slicer_testkit::{prop_assert, prop_assert_eq, prop_check};
+    use slicer_testkit::{prop_assert_eq, prop_check};
 
     #[test]
     fn rejects_even_modulus() {
@@ -1364,52 +1231,6 @@ mod tests {
             want = ctx.modpow(&want, e);
         }
         assert_eq!(ctx.modpow_product(&base, &many), want);
-    }
-
-    /// A random exponent of exactly `bits` bits (zero for `bits == 0`).
-    fn exp_of_bits(g: &mut slicer_testkit::Gen, bits: u64) -> BigUint {
-        if bits == 0 {
-            return BigUint::zero();
-        }
-        let limbs = bits.div_ceil(64) as usize;
-        let mut e: Vec<Limb> = (0..limbs).map(|_| g.u64()).collect();
-        let top = (bits - 1) % 64;
-        e[limbs - 1] &= Limb::MAX >> (63 - top);
-        e[limbs - 1] |= 1 << top;
-        BigUint::from_limbs(e)
-    }
-
-    #[test]
-    fn fixed_base_matches_modpow() {
-        // One table per case, reused across exponents that grow, shrink
-        // and grow again, at the 2-limb, generic (3-limb) and 8-limb
-        // multiply paths; lengths include 0, 1 and exact table boundaries.
-        prop_check!(0x1019, 64, |g| {
-            let width = [2usize, 3, 8][g.index(3)];
-            let mut m: Vec<Limb> = (0..width).map(|_| g.u64()).collect();
-            m[0] |= 1;
-            m[width - 1] |= 1 << 63;
-            let ctx = MontgomeryCtx::new(&BigUint::from_limbs(m)).unwrap();
-            let base = BigUint::from_limbs((0..width).map(|_| g.u64()).collect());
-            let mut fb = FixedBase::new(&ctx, &base);
-            let grown = g.u64_in(1000, 20_000);
-            let boundary = fb.table_bits();
-            for bits in [
-                0,
-                1,
-                boundary,
-                boundary + 1,
-                grown,
-                g.u64_in(2, 999),
-                fb.table_bits(),
-                g.u64_in(grown + 1, 20_480),
-            ] {
-                let e = exp_of_bits(g, bits);
-                prop_assert_eq!(fb.pow(&e), ctx.modpow(&base, &e), "{bits} bits");
-                prop_assert!(fb.table_bits() >= bits);
-            }
-            Ok(())
-        });
     }
 
     #[test]

@@ -64,6 +64,12 @@ pub const ALLOWED_ATTR_KEYS: &[&str] = &[
     "generation",
     "deltas",
     "fallbacks",
+    // Batch-prover work (`accumulator.witness` / `accumulator.leaves`
+    // spans): how many leaves the targets fall into and how many primes
+    // stale leaves caught up with, both functions of the target positions
+    // and the prime count the cloud already holds.
+    "leaves",
+    "catchup_primes",
 ];
 
 /// The leakage a run *declares*: accumulated by

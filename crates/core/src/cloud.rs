@@ -21,10 +21,10 @@ pub enum WitnessStrategy {
     /// One direct `O(|X|)` fold per token — what the paper's prototype
     /// does; its cost grows with the record count (Fig. 5b/5d).
     Direct,
-    /// One shared complement exponentiation for all of a query's tokens
-    /// from a long-lived [`witness::BatchProver`] (running prime product
-    /// plus fixed-base generator table), then a root-factor split among
-    /// them.
+    /// All of a query's tokens from a long-lived [`witness::BatchProver`]:
+    /// the cached base of each leaf a target falls in (at most
+    /// [`witness::LEAF`] primes) is raised by the leaf's other primes,
+    /// then split among the leaf's targets.
     #[default]
     Batched,
 }
@@ -41,9 +41,9 @@ pub struct CloudServer {
     trapdoor_pk: TrapdoorPublic,
     strategy: WitnessStrategy,
     /// Built on the first batched `prove`, never at ingest or restore and
-    /// never persisted: its table costs about one full witness fold to
-    /// build, which set-up and restore should not pay for a cloud that may
-    /// never search.
+    /// never persisted: its leaves cost about `log2(|X| / LEAF)` full
+    /// witness folds to build, which set-up and restore should not pay
+    /// for a cloud that may never search.
     prover: Option<witness::BatchProver>,
     telemetry: TelemetryHandle,
     pool: Pool,
@@ -256,10 +256,10 @@ impl CloudServer {
     /// primes ingested since the last call.
     ///
     /// A prover that disagrees with the stored list — it folded more
-    /// primes than the list holds, a target does not divide its product,
-    /// or its first witness fails against the stored digest (e.g. state
-    /// swapped under it by a truncated restore) — is rebuilt from the list
-    /// once, never trusted.
+    /// primes than the list holds or a different prime, or its first
+    /// witness fails against the stored digest (e.g. state swapped under
+    /// it by a truncated restore) — is rebuilt from the list once, never
+    /// trusted.
     fn batched_witnesses(
         &mut self,
         xs: &[BigUint],
@@ -273,7 +273,7 @@ impl CloudServer {
             }
         }
         let params = &self.config.accumulator;
-        let mut prover = witness::BatchProver::new(params).map_err(corrupt)?;
+        let mut prover = witness::BatchProver::new(params);
         let ws = prover
             .witnesses(primes, targets, &self.pool)
             .map_err(corrupt)?;
@@ -512,12 +512,10 @@ mod tests {
         // Product over a phantom extra prime: folded count ahead of X.
         let mut longer = real.clone();
         longer.push(phantom.clone());
-        // Same length, a non-target prime swapped: only the digest check
-        // can tell.
+        // Same length, a non-target prime swapped: the list check finds it.
         let mut swapped = real.clone();
         swapped[bystander] = phantom.clone();
-        // Same length, a target prime swapped: the division leaves a
-        // remainder.
+        // Same length, a target prime swapped: the list check finds it.
         let mut missing = real.clone();
         missing[targets[0]] = phantom;
         for (name, list) in [
@@ -525,7 +523,7 @@ mod tests {
             ("swapped", swapped),
             ("missing", missing),
         ] {
-            let mut prover = witness::BatchProver::new(&params).unwrap();
+            let mut prover = witness::BatchProver::new(&params);
             prover.witnesses(&list, &[0], &Pool::single()).unwrap();
             cloud.prover = Some(prover);
             let telemetry = TelemetryHandle::enabled();

@@ -708,7 +708,17 @@ impl SegmentStore {
                     SegmentRole::PrimesChunk => {
                         let chunk: Vec<BigUint> =
                             from_bytes(frame).map_err(|e| codec_err(&path, &e))?;
-                        primes.extend(chunk);
+                        // The snapshot holds each prime once: a repeat
+                        // would shift every later index.
+                        for prime in chunk {
+                            let index = primes.len();
+                            if primes.push_new(prime).is_none() {
+                                return Err(PersistError::corrupt(
+                                    &path,
+                                    format!("primes chunk repeats a prime at index {index}"),
+                                ));
+                            }
+                        }
                     }
                     SegmentRole::Delta => {
                         let delta: Delta = from_bytes(frame).map_err(|e| codec_err(&path, &e))?;
@@ -1067,6 +1077,23 @@ mod tests {
                 "{err}"
             );
         }
+
+        // A base primes chunk that repeats a prime: replaying it would
+        // drop the repeat and shift every later index.
+        let mut base = store.read_manifest(1).unwrap();
+        let entry = base
+            .segments
+            .iter_mut()
+            .find(|e| e.role == SegmentRole::PrimesChunk)
+            .unwrap();
+        let (path, frames) = store.read_segment(entry).unwrap();
+        let mut chunk: Vec<BigUint> = from_bytes(&frames[0]).unwrap();
+        chunk.push(chunk[0].clone());
+        let image = image_of(&chunk, &dir).unwrap();
+        fs::write(&path, &image.bytes).unwrap();
+        entry.checksum = image.checksum;
+        entry.bytes = image.bytes.len() as u64;
+        corrupt(&base, "repeats a prime");
         let _ = fs::remove_dir_all(&dir);
     }
 

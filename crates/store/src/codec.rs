@@ -44,7 +44,7 @@ mod tests {
 
     #[test]
     fn restored_prime_list_lookup_works() {
-        let mut list: PrimeList = (0u64..8).map(|i| BigUint::from(100 + i)).collect();
+        let list: PrimeList = (0u64..8).map(|i| BigUint::from(100 + i)).collect();
         let bytes = to_bytes(&list).unwrap();
         let mut back: PrimeList = from_bytes(&bytes).unwrap();
         assert_eq!(
@@ -53,6 +53,14 @@ mod tests {
         );
         // Idempotent push still finds the existing slot after a restore.
         assert_eq!(back.push(BigUint::from(100u64)), 0);
+        // A list that repeats a prime is corrupt: a restore would give the
+        // repeat no index of its own and shift every later one.
+        let repeated: Vec<BigUint> = [101u64, 103, 101].map(BigUint::from).to_vec();
+        let err = from_bytes::<PrimeList>(&to_bytes(&repeated).unwrap()).unwrap_err();
+        assert!(
+            err.to_string().contains("repeats a prime at index 2"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -24,14 +24,19 @@ impl Encode for PrimeList {
 }
 
 impl Decode for PrimeList {
+    /// Rejects a list that repeats a prime: `push` never stores one twice,
+    /// so a repeat is corruption, and every later index would be off.
     fn decode(reader: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let primes = Vec::<BigUint>::decode(reader)?;
-        let positions = primes
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.clone(), i))
-            .collect();
-        Ok(PrimeList { primes, positions })
+        let mut list = PrimeList::new();
+        for prime in Vec::<BigUint>::decode(reader)? {
+            let index = list.len();
+            if list.push_new(prime).is_none() {
+                return Err(CodecError::msg(format!(
+                    "prime list repeats a prime at index {index}"
+                )));
+            }
+        }
+        Ok(list)
     }
 }
 
@@ -44,10 +49,23 @@ impl PrimeList {
     /// Appends a prime, returning its index. Re-adding an existing prime
     /// returns the original index without duplicating it.
     pub fn push(&mut self, prime: BigUint) -> usize {
-        self.rebuild_if_needed();
-        if let Some(&i) = self.positions.get(&prime) {
-            return i;
+        match self.positions.get(&prime) {
+            Some(&i) => i,
+            None => self.append(prime),
         }
+    }
+
+    /// Appends a prime that is not in the list yet, returning its index,
+    /// or `None` (and leaves the list as it was) if it is already there.
+    pub fn push_new(&mut self, prime: BigUint) -> Option<usize> {
+        if self.positions.contains_key(&prime) {
+            None
+        } else {
+            Some(self.append(prime))
+        }
+    }
+
+    fn append(&mut self, prime: BigUint) -> usize {
         let i = self.primes.len();
         self.positions.insert(prime.clone(), i);
         self.primes.push(prime);
@@ -55,8 +73,7 @@ impl PrimeList {
     }
 
     /// Index of a prime, if present.
-    pub fn position(&mut self, prime: &BigUint) -> Option<usize> {
-        self.rebuild_if_needed();
+    pub fn position(&self, prime: &BigUint) -> Option<usize> {
         self.positions.get(prime).copied()
     }
 
@@ -81,18 +98,6 @@ impl PrimeList {
             .iter()
             .map(|p| p.bit_len().div_ceil(8) as usize)
             .sum()
-    }
-
-    /// Restores the lookup table after deserialization (only the primes travel).
-    fn rebuild_if_needed(&mut self) {
-        if self.positions.len() != self.primes.len() {
-            self.positions = self
-                .primes
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (p.clone(), i))
-                .collect();
-        }
     }
 }
 
@@ -137,6 +142,10 @@ mod tests {
         list.push(p(101));
         assert_eq!(list.push(p(101)), 0);
         assert_eq!(list.len(), 1);
+        // The strict variant refuses the repeat instead.
+        assert_eq!(list.push_new(p(101)), None);
+        assert_eq!(list.push_new(p(103)), Some(1));
+        assert_eq!(list.len(), 2);
     }
 
     #[test]

@@ -10,6 +10,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 
+echo "==> cargo bench --no-run --offline (bench targets compile)"
+# `cargo test` skips bench targets, so a bench still calling a deleted API
+# would otherwise rot unnoticed.
+cargo bench --no-run --offline --workspace
+
 echo "==> slicer-lint --check --strict --format json (static-analysis ratchet)"
 # Strict mode fails when the baseline is stale (counts shrank without
 # --update-baseline), not just when they grew — the ratchet file in the
