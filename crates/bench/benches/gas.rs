@@ -4,7 +4,7 @@
 //! execution cost).
 
 use slicer_chain::{Address, Blockchain, SlicerContract};
-use slicer_core::{Query, RecordId, SlicerConfig, SlicerSystem};
+use slicer_core::{Query, RecordId, SlicerConfig, SlicerInstance};
 use slicer_telemetry::TelemetryHandle;
 use slicer_testkit::bench::{black_box, Bench};
 use slicer_workload::DatasetSpec;
@@ -29,29 +29,38 @@ fn main() {
         .map(|(id, v)| (RecordId(id), v))
         .collect();
     let probe = db[0].1;
+    let built = |chain: &mut Blockchain| {
+        let mut inst = SlicerInstance::try_setup_with(
+            SlicerConfig::test_8bit(),
+            1,
+            chain,
+            TelemetryHandle::disabled(),
+        )
+        .expect("chain accepts the deployment");
+        inst.build(chain, &db).expect("in-domain");
+        inst
+    };
 
     {
-        let mut sys =
-            SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), 1, TelemetryHandle::disabled())
-                .expect("chain accepts the deployment");
-        sys.build(&db).expect("in-domain");
+        let mut chain = Blockchain::new();
+        let mut inst = built(&mut chain);
         let mut next = 1_000_000u64;
         group.run("insert_tx", || {
             next += 1;
             black_box(
-                sys.insert(&[(RecordId::from_u64(next), 9)])
+                inst.insert(&mut chain, &[(RecordId::from_u64(next), 9)])
                     .expect("in-domain"),
             );
         });
     }
 
     {
-        let mut sys =
-            SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), 1, TelemetryHandle::disabled())
-                .expect("chain accepts the deployment");
-        sys.build(&db).expect("in-domain");
+        let mut chain = Blockchain::new();
+        let mut inst = built(&mut chain);
         group.run("verify_tx", || {
-            let out = sys.search(&Query::equal(probe), 10).expect("search runs");
+            let out = inst
+                .search(&mut chain, &Query::equal(probe), 10)
+                .expect("search runs");
             assert!(out.verified);
             black_box(out);
         });

@@ -8,8 +8,9 @@
 
 use crate::table::Table;
 use crate::{mb, record_sweep, secs};
+use slicer_chain::Blockchain;
 use slicer_core::{
-    CloudServer, DataOwner, Query, RecordId, SlicerConfig, SlicerSystem, WitnessStrategy,
+    CloudServer, DataOwner, Query, RecordId, SlicerConfig, SlicerInstance, WitnessStrategy,
 };
 use slicer_telemetry::{Clock, MonotonicClock, TelemetryHandle};
 use slicer_workload::{sample_query_values, DatasetSpec};
@@ -214,7 +215,7 @@ pub fn gas_experiment() -> Vec<Table> {
     );
 
     // Deployment: measured on a fresh chain.
-    let mut chain = slicer_chain::Blockchain::new();
+    let mut chain = Blockchain::new();
     let deployer = slicer_chain::Address::from_byte(1);
     chain.create_account(deployer, 1);
     let deploy = chain
@@ -234,22 +235,32 @@ pub fn gas_experiment() -> Vec<Table> {
     // Data insertion + verification: a representative small deployment
     // (the paper's costs are per-operation, independent of data size for
     // insertion and near-constant for single-slice verification).
-    let mut sys =
-        SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), 4242, TelemetryHandle::disabled())
-            .expect("chain accepts the deployment");
     let db = dataset(500, 8, 4242);
-    sys.build(&db).expect("in-domain");
-    let ins = sys
-        .insert(&[(RecordId::from_u64(1_000_000), 77)])
-        .expect("in-domain");
+    let built = |chain: &mut Blockchain| {
+        let mut inst = SlicerInstance::try_setup_with(
+            SlicerConfig::test_8bit(),
+            4242,
+            chain,
+            TelemetryHandle::disabled(),
+        )
+        .expect("chain accepts the deployment");
+        inst.build(chain, &db).expect("in-domain");
+        inst
+    };
+    let mut chain = Blockchain::new();
+    let mut inst = built(&mut chain);
+    let ins = inst
+        .insert(&mut chain, &[(RecordId::from_u64(1_000_000), 77)])
+        .expect("in-domain")
+        .receipt;
     t.push_row(vec![
         "Data insertion".into(),
         ins.gas_used.to_string(),
         usd(ins.gas_used),
     ]);
 
-    let outcome = sys
-        .search(&Query::equal(db[0].1), 1_000)
+    let outcome = inst
+        .search(&mut chain, &Query::equal(db[0].1), 1_000)
         .expect("search succeeds");
     assert!(outcome.verified, "honest verification must pass");
     t.push_row(vec![
@@ -265,15 +276,8 @@ pub fn gas_experiment() -> Vec<Table> {
 
     // Ablation: the same verification under Berlin (EIP-2565) MODEXP
     // pricing — shows how much of the cost is precompile pricing policy.
-    let mut chain = slicer_chain::Blockchain::with_schedule(slicer_chain::GasSchedule::eip2565());
-    let mut inst = slicer_core::SlicerInstance::try_setup_with(
-        SlicerConfig::test_8bit(),
-        4242,
-        &mut chain,
-        TelemetryHandle::disabled(),
-    )
-    .expect("chain accepts the deployment");
-    inst.build(&mut chain, &db).expect("in-domain");
+    let mut chain = Blockchain::with_schedule(slicer_chain::GasSchedule::eip2565());
+    let mut inst = built(&mut chain);
     let outcome = inst
         .search(&mut chain, &Query::equal(db[0].1), 1_000)
         .expect("search succeeds");
@@ -304,19 +308,25 @@ pub fn telemetry_experiment(
     // counters: SORE tuples, index lookups, witness generation).
     let build_handle = TelemetryHandle::enabled();
     global::set(build_handle.clone());
-    let mut sys = SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), 42, build_handle.clone())
-        .expect("chain accepts the deployment");
-    sys.build(&db).expect("in-domain");
+    let mut chain = Blockchain::new();
+    let mut inst = SlicerInstance::try_setup_with(
+        SlicerConfig::test_8bit(),
+        42,
+        &mut chain,
+        build_handle.clone(),
+    )
+    .expect("chain accepts the deployment");
+    inst.build(&mut chain, &db).expect("in-domain");
     let build_snap = build_handle.snapshot();
 
     // Search the same deployment under a fresh registry.
     let search_handle = TelemetryHandle::enabled();
-    sys.instance_mut().set_telemetry(search_handle.clone());
+    inst.set_telemetry(search_handle.clone());
     global::set(search_handle.clone());
     let raw: Vec<([u8; 16], u64)> = db.iter().map(|(id, v)| (id.0, *v)).collect();
     for &v in &sample_query_values(&raw, queries, 7) {
-        let outcome = sys
-            .search(&Query::less_than(v), 1_000)
+        let outcome = inst
+            .search(&mut chain, &Query::less_than(v), 1_000)
             .expect("search succeeds");
         assert!(outcome.verified, "honest searches verify");
         assert_eq!(

@@ -107,8 +107,19 @@ impl DualSlicer {
     ///
     /// # Errors
     ///
-    /// Returns [`SlicerError::UnknownRecordId`] if the ID is not live.
+    /// Returns [`SlicerError::ValueOutOfDomain`] if `new_value` does not
+    /// fit the configured width (the record stays live, unchanged), and
+    /// [`SlicerError::UnknownRecordId`] if the ID is not live.
     pub fn update(&mut self, id: RecordId, new_value: u64) -> Result<(), SlicerError> {
+        // Range-check before the delete ships: a rejected insert must not
+        // leave the record deleted.
+        let config = self.inserts.owner.config();
+        if new_value > config.max_value() {
+            return Err(SlicerError::ValueOutOfDomain {
+                value: new_value,
+                bits: config.value_bits,
+            });
+        }
         self.delete(id)?;
         self.inserts.insert(&mut self.chain, &[(id, new_value)])?;
         self.live.insert(id, new_value);
@@ -220,6 +231,23 @@ mod tests {
         // Both 10 and 20 are < 100: insert-side count 2, delete-side 1.
         let out = d.search(&Query::less_than(100), 5).unwrap();
         assert_eq!(ids(&out), vec![1]);
+    }
+
+    #[test]
+    fn out_of_domain_update_is_rejected_and_keeps_the_record() {
+        let mut d = dual();
+        d.insert(&[(RecordId::from_u64(1), 10)]).unwrap();
+        assert!(matches!(
+            d.update(RecordId::from_u64(1), 256),
+            Err(SlicerError::ValueOutOfDomain {
+                value: 256,
+                bits: 8
+            })
+        ));
+        assert_eq!(d.live_count(), 1);
+        let out = d.search(&Query::less_than(100), 5).unwrap();
+        assert!(out.verified);
+        assert_eq!(ids(&out), vec![1], "the old value still matches");
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! * [`CloudServer`] — the search walk and VO generation (Algorithm 4),
 //!   plus deliberately *malicious* variants used by the failure-injection
 //!   test-suite.
-//! * [`SlicerSystem`] / [`SlicerInstance`] — end-to-end orchestration over
-//!   a [`slicer_chain::Blockchain`] running the verification contract
+//! * [`SlicerInstance`] — end-to-end orchestration over a caller-owned
+//!   [`slicer_chain::Blockchain`] running the verification contract
 //!   (Algorithm 5) with escrowed search fees.
 //! * [`DualSlicer`] — the Section V-F extension supporting deletion and
 //!   update by running an insert-instance and a delete-instance side by
@@ -30,19 +30,25 @@
 //! # Quickstart
 //!
 //! ```
-//! use slicer_core::{Query, RecordId, SlicerConfig, SlicerSystem};
+//! use slicer_chain::Blockchain;
+//! use slicer_core::{Query, RecordId, SlicerConfig, SlicerInstance};
 //! use slicer_telemetry::TelemetryHandle;
 //!
 //! // 8-bit values, deterministic seed, telemetry off.
-//! let mut system =
-//!     SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), 42, TelemetryHandle::disabled())
-//!         .unwrap();
+//! let mut chain = Blockchain::new();
+//! let mut slicer = SlicerInstance::try_setup_with(
+//!     SlicerConfig::test_8bit(),
+//!     42,
+//!     &mut chain,
+//!     TelemetryHandle::disabled(),
+//! )
+//! .unwrap();
 //! let db: Vec<(RecordId, u64)> = (0u64..50)
 //!     .map(|i| (RecordId::from_u64(i), (i * 3) % 256))
 //!     .collect();
-//! system.build(&db).unwrap();
+//! slicer.build(&mut chain, &db).unwrap();
 //!
-//! let outcome = system.search(&Query::less_than(30), 1_000).unwrap();
+//! let outcome = slicer.search(&mut chain, &Query::less_than(30), 1_000).unwrap();
 //! assert!(outcome.verified);
 //! for id in &outcome.records {
 //!     let i = id.as_u64().unwrap();
@@ -83,5 +89,5 @@ pub use owner::DataOwner;
 pub use profile::{PhaseStat, SearchProfile};
 pub use record::{Record, RecordId, RECORD_CIPHERTEXT_LEN};
 pub use state::{KeywordState, OwnerDelta, OwnerState};
-pub use system::{InsertOutcome, SearchOutcome, SlicerInstance, SlicerSystem};
+pub use system::{InsertOutcome, SearchOutcome, SlicerInstance};
 pub use user::DataUser;

@@ -63,9 +63,9 @@ fn hex_bytes(bytes: &[u8]) -> String {
 }
 
 /// One Slicer deployment: owner + cloud + user + verification contract,
-/// operating against a caller-provided [`Blockchain`]. Use this directly
-/// when several instances share a chain (see [`crate::DualSlicer`]);
-/// otherwise [`SlicerSystem`] bundles a chain for you.
+/// operating against a caller-owned [`Blockchain`]. The chain is a
+/// shared, long-lived party, so several instances may run on one chain
+/// (see [`crate::DualSlicer`]).
 #[derive(Debug)]
 pub struct SlicerInstance {
     /// The data owner.
@@ -546,107 +546,23 @@ impl SlicerInstance {
     }
 }
 
-/// A self-contained deployment: a [`SlicerInstance`] plus its own chain.
-///
-/// See the crate-level example for the typical lifecycle.
-#[derive(Debug)]
-pub struct SlicerSystem {
-    instance: SlicerInstance,
-    chain: Blockchain,
-}
-
-impl SlicerSystem {
-    /// Sets up chain, contract and parties. See
-    /// [`SlicerInstance::try_setup_with`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates chain failures from the contract deployment.
-    pub fn try_setup_with(
-        config: SlicerConfig,
-        seed: u64,
-        telemetry: TelemetryHandle,
-    ) -> Result<Self, SlicerError> {
-        let mut chain = Blockchain::new();
-        let instance = SlicerInstance::try_setup_with(config, seed, &mut chain, telemetry)?;
-        Ok(SlicerSystem { instance, chain })
-    }
-
-    /// Builds the initial database. See [`SlicerInstance::build`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates owner-side and chain errors.
-    pub fn build<R: Clone + Into<Record>>(&mut self, db: &[R]) -> Result<TxReceipt, SlicerError> {
-        self.instance.build(&mut self.chain, db)
-    }
-
-    /// Inserts new records. See [`SlicerInstance::insert`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates owner-side and chain errors.
-    pub fn insert<R: Clone + Into<Record>>(
-        &mut self,
-        db_plus: &[R],
-    ) -> Result<TxReceipt, SlicerError> {
-        Ok(self.instance.insert(&mut self.chain, db_plus)?.receipt)
-    }
-
-    /// Runs a verified search. See [`SlicerInstance::search`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates chain and result-decoding errors.
-    pub fn search(&mut self, query: &Query, payment: u128) -> Result<SearchOutcome, SlicerError> {
-        self.instance.search(&mut self.chain, query, payment)
-    }
-
-    /// Search with a tampering hook (failure injection).
-    ///
-    /// # Errors
-    ///
-    /// Propagates chain and result-decoding errors.
-    pub fn search_with(
-        &mut self,
-        query: &Query,
-        payment: u128,
-        tamper: impl FnOnce(crate::messages::CloudResponse) -> crate::messages::CloudResponse,
-    ) -> Result<SearchOutcome, SlicerError> {
-        self.instance
-            .search_with(&mut self.chain, query, payment, tamper)
-    }
-
-    /// The inner instance.
-    pub fn instance(&self) -> &SlicerInstance {
-        &self.instance
-    }
-
-    /// Mutable access to the inner instance.
-    pub fn instance_mut(&mut self) -> &mut SlicerInstance {
-        &mut self.instance
-    }
-
-    /// The underlying chain.
-    pub fn chain(&self) -> &Blockchain {
-        &self.chain
-    }
-
-    /// Mutable access to the chain (adversarial tests submit raw
-    /// transactions through this).
-    pub fn chain_mut(&mut self) -> &mut Blockchain {
-        &mut self.chain
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cloud::malicious;
 
-    fn system(seed: u64) -> SlicerSystem {
-        SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), seed, TelemetryHandle::disabled())
-            .unwrap()
+    /// An 8-bit deployment with `db` built, telemetry off.
+    fn system(seed: u64, db: &[(RecordId, u64)]) -> (SlicerInstance, Blockchain) {
+        let mut chain = Blockchain::new();
+        let mut inst = SlicerInstance::try_setup_with(
+            SlicerConfig::test_8bit(),
+            seed,
+            &mut chain,
+            TelemetryHandle::disabled(),
+        )
+        .unwrap();
+        inst.build(&mut chain, db).unwrap();
+        (inst, chain)
     }
 
     fn db(n: u64) -> Vec<(RecordId, u64)> {
@@ -657,9 +573,8 @@ mod tests {
 
     #[test]
     fn end_to_end_equality() {
-        let mut sys = system(1);
-        sys.build(&db(30)).unwrap();
-        let out = sys.search(&Query::equal(13), 100).unwrap();
+        let (mut inst, mut chain) = system(1, &db(30));
+        let out = inst.search(&mut chain, &Query::equal(13), 100).unwrap();
         assert!(out.verified);
         assert_eq!(out.records, vec![RecordId::from_u64(1)]);
         assert!(out.paid_cloud);
@@ -667,11 +582,10 @@ mod tests {
 
     #[test]
     fn end_to_end_order_query_matches_oracle() {
-        let mut sys = system(2);
         let data = db(40);
-        sys.build(&data).unwrap();
+        let (mut inst, mut chain) = system(2, &data);
         for q in [Query::less_than(60), Query::greater_than(200)] {
-            let out = sys.search(&q, 10).unwrap();
+            let out = inst.search(&mut chain, &q, 10).unwrap();
             assert!(out.verified, "query {q:?}");
             let mut got: Vec<u64> = out.records.iter().map(|r| r.as_u64().unwrap()).collect();
             got.sort_unstable();
@@ -687,9 +601,8 @@ mod tests {
 
     #[test]
     fn empty_query_settles_nothing() {
-        let mut sys = system(3);
-        sys.build(&[(RecordId::from_u64(1), 10)]).unwrap();
-        let out = sys.search(&Query::equal(99), 500).unwrap();
+        let (mut inst, mut chain) = system(3, &[(RecordId::from_u64(1), 10)]);
+        let out = inst.search(&mut chain, &Query::equal(99), 500).unwrap();
         assert!(out.verified);
         assert!(out.records.is_empty());
         assert!(!out.paid_cloud);
@@ -698,10 +611,10 @@ mod tests {
 
     #[test]
     fn search_after_insert_sees_fresh_data_and_verifies() {
-        let mut sys = system(4);
-        sys.build(&db(10)).unwrap();
-        sys.insert(&[(RecordId::from_u64(100), 13)]).unwrap();
-        let out = sys.search(&Query::equal(13), 10).unwrap();
+        let (mut inst, mut chain) = system(4, &db(10));
+        inst.insert(&mut chain, &[(RecordId::from_u64(100), 13)])
+            .unwrap();
+        let out = inst.search(&mut chain, &Query::equal(13), 10).unwrap();
         assert!(out.verified);
         let mut got: Vec<u64> = out.records.iter().map(|r| r.as_u64().unwrap()).collect();
         got.sort_unstable();
@@ -710,27 +623,32 @@ mod tests {
 
     #[test]
     fn tampered_response_fails_verification_and_refunds() {
-        let mut sys = system(5);
-        sys.build(&db(30)).unwrap();
-        let (_, user_addr, cloud_addr) = sys.instance().addresses();
-        let user_before = sys.chain().balance(&user_addr);
-        let cloud_before = sys.chain().balance(&cloud_addr);
+        let (mut inst, mut chain) = system(5, &db(30));
+        let (_, user_addr, cloud_addr) = inst.addresses();
+        let user_before = chain.balance(&user_addr);
+        let cloud_before = chain.balance(&cloud_addr);
 
-        let out = sys
-            .search_with(&Query::less_than(100), 1_000, malicious::drop_record)
+        let out = inst
+            .search_with(
+                &mut chain,
+                &Query::less_than(100),
+                1_000,
+                malicious::drop_record,
+            )
             .unwrap();
         assert!(!out.verified, "dropped record must not verify");
         assert!(!out.paid_cloud);
         // Escrow refunded: user balance unchanged, cloud not paid.
-        assert_eq!(sys.chain().balance(&user_addr), user_before);
-        assert_eq!(sys.chain().balance(&cloud_addr), cloud_before);
+        assert_eq!(chain.balance(&user_addr), user_before);
+        assert_eq!(chain.balance(&cloud_addr), cloud_before);
     }
 
     #[test]
     fn profile_reconciles_with_receipt_gas() {
-        let mut sys = system(7);
-        sys.build(&db(30)).unwrap();
-        let out = sys.search(&Query::less_than(100), 1_000).unwrap();
+        let (mut inst, mut chain) = system(7, &db(30));
+        let out = inst
+            .search(&mut chain, &Query::less_than(100), 1_000)
+            .unwrap();
         assert!(out.verified);
         assert_eq!(out.profile.total_gas(), out.request_gas + out.verify_gas);
         assert_eq!(out.profile.gas.total(), out.profile.total_gas());
@@ -747,11 +665,18 @@ mod tests {
         use std::sync::Arc;
         let sink = Arc::new(MemorySink::new());
         let handle = TelemetryHandle::with(Arc::new(LogicalClock::default()), sink.clone() as _);
-        let mut sys =
-            SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), 8, handle.clone()).unwrap();
-        sys.build(&db(20)).unwrap();
-        sys.insert(&[(RecordId::from_u64(100), 13)]).unwrap();
-        let out = sys.search(&Query::equal(13), 10).unwrap();
+        let mut chain = Blockchain::new();
+        let mut inst = SlicerInstance::try_setup_with(
+            SlicerConfig::test_8bit(),
+            8,
+            &mut chain,
+            handle.clone(),
+        )
+        .unwrap();
+        inst.build(&mut chain, &db(20)).unwrap();
+        inst.insert(&mut chain, &[(RecordId::from_u64(100), 13)])
+            .unwrap();
+        let out = inst.search(&mut chain, &Query::equal(13), 10).unwrap();
         assert!(out.verified);
         let snap = handle.snapshot();
         for phase in ["setup", "build", "token", "search", "verify", "settle"] {
@@ -775,14 +700,15 @@ mod tests {
 
     #[test]
     fn honest_search_pays_the_cloud() {
-        let mut sys = system(6);
-        sys.build(&db(30)).unwrap();
-        let (_, user_addr, cloud_addr) = sys.instance().addresses();
-        let user_before = sys.chain().balance(&user_addr);
-        let cloud_before = sys.chain().balance(&cloud_addr);
-        let out = sys.search(&Query::less_than(100), 1_000).unwrap();
+        let (mut inst, mut chain) = system(6, &db(30));
+        let (_, user_addr, cloud_addr) = inst.addresses();
+        let user_before = chain.balance(&user_addr);
+        let cloud_before = chain.balance(&cloud_addr);
+        let out = inst
+            .search(&mut chain, &Query::less_than(100), 1_000)
+            .unwrap();
         assert!(out.verified);
-        assert_eq!(sys.chain().balance(&user_addr), user_before - 1_000);
-        assert_eq!(sys.chain().balance(&cloud_addr), cloud_before + 1_000);
+        assert_eq!(chain.balance(&user_addr), user_before - 1_000);
+        assert_eq!(chain.balance(&cloud_addr), cloud_before + 1_000);
     }
 }

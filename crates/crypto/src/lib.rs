@@ -53,11 +53,3 @@ pub use prf::{Prf, PrfStream};
 pub use rng::Rng;
 pub use sha256_mod::{sha256, Sha256};
 pub use symmetric::SymmetricKey;
-
-/// Convenience: SHA-256 truncated to 16 bytes (the paper's 128-bit outputs).
-pub fn digest128(data: &[u8]) -> [u8; 16] {
-    let d = sha256(data);
-    let mut out = [0u8; 16];
-    out.copy_from_slice(&d[..16]);
-    out
-}

@@ -69,13 +69,6 @@ impl SymmetricKey {
         out
     }
 
-    /// Encrypts with a random nonce drawn from `rng`.
-    pub fn encrypt_rng<R: Rng + ?Sized>(&self, plaintext: &[u8], rng: &mut R) -> Vec<u8> {
-        let mut nonce = [0u8; NONCE_LEN];
-        rng.fill_bytes(&mut nonce);
-        self.encrypt(plaintext, &nonce)
-    }
-
     /// Decrypts a ciphertext produced by [`SymmetricKey::encrypt`].
     ///
     /// # Errors

@@ -145,7 +145,7 @@ fn run(raw: Vec<String>) -> Result<(), DaemonError> {
         LogFormat::Text => WriterLogSink::stderr_text(),
         LogFormat::JsonLines => WriterLogSink::stderr_json(),
     }));
-    let mut daemon = Daemon::open_profiled(
+    let mut daemon = Daemon::open(
         &args.data,
         args.config,
         telemetry,

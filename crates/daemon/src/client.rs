@@ -3,7 +3,8 @@
 use crate::error::DaemonError;
 use crate::net::{Endpoint, Stream};
 use crate::proto::{
-    read_message, write_message, MetricsReply, Request, RequestBody, Response, ResponseBody,
+    read_message, write_message, MetricsReply, ProfileReply, Request, RequestBody, Response,
+    ResponseBody, StatReply,
 };
 use slicer_core::Query;
 
@@ -117,19 +118,7 @@ impl DaemonClient {
     /// [`DaemonError::Protocol`] on a daemon-side failure.
     pub fn stat(&mut self) -> Result<StatReply, DaemonError> {
         match self.call(RequestBody::Stat)? {
-            ResponseBody::Stats {
-                index_entries,
-                primes,
-                generation,
-                chain_height,
-                digest,
-            } => Ok(StatReply {
-                index_entries,
-                primes,
-                generation,
-                chain_height,
-                digest,
-            }),
+            ResponseBody::Stats(stats) => Ok(stats),
             other => Err(unexpected("Stats", &other)),
         }
     }
@@ -172,21 +161,7 @@ impl DaemonClient {
     /// was booted without a profile aggregator.
     pub fn profile(&mut self, svg: bool, gas: bool) -> Result<ProfileReply, DaemonError> {
         match self.call(RequestBody::Profile { svg, gas })? {
-            ResponseBody::ProfileReport {
-                format,
-                mode,
-                rendered,
-                total,
-                stacks,
-                dropped_stacks,
-            } => Ok(ProfileReply {
-                format,
-                mode,
-                rendered,
-                total,
-                stacks,
-                dropped_stacks,
-            }),
+            ResponseBody::ProfileReport(report) => Ok(report),
             other => Err(unexpected("ProfileReport", &other)),
         }
     }
@@ -223,37 +198,5 @@ pub struct SearchReply {
     /// Gas spent on submission + verification.
     pub verify_gas: u64,
     /// Canonical accumulator digest the proof verified against.
-    pub digest: Vec<u8>,
-}
-
-/// A [`DaemonClient::profile`] result.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProfileReply {
-    /// `"folded"` or `"svg"`.
-    pub format: String,
-    /// `"wall"` or `"gas"`.
-    pub mode: String,
-    /// The rendered profile in the requested format.
-    pub rendered: String,
-    /// Total self-weight across all stacks (ns or gas units).
-    pub total: u64,
-    /// Number of distinct stacks in the profile.
-    pub stacks: u64,
-    /// Stacks discarded once the aggregator hit its cap.
-    pub dropped_stacks: u64,
-}
-
-/// A [`DaemonClient::stat`] result.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StatReply {
-    /// Entries in the encrypted index `I`.
-    pub index_entries: u64,
-    /// Primes in the list `X`.
-    pub primes: u64,
-    /// Last sealed on-disk generation.
-    pub generation: u64,
-    /// Current chain height.
-    pub chain_height: u64,
-    /// Canonical accumulator digest.
     pub digest: Vec<u8>,
 }

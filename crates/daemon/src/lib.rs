@@ -29,12 +29,12 @@ mod net;
 pub mod proto;
 mod server;
 
-pub use client::{DaemonClient, ProfileReply, SearchReply, StatReply};
+pub use client::{DaemonClient, SearchReply};
 pub use error::DaemonError;
 pub use flightrec::{FlightRecord, FlightRecorder, FlightRecording, FLIGHTREC_FILE, IN_FLIGHT};
 pub use net::{Endpoint, Listener, Meter, MeteredStream, Stream};
 pub use proto::{
-    MetricsReply, ReadOutcome, Request, RequestBody, Response, ResponseBody, WireHistogram,
-    MAX_FRAME_LEN,
+    MetricsReply, ProfileReply, ReadOutcome, Request, RequestBody, Response, ResponseBody,
+    StatReply, WireHistogram, MAX_FRAME_LEN,
 };
 pub use server::{hex, instrumented_telemetry, Boot, Daemon, DaemonConfig, DEFAULT_EVENT_RING};

@@ -210,18 +210,7 @@ pub enum ResponseBody {
         digest: Vec<u8>,
     },
     /// Store and index statistics.
-    Stats {
-        /// Entries in the encrypted index `I`.
-        index_entries: u64,
-        /// Primes in the list `X`.
-        primes: u64,
-        /// Last sealed on-disk generation (0 = nothing persisted yet).
-        generation: u64,
-        /// Current chain height.
-        chain_height: u64,
-        /// Canonical accumulator digest.
-        digest: Vec<u8>,
-    },
+    Stats(StatReply),
     /// The daemon acknowledges shutdown and will exit.
     ShuttingDown,
     /// A metrics scrape.
@@ -234,21 +223,57 @@ pub enum ResponseBody {
         dropped: u64,
     },
     /// The live collapsed-stack profile, rendered as requested.
-    ProfileReport {
-        /// `"folded"` or `"svg"` — what `rendered` holds.
-        format: String,
-        /// `"wall"` or `"gas"` — the weighting used.
-        mode: String,
-        /// The rendered document (folded text or SVG).
-        rendered: String,
-        /// Total weight across all stacks (ns or gas per `mode`).
-        total: u64,
-        /// Distinct stacks in the profile.
-        stacks: u64,
-        /// Stacks the aggregator discarded at its cap.
-        dropped_stacks: u64,
-    },
+    ProfileReport(ProfileReply),
 }
+
+/// Store and index statistics.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StatReply {
+    /// Entries in the encrypted index `I`.
+    pub index_entries: u64,
+    /// Primes in the list `X`.
+    pub primes: u64,
+    /// Last sealed on-disk generation (0 = nothing persisted yet).
+    pub generation: u64,
+    /// Current chain height.
+    pub chain_height: u64,
+    /// Canonical accumulator digest.
+    pub digest: Vec<u8>,
+}
+
+slicer_crypto::impl_codec!(StatReply {
+    index_entries,
+    primes,
+    generation,
+    chain_height,
+    digest
+});
+
+/// The live collapsed-stack profile, rendered as requested.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ProfileReply {
+    /// `"folded"` or `"svg"` — what `rendered` holds.
+    pub format: String,
+    /// `"wall"` or `"gas"` — the weighting used.
+    pub mode: String,
+    /// The rendered document (folded text or SVG).
+    pub rendered: String,
+    /// Total weight across all stacks (ns or gas per `mode`).
+    pub total: u64,
+    /// Distinct stacks in the profile.
+    pub stacks: u64,
+    /// Stacks the aggregator discarded at its cap.
+    pub dropped_stacks: u64,
+}
+
+slicer_crypto::impl_codec!(ProfileReply {
+    format,
+    mode,
+    rendered,
+    total,
+    stacks,
+    dropped_stacks
+});
 
 /// A metrics scrape: the structured registry, sent once. Clients render
 /// it as Prometheus text or JSON themselves ([`MetricsReply::snapshot`]).
@@ -396,19 +421,9 @@ impl Encode for ResponseBody {
                 height.encode(out);
                 digest.encode(out);
             }
-            ResponseBody::Stats {
-                index_entries,
-                primes,
-                generation,
-                chain_height,
-                digest,
-            } => {
+            ResponseBody::Stats(stats) => {
                 4u32.encode(out);
-                index_entries.encode(out);
-                primes.encode(out);
-                generation.encode(out);
-                chain_height.encode(out);
-                digest.encode(out);
+                stats.encode(out);
             }
             ResponseBody::ShuttingDown => 5u32.encode(out),
             ResponseBody::MetricsReport(report) => {
@@ -420,21 +435,9 @@ impl Encode for ResponseBody {
                 lines.encode(out);
                 dropped.encode(out);
             }
-            ResponseBody::ProfileReport {
-                format,
-                mode,
-                rendered,
-                total,
-                stacks,
-                dropped_stacks,
-            } => {
+            ResponseBody::ProfileReport(report) => {
                 8u32.encode(out);
-                format.encode(out);
-                mode.encode(out);
-                rendered.encode(out);
-                total.encode(out);
-                stacks.encode(out);
-                dropped_stacks.encode(out);
+                report.encode(out);
             }
         }
     }
@@ -462,27 +465,14 @@ impl Decode for ResponseBody {
                 height: u64::decode(reader)?,
                 digest: Vec::decode(reader)?,
             }),
-            4 => Ok(ResponseBody::Stats {
-                index_entries: u64::decode(reader)?,
-                primes: u64::decode(reader)?,
-                generation: u64::decode(reader)?,
-                chain_height: u64::decode(reader)?,
-                digest: Vec::decode(reader)?,
-            }),
+            4 => Ok(ResponseBody::Stats(StatReply::decode(reader)?)),
             5 => Ok(ResponseBody::ShuttingDown),
             6 => Ok(ResponseBody::MetricsReport(MetricsReply::decode(reader)?)),
             7 => Ok(ResponseBody::LogTail {
                 lines: Vec::decode(reader)?,
                 dropped: u64::decode(reader)?,
             }),
-            8 => Ok(ResponseBody::ProfileReport {
-                format: String::decode(reader)?,
-                mode: String::decode(reader)?,
-                rendered: String::decode(reader)?,
-                total: u64::decode(reader)?,
-                stacks: u64::decode(reader)?,
-                dropped_stacks: u64::decode(reader)?,
-            }),
+            8 => Ok(ResponseBody::ProfileReport(ProfileReply::decode(reader)?)),
             v => Err(CodecError::msg(format!("invalid ResponseBody variant {v}"))),
         }
     }
@@ -607,114 +597,150 @@ pub fn read_message_lenient<T: Decode>(
 mod tests {
     use super::*;
 
-    fn roundtrip(req: Request) {
+    /// Encodes `value` to exactly the bytes `want` (hex), and round-trips
+    /// it through one frame. A round trip alone would still pass if a
+    /// field moved or a tag changed; the pinned bytes would not.
+    fn check<T: Encode + Decode + PartialEq + std::fmt::Debug>(value: T, want: &str) {
+        assert_eq!(crate::hex(&to_bytes(&value).unwrap()), want, "{value:?}");
         let mut wire = Vec::new();
-        write_message(&mut wire, &req).unwrap();
+        write_message(&mut wire, &value).unwrap();
         let mut cursor = wire.as_slice();
-        let back: Request = read_message(&mut cursor).unwrap().unwrap();
-        assert_eq!(back, req);
+        let back: T = read_message(&mut cursor).unwrap().unwrap();
+        assert_eq!(back, value);
         assert!(cursor.is_empty());
+    }
+
+    /// Every request variant with fixed field values, and its bytes.
+    fn pinned_requests() -> [(RequestBody, &'static str); 8] {
+        [
+            (
+                RequestBody::Ingest {
+                    records: vec![(1, 10), (2, 20)],
+                },
+                "00000000020000000000000001000000000000000a0000000000000002000000000000001400000000000000",
+            ),
+            (
+                RequestBody::Search {
+                    query: Query::less_than(42),
+                    payment: 1_000,
+                },
+                "0100000000000000000000002a0000000000000001000000e8030000000000000000000000000000",
+            ),
+            (RequestBody::Verify, "02000000"),
+            (RequestBody::Stat, "03000000"),
+            (RequestBody::Shutdown, "04000000"),
+            (RequestBody::Metrics, "05000000"),
+            (RequestBody::Tail { count: 50 }, "060000003200000000000000"),
+            (
+                RequestBody::Profile {
+                    svg: true,
+                    gas: false,
+                },
+                "070000000100",
+            ),
+        ]
     }
 
     #[test]
     fn requests_roundtrip_through_the_frame() {
-        roundtrip(Request {
-            trace_id: 7,
-            body: RequestBody::Ingest {
-                records: vec![(1, 10), (2, 20)],
-            },
-        });
-        roundtrip(Request {
-            trace_id: 0,
-            body: RequestBody::Search {
-                query: Query::less_than(42),
-                payment: 1_000,
-            },
-        });
-        roundtrip(Request {
-            trace_id: u64::MAX,
-            body: RequestBody::Shutdown,
-        });
-        roundtrip(Request {
-            trace_id: 3,
-            body: RequestBody::Metrics,
-        });
-        roundtrip(Request {
-            trace_id: 4,
-            body: RequestBody::Tail { count: 50 },
-        });
-        roundtrip(Request {
-            trace_id: 5,
-            body: RequestBody::Profile {
-                svg: true,
-                gas: false,
-            },
-        });
+        for (body, want) in pinned_requests() {
+            check(body, want);
+        }
+        // The envelope: trace id first, then the body.
+        let request = Request {
+            trace_id: 0x0102,
+            body: RequestBody::Stat,
+        };
+        check(request, "020100000000000003000000");
     }
 
     #[test]
-    fn observability_responses_roundtrip_through_the_frame() {
-        for body in [
+    fn responses_roundtrip_through_the_frame() {
+        let responses = [
+            ResponseBody::Error("no".into()),
+            ResponseBody::Ingested {
+                records: 2,
+                generation: 3,
+                digest: vec![0xAA, 0xBB],
+            },
+            ResponseBody::Found {
+                ids: vec![3, 1],
+                verified: true,
+                paid_cloud: false,
+                request_gas: 11,
+                verify_gas: 22,
+                digest: vec![0xCD],
+            },
+            ResponseBody::Verified {
+                chain_ok: true,
+                height: 9,
+                digest: vec![0xEF],
+            },
+            ResponseBody::Stats(StatReply {
+                index_entries: 5,
+                primes: 6,
+                generation: 7,
+                chain_height: 8,
+                digest: vec![0x01, 0x02],
+            }),
+            ResponseBody::ShuttingDown,
             ResponseBody::MetricsReport(MetricsReply {
-                uptime_ns: 12_345,
-                version: "0.1.0".into(),
-                boot: "restored:2".into(),
-                generation: 2,
-                counters: vec![("rpc.requests".into(), 9)],
-                gauges: vec![("net.bytes_in".into(), 100)],
+                uptime_ns: 12,
+                version: "v".into(),
+                boot: "fresh".into(),
+                generation: 1,
+                counters: vec![("c".into(), 2)],
+                gauges: vec![("g".into(), 3)],
                 histograms: vec![(
-                    "rpc.search.ns".into(),
+                    "h".into(),
                     WireHistogram {
-                        count: 2,
-                        sum: 30,
-                        min: 10,
-                        max: 20,
-                        p50: 15,
-                        p90: 20,
-                        p99: 20,
+                        count: 1,
+                        sum: 2,
+                        min: 3,
+                        max: 4,
+                        p50: 5,
+                        p90: 6,
+                        p99: 7,
                     },
                 )],
             }),
             ResponseBody::LogTail {
-                lines: vec!["{\"ts_ns\":1}".into(), "{\"ts_ns\":2}".into()],
-                dropped: 3,
+                lines: vec!["{}".into()],
+                dropped: 4,
             },
-            ResponseBody::ProfileReport {
+            ResponseBody::ProfileReport(ProfileReply {
                 format: "folded".into(),
                 mode: "gas".into(),
-                rendered: "daemon.request;protocol.search 42\n".into(),
-                total: 42,
+                rendered: "a 1\n".into(),
+                total: 1,
                 stacks: 1,
                 dropped_stacks: 0,
-            },
-        ] {
-            let resp = Response { trace_id: 8, body };
-            let mut wire = Vec::new();
-            write_message(&mut wire, &resp).unwrap();
-            let back: Response = read_message(&mut wire.as_slice()).unwrap().unwrap();
-            assert_eq!(back, resp);
+            }),
+        ];
+        let want = [
+            "0000000002000000000000006e6f",
+            "01000000020000000000000003000000000000000200000000000000aabb",
+            "0200000002000000000000000300000000000000010000000000000001000b0000000000000016000000000000000100000000000000cd",
+            "030000000109000000000000000100000000000000ef",
+            "04000000050000000000000006000000000000000700000000000000080000000000000002000000000000000102",
+            "05000000",
+            "060000000c00000000000000010000000000000076050000000000000066726573680100000000000000010000000000000001000000000000006302000000000000000100000000000000010000000000000067030000000000000001000000000000000100000000000000680100000000000000020000000000000003000000000000000400000000000000050000000000000006000000000000000700000000000000",
+            "07000000010000000000000002000000000000007b7d0400000000000000",
+            "080000000600000000000000666f6c646564030000000000000067617304000000000000006120310a010000000000000001000000000000000000000000000000",
+        ];
+        for (body, want) in responses.into_iter().zip(want) {
+            check(body, want);
         }
+        let response = Response {
+            trace_id: u64::MAX,
+            body: ResponseBody::ShuttingDown,
+        };
+        check(response, "ffffffffffffffff05000000");
     }
 
     #[test]
     fn kind_and_metric_names_cover_every_request() {
-        let bodies = [
-            RequestBody::Ingest { records: vec![] },
-            RequestBody::Search {
-                query: Query::equal(1),
-                payment: 0,
-            },
-            RequestBody::Verify,
-            RequestBody::Stat,
-            RequestBody::Shutdown,
-            RequestBody::Metrics,
-            RequestBody::Tail { count: 1 },
-            RequestBody::Profile {
-                svg: false,
-                gas: true,
-            },
-        ];
-        for body in &bodies {
+        for (body, _) in pinned_requests() {
             assert!(!body.kind().is_empty());
             assert_eq!(body.metric(), format!("rpc.{}.ns", body.kind()));
         }
@@ -778,25 +804,6 @@ mod tests {
             read_message_lenient::<Request>(&mut wire.as_slice()).unwrap(),
             ReadOutcome::Undecodable(_)
         ));
-    }
-
-    #[test]
-    fn responses_roundtrip_through_the_frame() {
-        let resp = Response {
-            trace_id: 99,
-            body: ResponseBody::Found {
-                ids: vec![3, 1, 2],
-                verified: true,
-                paid_cloud: true,
-                request_gas: 11,
-                verify_gas: 22,
-                digest: vec![0xAB; 32],
-            },
-        };
-        let mut wire = Vec::new();
-        write_message(&mut wire, &resp).unwrap();
-        let back: Response = read_message(&mut wire.as_slice()).unwrap().unwrap();
-        assert_eq!(back, resp);
     }
 
     #[test]

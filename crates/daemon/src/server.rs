@@ -17,8 +17,8 @@ use crate::error::DaemonError;
 use crate::flightrec::{FlightRecorder, FLIGHTREC_FILE};
 use crate::net::{Listener, Meter, MeteredStream};
 use crate::proto::{
-    read_message_lenient, write_message, MetricsReply, ReadOutcome, Request, RequestBody, Response,
-    ResponseBody, MAX_FRAME_LEN,
+    read_message_lenient, write_message, MetricsReply, ProfileReply, ReadOutcome, Request,
+    RequestBody, Response, ResponseBody, StatReply, MAX_FRAME_LEN,
 };
 use slicer_chain::Blockchain;
 use slicer_core::{Query, RecordId, SlicerConfig, SlicerInstance};
@@ -78,8 +78,8 @@ pub const DEFAULT_EVENT_RING: usize = 65_536;
 /// event stream fans out to a [`ProfileAggregator`] (the live flamegraph
 /// fold) and a bounded [`MemorySink`] ring of capacity `event_ring`
 /// (recent raw events, eviction-counted). Pass the returned aggregator
-/// and ring to [`Daemon::open_profiled`] so the `Profile` RPC, the
-/// flight recorder and the `telemetry.events.dropped` gauge see them.
+/// and ring to [`Daemon::open`] so the `Profile` RPC, the flight
+/// recorder and the `telemetry.events.dropped` gauge see them.
 pub fn instrumented_telemetry(
     event_ring: usize,
 ) -> (TelemetryHandle, Arc<ProfileAggregator>, Arc<MemorySink>) {
@@ -130,6 +130,13 @@ impl Daemon {
     /// accumulator digest byte-identical to the snapshot's), otherwise
     /// run a fresh setup with `config`.
     ///
+    /// The profiling plane is optional: `profile` is the aggregator the
+    /// handle's sink already feeds (see [`instrumented_telemetry`]) — the
+    /// daemon serves its snapshots via the `Profile` RPC and embeds its
+    /// folded stacks in flight recordings; `events` is the bounded
+    /// raw-event ring whose evictions surface in the
+    /// `telemetry.events.dropped` gauge. Pass `None, None` for neither.
+    ///
     /// # Errors
     ///
     /// [`DaemonError::Config`] on out-of-range `value_bits`,
@@ -137,24 +144,6 @@ impl Daemon {
     /// holds only corrupt generations, [`DaemonError::Slicer`] when
     /// setup/restore fails.
     pub fn open(
-        data_dir: &Path,
-        config: DaemonConfig,
-        telemetry: TelemetryHandle,
-    ) -> Result<Self, DaemonError> {
-        Self::open_profiled(data_dir, config, telemetry, None, None)
-    }
-
-    /// [`Daemon::open`] plus the profiling plane: `profile` is the
-    /// aggregator the handle's sink already feeds (see
-    /// [`instrumented_telemetry`]) — the daemon serves its snapshots via
-    /// the `Profile` RPC and embeds its folded stacks in flight
-    /// recordings; `events` is the bounded raw-event ring whose
-    /// evictions surface in the `telemetry.events.dropped` gauge.
-    ///
-    /// # Errors
-    ///
-    /// As [`Daemon::open`].
-    pub fn open_profiled(
         data_dir: &Path,
         config: DaemonConfig,
         telemetry: TelemetryHandle,
@@ -412,13 +401,13 @@ impl Daemon {
 
     fn stat(&self) -> ResponseBody {
         let storage = self.instance.cloud.storage();
-        ResponseBody::Stats {
+        ResponseBody::Stats(StatReply {
             index_entries: storage.index.len() as u64,
             primes: storage.primes.len() as u64,
             generation: self.generation,
             chain_height: self.chain.height(),
             digest: self.digest(),
-        }
+        })
     }
 
     fn metrics_report(&self) -> MetricsReply {
@@ -472,14 +461,14 @@ impl Daemon {
         } else {
             profile.to_folded(mode)
         };
-        Ok(ResponseBody::ProfileReport {
+        Ok(ResponseBody::ProfileReport(ProfileReply {
             format: if svg { "svg" } else { "folded" }.to_string(),
             mode: mode_name.to_string(),
             rendered,
             total: profile.total(mode),
             stacks: profile.entries.len() as u64,
             dropped_stacks: profile.dropped_stacks,
-        })
+        }))
     }
 
     fn tail(&self, count: u64) -> ResponseBody {
@@ -658,7 +647,8 @@ mod tests {
     #[test]
     fn fresh_boot_serves_ingest_search_verify_stat() {
         let dir = tmp("fresh");
-        let mut daemon = Daemon::open(&dir, cfg(), TelemetryHandle::disabled()).unwrap();
+        let mut daemon =
+            Daemon::open(&dir, cfg(), TelemetryHandle::disabled(), None, None).unwrap();
         assert_eq!(daemon.boot(), Boot::Fresh);
 
         let resp = daemon.handle(&Request {
@@ -708,11 +698,11 @@ mod tests {
             trace_id: 0,
             body: RequestBody::Stat,
         });
-        let ResponseBody::Stats {
+        let ResponseBody::Stats(StatReply {
             index_entries,
             primes,
             ..
-        } = resp.body
+        }) = resp.body
         else {
             panic!("want Stats, got {:?}", resp.body);
         };
@@ -727,7 +717,8 @@ mod tests {
         let dir = tmp("reopen");
         let digest_before;
         {
-            let mut daemon = Daemon::open(&dir, cfg(), TelemetryHandle::disabled()).unwrap();
+            let mut daemon =
+                Daemon::open(&dir, cfg(), TelemetryHandle::disabled(), None, None).unwrap();
             daemon.handle(&Request {
                 trace_id: 0,
                 body: RequestBody::Ingest {
@@ -737,7 +728,8 @@ mod tests {
             digest_before = daemon.digest();
         } // dropped without any clean shutdown — like a crash after commit
 
-        let mut daemon = Daemon::open(&dir, cfg(), TelemetryHandle::disabled()).unwrap();
+        let mut daemon =
+            Daemon::open(&dir, cfg(), TelemetryHandle::disabled(), None, None).unwrap();
         assert_eq!(daemon.boot(), Boot::Restored(1));
         assert_eq!(
             daemon.digest(),
@@ -774,7 +766,7 @@ mod tests {
         };
         let counter = |daemon: &Daemon, name: &str| daemon.telemetry.counter_value(name);
 
-        let mut daemon = Daemon::open(&dir, cfg(), live()).unwrap();
+        let mut daemon = Daemon::open(&dir, cfg(), live(), None, None).unwrap();
         // A base large enough that small deltas do not outgrow it.
         ingest(&mut daemon, (100..140).map(|id| (id, id)).collect());
         for id in 4..7 {
@@ -810,7 +802,7 @@ mod tests {
         let victim = dir.join("seg-0000000006-0000.slc");
         let bytes = std::fs::read(&victim).unwrap();
         std::fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
-        let daemon = Daemon::open(&dir, cfg(), live()).unwrap();
+        let daemon = Daemon::open(&dir, cfg(), live(), None, None).unwrap();
         assert_eq!(daemon.boot(), Boot::Restored(5));
         assert_eq!(daemon.digest(), digest);
         assert_eq!(counter(&daemon, "persist.recovery.fallbacks"), Some(1));
@@ -824,7 +816,8 @@ mod tests {
     #[test]
     fn domain_errors_become_error_responses_not_crashes() {
         let dir = tmp("err");
-        let mut daemon = Daemon::open(&dir, cfg(), TelemetryHandle::disabled()).unwrap();
+        let mut daemon =
+            Daemon::open(&dir, cfg(), TelemetryHandle::disabled(), None, None).unwrap();
         // Value 300 exceeds the 8-bit domain: the owner rejects it.
         let resp = daemon.handle(&Request {
             trace_id: 0,
@@ -838,7 +831,7 @@ mod tests {
             trace_id: 0,
             body: RequestBody::Stat,
         });
-        assert!(matches!(resp.body, ResponseBody::Stats { .. }));
+        assert!(matches!(resp.body, ResponseBody::Stats(_)));
     }
 
     #[test]
@@ -847,7 +840,7 @@ mod tests {
         let dir = tmp("metrics");
         let telemetry =
             TelemetryHandle::with(Arc::new(LogicalClock::with_step(1_000)), Arc::new(NullSink));
-        let mut daemon = Daemon::open(&dir, cfg(), telemetry.clone()).unwrap();
+        let mut daemon = Daemon::open(&dir, cfg(), telemetry.clone(), None, None).unwrap();
 
         daemon.handle(&Request {
             trace_id: 0,
@@ -892,7 +885,7 @@ mod tests {
             slow_request_ns: 0, // every request logs as slow
             ..cfg()
         };
-        let mut daemon = Daemon::open(&dir, config, telemetry).unwrap();
+        let mut daemon = Daemon::open(&dir, config, telemetry, None, None).unwrap();
         daemon.handle(&Request {
             trace_id: 0,
             body: RequestBody::Stat,
@@ -941,8 +934,7 @@ mod tests {
         let telemetry =
             TelemetryHandle::with(Arc::new(LogicalClock::with_step(100)), Arc::new(fanout));
         let mut daemon =
-            Daemon::open_profiled(&dir, cfg(), telemetry.clone(), Some(profile), Some(events))
-                .unwrap();
+            Daemon::open(&dir, cfg(), telemetry.clone(), Some(profile), Some(events)).unwrap();
         daemon.handle(&Request {
             trace_id: 0,
             body: RequestBody::Ingest {
@@ -966,14 +958,14 @@ mod tests {
                 gas: false,
             },
         });
-        let ResponseBody::ProfileReport {
+        let ResponseBody::ProfileReport(ProfileReply {
             format,
             mode,
             rendered,
             total,
             stacks,
             ..
-        } = resp.body
+        }) = resp.body
         else {
             panic!("want ProfileReport, got {:?}", resp.body);
         };
@@ -995,7 +987,7 @@ mod tests {
                 gas: true,
             },
         });
-        let ResponseBody::ProfileReport { total, .. } = resp.body else {
+        let ResponseBody::ProfileReport(ProfileReply { total, .. }) = resp.body else {
             panic!("want ProfileReport");
         };
         let phase_gas: u64 = ["setup", "build", "token", "search", "verify", "settle"]
@@ -1017,9 +1009,9 @@ mod tests {
                 gas: false,
             },
         });
-        let ResponseBody::ProfileReport {
+        let ResponseBody::ProfileReport(ProfileReply {
             format, rendered, ..
-        } = resp.body
+        }) = resp.body
         else {
             panic!("want ProfileReport");
         };
@@ -1034,7 +1026,8 @@ mod tests {
 
         // An unprofiled daemon answers Profile with a clean error.
         let dir2 = tmp("unprofiled");
-        let mut plain = Daemon::open(&dir2, cfg(), TelemetryHandle::disabled()).unwrap();
+        let mut plain =
+            Daemon::open(&dir2, cfg(), TelemetryHandle::disabled(), None, None).unwrap();
         let resp = plain.handle(&Request {
             trace_id: 0,
             body: RequestBody::Profile {
@@ -1054,7 +1047,7 @@ mod tests {
             ..DaemonConfig::default()
         };
         assert!(matches!(
-            Daemon::open(&dir, bad, TelemetryHandle::disabled()),
+            Daemon::open(&dir, bad, TelemetryHandle::disabled(), None, None),
             Err(DaemonError::Config(_))
         ));
     }

@@ -260,10 +260,7 @@ fn oversize_frame_gets_a_clean_error_and_the_connection_survives() {
     )
     .unwrap();
     let reply: Response = read_message(&mut stream).unwrap().expect("stat reply");
-    assert!(
-        matches!(reply.body, ResponseBody::Stats { .. }),
-        "{reply:?}"
-    );
+    assert!(matches!(reply.body, ResponseBody::Stats(_)), "{reply:?}");
     // The daemon serves sequentially: close this connection before the
     // metrics client queues up behind it.
     drop(stream);

@@ -38,7 +38,7 @@ fn adopted_daemon_request_joins_the_client_trace() {
     let telemetry = TelemetryHandle::with(Arc::new(LogicalClock::with_step(100)), Arc::new(fanout));
 
     let dir = temp_dir("adopt");
-    let mut daemon = Daemon::open_profiled(
+    let mut daemon = Daemon::open(
         &dir,
         DaemonConfig {
             seed: 11,

@@ -1,7 +1,7 @@
 //! The SORE scheme `Π = {Token, Encrypt, Compare}`.
 
 use crate::order::Order;
-use crate::tuple::{cipher_tuples, token_tuples, SliceTuple};
+use crate::tuple::{cipher_tuples, token_tuples};
 use slicer_crypto::Prf;
 use slicer_crypto::Rng;
 use std::collections::BTreeSet;
@@ -120,20 +120,6 @@ impl SoreScheme {
     pub fn common_count(a: &[[u8; 32]], b: &[[u8; 32]]) -> usize {
         let set: BTreeSet<&[u8; 32]> = a.iter().collect();
         b.iter().filter(|x| set.contains(*x)).count()
-    }
-
-    /// Raw (pre-PRF) ciphertext tuples — the SSE keywords `w = ct_i` that
-    /// Algorithm 1 indexes.
-    pub fn cipher_slice_tuples(&self, attr: &[u8], v: u64) -> Vec<SliceTuple> {
-        self.check_domain(v);
-        cipher_tuples(attr, v, self.bits)
-    }
-
-    /// Raw (pre-PRF) token tuples — what Algorithm 3 turns into search
-    /// tokens.
-    pub fn token_slice_tuples(&self, attr: &[u8], v: u64, oc: Order) -> Vec<SliceTuple> {
-        self.check_domain(v);
-        token_tuples(attr, v, self.bits, oc)
     }
 }
 

@@ -84,7 +84,7 @@ impl Trapdoor {
 #[derive(Debug, Clone)]
 pub struct TrapdoorPublic {
     modulus: BigUint,
-    ctx: Option<Arc<MontgomeryCtx>>,
+    ctx: Arc<MontgomeryCtx>,
 }
 
 impl Encode for TrapdoorPublic {
@@ -102,7 +102,7 @@ impl Decode for TrapdoorPublic {
             .ok_or_else(|| CodecError::msg("TrapdoorPublic modulus must be odd and > 1"))?;
         Ok(TrapdoorPublic {
             modulus,
-            ctx: Some(Arc::new(ctx)),
+            ctx: Arc::new(ctx),
         })
     }
 }
@@ -117,26 +117,7 @@ impl Eq for TrapdoorPublic {}
 impl TrapdoorPublic {
     fn new(modulus: BigUint) -> Self {
         let ctx = Arc::new(MontgomeryCtx::new(&modulus).expect("RSA modulus is odd"));
-        TrapdoorPublic {
-            modulus,
-            ctx: Some(ctx),
-        }
-    }
-
-    /// Rebuilds the Montgomery context if absent. Decoding already restores
-    /// it; this remains for callers that construct keys by other means.
-    pub fn restore_ctx(&mut self) {
-        if self.ctx.is_none() {
-            self.ctx = Some(Arc::new(
-                MontgomeryCtx::new(&self.modulus).expect("odd modulus"),
-            ));
-        }
-    }
-
-    fn ctx(&self) -> &MontgomeryCtx {
-        // Every construction path — `new` and `Decode` — populates the
-        // context, so this cannot fail.
-        self.ctx.as_deref().expect("ctx populated on construction")
+        TrapdoorPublic { modulus, ctx }
     }
 
     /// The modulus `n`.
@@ -151,7 +132,7 @@ impl TrapdoorPublic {
 
     /// Applies the permutation forwards: `π_pk(t) = t^e mod n`.
     pub fn forward(&self, t: &Trapdoor) -> Trapdoor {
-        Trapdoor(self.ctx().modpow(&t.0, &BigUint::from(PUBLIC_EXPONENT)))
+        Trapdoor(self.ctx.modpow(&t.0, &BigUint::from(PUBLIC_EXPONENT)))
     }
 
     /// Walks the permutation forwards `steps` times.
@@ -224,7 +205,7 @@ impl TrapdoorKeyPair {
 
     /// Applies the inverse permutation: `π_sk⁻¹(t) = t^d mod n`.
     pub fn invert(&self, t: &Trapdoor) -> Trapdoor {
-        Trapdoor(self.public.ctx().modpow(&t.0, &self.private_exponent))
+        Trapdoor(self.public.ctx.modpow(&t.0, &self.private_exponent))
     }
 
     /// Walks backwards `steps` times (owner-only).

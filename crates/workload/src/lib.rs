@@ -9,7 +9,7 @@
 //!
 //! The [`throughput`] module turns the generators into a sustained-load
 //! benchmark: N seeded searchers with a Zipf query mix, runnable against
-//! an in-process [`slicer_core::SlicerSystem`] or a live `slicerd`.
+//! an in-process [`slicer_core::SlicerInstance`] or a live `slicerd`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

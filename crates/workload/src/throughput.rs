@@ -8,11 +8,11 @@
 //! query stream (same seed → same queries, byte for byte), so two runs
 //! differ only in timing:
 //!
-//! * [`run_in_process`] drives a [`SlicerSystem`] directly. The protocol
-//!   object requires `&mut` access (every search mutates the chain), so
-//!   the N searchers are *logical*: their query streams interleave
-//!   round-robin through one instance, which is exactly the serialized
-//!   order a single-writer deployment imposes anyway.
+//! * [`run_in_process`] drives a [`SlicerInstance`] on its own chain
+//!   directly. Every search mutates the chain, so the N searchers are
+//!   *logical*: their query streams interleave round-robin through one
+//!   instance, which is exactly the serialized order a single-writer
+//!   deployment imposes anyway.
 //! * [`run_against_daemon`] opens one connection per searcher to a live
 //!   `slicerd` and fans the searchers out over a [`slicer_par::Pool`],
 //!   so wire framing, connection handling and daemon-side dispatch are
@@ -24,7 +24,8 @@
 //! `slicer-cli bench-diff` like every other committed baseline.
 
 use crate::{sample_query_values, splitmix_stream, DatasetSpec, Distribution};
-use slicer_core::{Query, RecordId, SlicerConfig, SlicerSystem};
+use slicer_chain::Blockchain;
+use slicer_core::{Query, RecordId, SlicerConfig, SlicerInstance};
 use slicer_crypto::Rng;
 use slicer_daemon::{DaemonClient, DaemonError, Endpoint};
 use slicer_par::Pool;
@@ -189,7 +190,7 @@ impl From<DaemonError> for ThroughputError {
     }
 }
 
-/// Runs the spec against a fresh in-process [`SlicerSystem`].
+/// Runs the spec against a fresh in-process [`SlicerInstance`].
 ///
 /// Setup and build happen *before* the measured window; the window
 /// covers searches only.
@@ -200,14 +201,15 @@ impl From<DaemonError> for ThroughputError {
 pub fn run_in_process(spec: &ThroughputSpec) -> Result<ThroughputReport, ThroughputError> {
     let data = spec.dataset();
     let db: Vec<(RecordId, u64)> = data.iter().map(|(id, v)| (RecordId(*id), *v)).collect();
-    let mut system = SlicerSystem::try_setup_with(
+    let mut chain = Blockchain::new();
+    let mut inst = SlicerInstance::try_setup_with(
         SlicerConfig::with_bits(spec.value_bits),
         spec.seed,
+        &mut chain,
         TelemetryHandle::disabled(),
     )
     .map_err(|e| ThroughputError::Protocol(e.to_string()))?;
-    system
-        .build(&db)
+    inst.build(&mut chain, &db)
         .map_err(|e| ThroughputError::Protocol(e.to_string()))?;
 
     let streams: Vec<Vec<Query>> = (0..spec.searchers)
@@ -223,8 +225,8 @@ pub fn run_in_process(spec: &ThroughputSpec) -> Result<ThroughputReport, Through
         for stream in &streams {
             let query = &stream[k];
             let t = clock.now_nanos();
-            let outcome = system
-                .search(query, spec.payment)
+            let outcome = inst
+                .search(&mut chain, query, spec.payment)
                 .map_err(|e| ThroughputError::Protocol(e.to_string()))?;
             samples.push(Sample {
                 latency_ns: clock.now_nanos() - t,

@@ -12,7 +12,8 @@
 //!     cargo run --release --example build_bench -- results/BENCH_build_10k.json
 //! ```
 
-use slicer_core::{RecordId, SlicerConfig, SlicerSystem};
+use slicer_chain::Blockchain;
+use slicer_core::{RecordId, SlicerConfig, SlicerInstance};
 use slicer_telemetry::{global, Clock, MonotonicClock, TelemetryHandle};
 use slicer_workload::DatasetSpec;
 
@@ -38,9 +39,17 @@ fn main() {
     global::set(handle.clone());
     let clock = MonotonicClock::new();
     let t0 = clock.now_nanos();
-    let mut sys = SlicerSystem::try_setup_with(SlicerConfig::with_bits(bits), 42, handle.clone())
-        .expect("chain accepts the deployment");
-    sys.build(&db).expect("benchmark data is in-domain");
+    let mut chain = Blockchain::new();
+    let mut slicer = SlicerInstance::try_setup_with(
+        SlicerConfig::with_bits(bits),
+        42,
+        &mut chain,
+        handle.clone(),
+    )
+    .expect("chain accepts the deployment");
+    slicer
+        .build(&mut chain, &db)
+        .expect("benchmark data is in-domain");
     let wall = clock.now_nanos().saturating_sub(t0);
     let snap = handle.snapshot();
     global::reset();

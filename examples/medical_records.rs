@@ -7,15 +7,21 @@
 //! cargo run --release --example medical_records
 //! ```
 
-use slicer_core::{Query, Record, RecordId, SlicerConfig, SlicerSystem};
+use slicer_chain::Blockchain;
+use slicer_core::{Query, Record, RecordId, SlicerConfig, SlicerInstance};
 use slicer_crypto::Rng;
 use slicer_telemetry::TelemetryHandle;
 use slicer_workload::splitmix_stream;
 
 fn main() {
-    let mut system =
-        SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), 7, TelemetryHandle::disabled())
-            .expect("chain accepts the deployment");
+    let mut chain = Blockchain::new();
+    let mut slicer = SlicerInstance::try_setup_with(
+        SlicerConfig::test_8bit(),
+        7,
+        &mut chain,
+        TelemetryHandle::disabled(),
+    )
+    .expect("chain accepts the deployment");
 
     // Synthesize a patient cohort: age in [20, 90), resting heart rate in
     // [45, 120).
@@ -30,14 +36,14 @@ fn main() {
             )
         })
         .collect();
-    system
-        .build(&patients)
+    slicer
+        .build(&mut chain, &patients)
         .expect("attributes fit the 8-bit domain");
     println!("outsourced {} encrypted patient records", patients.len());
 
     // Researcher: elderly cohort (age > 75).
     let q_age = Query::greater_than(75).on_attr("age");
-    let elderly = system.search(&q_age, 500).expect("chain ok");
+    let elderly = slicer.search(&mut chain, &q_age, 500).expect("chain ok");
     assert!(elderly.verified);
     let oracle =
         |r: &Record, attr: &str, q: &Query| r.attrs.iter().any(|(a, v)| a == attr && q.matches(*v));
@@ -52,7 +58,7 @@ fn main() {
     // Researcher: bradycardia screen (heart rate < 50) — a different
     // attribute over the same encrypted index.
     let q_hr = Query::less_than(50).on_attr("heart_rate");
-    let brady = system.search(&q_hr, 500).expect("chain ok");
+    let brady = slicer.search(&mut chain, &q_hr, 500).expect("chain ok");
     assert!(brady.verified);
     let expect = patients
         .iter()
@@ -67,7 +73,7 @@ fn main() {
     // Attributes are cryptographically isolated: the same threshold on the
     // other attribute gives a different cohort.
     let q_cross = Query::less_than(50).on_attr("age");
-    let young = system.search(&q_cross, 500).expect("chain ok");
+    let young = slicer.search(&mut chain, &q_cross, 500).expect("chain ok");
     assert!(young.verified);
     println!(
         "age < 50: {} patients — attribute isolation holds ✓",
@@ -84,14 +90,17 @@ fn main() {
             )
         })
         .collect();
-    let receipt = system.insert(&admissions).expect("fits the domain");
+    let receipt = slicer
+        .insert(&mut chain, &admissions)
+        .expect("fits the domain")
+        .receipt;
     println!(
         "admitted {} patients; on-chain digest refresh cost {} gas",
         admissions.len(),
         receipt.gas_used
     );
 
-    let elderly2 = system.search(&q_age, 500).expect("chain ok");
+    let elderly2 = slicer.search(&mut chain, &q_age, 500).expect("chain ok");
     assert!(elderly2.verified);
     assert_eq!(
         elderly2.records.len(),

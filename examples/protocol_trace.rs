@@ -11,7 +11,8 @@
 //! cargo run --release --example protocol_trace
 //! ```
 
-use slicer_core::{LeakageAuditor, Query, RecordId, SearchOutcome, SlicerConfig, SlicerSystem};
+use slicer_chain::Blockchain;
+use slicer_core::{LeakageAuditor, Query, RecordId, SearchOutcome, SlicerConfig, SlicerInstance};
 use slicer_telemetry::{global, Event, MemorySink, MonotonicClock, TelemetryHandle};
 use std::sync::Arc;
 
@@ -29,23 +30,28 @@ fn main() {
     global::set(telemetry.clone());
 
     println!("── Setup + Build (Algorithms 1–2) ────────────────────────");
-    let mut sys = SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), 7, telemetry.clone())
-        .expect("chain accepts the deployment");
+    let mut chain = Blockchain::new();
+    let mut slicer =
+        SlicerInstance::try_setup_with(SlicerConfig::test_8bit(), 7, &mut chain, telemetry.clone())
+            .expect("chain accepts the deployment");
     let db: Vec<(RecordId, u64)> = (0u64..40)
         .map(|i| (RecordId::from_u64(i), (i * 13) % 256))
         .collect();
-    sys.build(&db).expect("8-bit domain");
-    sys.insert(&[(RecordId::from_u64(1_000), 5)])
+    slicer.build(&mut chain, &db).expect("8-bit domain");
+    slicer
+        .insert(&mut chain, &[(RecordId::from_u64(1_000), 5)])
         .expect("8-bit domain");
     println!(
         "built {} records (+1 insert); {} index entries on the cloud",
         db.len(),
-        sys.instance().cloud.storage().index.len()
+        slicer.cloud.storage().index.len()
     );
 
     println!("\n── Search / Verify / Settle (Algorithms 3–5) ─────────────");
     let query = Query::less_than(60);
-    let outcome: SearchOutcome = sys.search(&query, 1_000).expect("honest run");
+    let outcome: SearchOutcome = slicer
+        .search(&mut chain, &query, 1_000)
+        .expect("honest run");
     assert!(outcome.verified, "honest searches verify on chain");
     let mut got: Vec<u64> = outcome
         .records
@@ -164,7 +170,7 @@ fn main() {
     // ── Leakage audit: the trace reveals exactly Theorem 2's profiles ──
     let auditor = LeakageAuditor::from_events(&events).expect("transcript parses");
     let report = auditor
-        .verify(sys.instance().declared_leakage())
+        .verify(slicer.declared_leakage())
         .expect("observed access pattern matches declared leakage");
     println!(
         "Leakage audit: {} build(s), {} search(es), {} token(s) ({} distinct)",

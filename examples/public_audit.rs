@@ -7,28 +7,41 @@
 //! cargo run --release --example public_audit
 //! ```
 
-use slicer_core::{malicious, Query, RecordId, SlicerConfig, SlicerSystem};
+use slicer_chain::Blockchain;
+use slicer_core::{malicious, Query, RecordId, SlicerConfig, SlicerInstance};
 use slicer_telemetry::TelemetryHandle;
 
 fn main() {
-    let mut system =
-        SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), 555, TelemetryHandle::disabled())
-            .expect("chain accepts the deployment");
+    let mut chain = Blockchain::new();
+    let mut slicer = SlicerInstance::try_setup_with(
+        SlicerConfig::test_8bit(),
+        555,
+        &mut chain,
+        TelemetryHandle::disabled(),
+    )
+    .expect("chain accepts the deployment");
     let db: Vec<(RecordId, u64)> = (0u64..80)
         .map(|i| (RecordId::from_u64(i), (i * 17) % 256))
         .collect();
-    system.build(&db).expect("8-bit domain");
+    slicer.build(&mut chain, &db).expect("8-bit domain");
 
     // A few searches: two honest, one cheating cloud.
-    system.search(&Query::less_than(64), 100).expect("chain ok");
-    system
-        .search_with(&Query::less_than(200), 100, malicious::drop_record)
+    slicer
+        .search(&mut chain, &Query::less_than(64), 100)
         .expect("chain ok");
-    system.search(&Query::equal(17), 100).expect("chain ok");
+    slicer
+        .search_with(
+            &mut chain,
+            &Query::less_than(200),
+            100,
+            malicious::drop_record,
+        )
+        .expect("chain ok");
+    slicer
+        .search(&mut chain, &Query::equal(17), 100)
+        .expect("chain ok");
 
     // ── The auditor's view: only public chain data from here on. ──
-    let chain = system.chain();
-
     // 1. Chain integrity.
     assert!(chain.verify_chain());
     println!(

@@ -5,27 +5,35 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use slicer_core::{Query, RecordId, SlicerConfig, SlicerSystem};
+use slicer_chain::Blockchain;
+use slicer_core::{Query, RecordId, SlicerConfig, SlicerInstance};
 use slicer_telemetry::TelemetryHandle;
 
 fn main() {
-    // One call sets up all four parties: data owner, data user, cloud and
-    // a blockchain running the Slicer verification contract.
-    let mut system =
-        SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), 2024, TelemetryHandle::disabled())
-            .expect("chain accepts the deployment");
+    // A long-lived blockchain, then one call for data owner, data user and
+    // cloud, which deploys the Slicer verification contract on that chain.
+    let mut chain = Blockchain::new();
+    let mut slicer = SlicerInstance::try_setup_with(
+        SlicerConfig::test_8bit(),
+        2024,
+        &mut chain,
+        TelemetryHandle::disabled(),
+    )
+    .expect("chain accepts the deployment");
 
     // The owner outsources 100 encrypted records (id, value).
     let db: Vec<(RecordId, u64)> = (0u64..100)
         .map(|i| (RecordId::from_u64(i), (i * 29 + 3) % 256))
         .collect();
-    system.build(&db).expect("values fit the 8-bit domain");
+    slicer
+        .build(&mut chain, &db)
+        .expect("values fit the 8-bit domain");
     println!("built encrypted index for {} records", db.len());
 
     // The user pays 1000 wei into escrow and asks for every record with
     // value < 50. The cloud searches, proves, and the contract verifies.
-    let outcome = system
-        .search(&Query::less_than(50), 1_000)
+    let outcome = slicer
+        .search(&mut chain, &Query::less_than(50), 1_000)
         .expect("chain accepts the workflow");
 
     println!(
@@ -54,11 +62,11 @@ fn main() {
     println!("results match the plaintext oracle ✓");
 
     // Dynamic insert (forward-secure), then search again.
-    system
-        .insert(&[(RecordId::from_u64(1_000), 7)])
+    slicer
+        .insert(&mut chain, &[(RecordId::from_u64(1_000), 7)])
         .expect("fits the domain");
-    let after = system
-        .search(&Query::less_than(50), 1_000)
+    let after = slicer
+        .search(&mut chain, &Query::less_than(50), 1_000)
         .expect("chain ok");
     assert!(after.verified);
     assert_eq!(after.records.len(), hits.len() + 1);

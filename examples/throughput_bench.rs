@@ -42,7 +42,7 @@ fn main() {
             run_against_daemon(&spec, &endpoint, &pool).expect("daemon run succeeds")
         }
         Err(_) => {
-            println!("target             : in-process SlicerSystem");
+            println!("target             : in-process SlicerInstance");
             run_in_process(&spec).expect("in-process run succeeds")
         }
     };

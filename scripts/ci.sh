@@ -106,6 +106,20 @@ if ./target/release/slicer-cli bench-diff BENCH_search.json \
 fi
 echo "bench-diff gate OK (clean inputs pass, injected regression fails)"
 
+echo "==> examples (every examples/*.rs runs to a zero exit)"
+# Each example asserts its own scenario (oracle matches, attacks caught,
+# fees refunded); those asserts only fire when the binary runs. With no
+# arguments no example writes a file.
+cargo build -q --release --offline --examples
+for src in examples/*.rs; do
+  name="$(basename "$src" .rs)"
+  if ! "./target/release/examples/$name" >/dev/null; then
+    echo "examples FAILED: $name exited non-zero" >&2
+    exit 1
+  fi
+done
+echo "examples OK"
+
 echo "==> telemetry smoke (protocol_trace phase profile + JSON export)"
 trace_out="$(cargo run -q --release --offline --example protocol_trace)"
 for phase in setup build token search verify settle; do

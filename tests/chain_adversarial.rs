@@ -6,8 +6,23 @@ use slicer_chain::{
     Address, Blockchain, SlicerCall, SlicerContract, TokenOnChain, Transaction, TxStatus,
     VerifyEntry,
 };
-use slicer_core::{Query, RecordId, SlicerConfig, SlicerSystem};
+use slicer_core::{Query, RecordId, SlicerConfig, SlicerInstance};
 use slicer_telemetry::TelemetryHandle;
+
+/// An 8-bit deployment holding records `0..30`, record `i` with value `i`.
+fn deployment(seed: u64) -> (SlicerInstance, Blockchain) {
+    let mut chain = Blockchain::new();
+    let mut inst = SlicerInstance::try_setup_with(
+        SlicerConfig::test_8bit(),
+        seed,
+        &mut chain,
+        TelemetryHandle::disabled(),
+    )
+    .unwrap();
+    let db: Vec<(RecordId, u64)> = (0u64..30).map(|i| (RecordId::from_u64(i), i)).collect();
+    inst.build(&mut chain, &db).unwrap();
+    (inst, chain)
+}
 
 fn funded_chain_with_contract() -> (Blockchain, Address, Address) {
     let mut chain = Blockchain::new();
@@ -89,20 +104,14 @@ fn request_id_cannot_be_reused() {
 fn settled_request_cannot_be_resubmitted() {
     // A cheating cloud cannot retry after losing, nor double-claim after
     // winning: the request record is consumed at settlement.
-    let mut sys =
-        SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), 42, TelemetryHandle::disabled())
-            .unwrap();
-    let db: Vec<(RecordId, u64)> = (0u64..30)
-        .map(|i| (RecordId::from_u64(i), i % 256))
-        .collect();
-    sys.build(&db).unwrap();
-    let out = sys.search(&Query::less_than(10), 100).unwrap();
+    let (mut inst, mut chain) = deployment(42);
+    let out = inst.search(&mut chain, &Query::less_than(10), 100).unwrap();
     assert!(out.verified);
 
     // Replaying the settlement: the stored record is now "settled" and no
     // longer parses as a request → revert.
-    let contract = sys.instance().contract_address();
-    let (_, _, cloud_addr) = sys.instance().addresses();
+    let contract = inst.contract_address();
+    let (_, _, cloud_addr) = inst.addresses();
     // The request id of the first search is deterministic (counter = 1).
     let call = SlicerCall::SubmitResult {
         request_id: [0u8; 32], // unknown id
@@ -112,8 +121,7 @@ fn settled_request_cannot_be_resubmitted() {
             vo: vec![0u8; 64],
         }],
     };
-    let r = sys
-        .chain_mut()
+    let r = chain
         .send_transaction(Transaction::call(cloud_addr, contract, 0, call.encode()))
         .unwrap();
     assert!(matches!(r.status, TxStatus::Reverted(_)));
@@ -121,40 +129,33 @@ fn settled_request_cannot_be_resubmitted() {
 
 #[test]
 fn verification_runs_out_of_gas_gracefully() {
-    let mut sys =
-        SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), 43, TelemetryHandle::disabled())
-            .unwrap();
-    let db: Vec<(RecordId, u64)> = (0u64..30)
-        .map(|i| (RecordId::from_u64(i), i % 256))
-        .collect();
-    sys.build(&db).unwrap();
+    let (mut inst, mut chain) = deployment(43);
 
     // Register a request, then submit with a gas limit too small for the
     // verification's MODEXP work: the call reverts with out-of-gas, the
     // escrow stays with the contract (retriable), nothing is corrupted.
-    let contract = sys.instance().contract_address();
-    let (_, user, cloud) = sys.instance().addresses();
-    let tokens = sys.instance().user.tokens_for(&Query::equal(5));
+    let contract = inst.contract_address();
+    let (_, user, cloud) = inst.addresses();
+    let tokens = inst.user.tokens_for(&Query::equal(5));
     assert_eq!(tokens.len(), 1);
     let call = SlicerCall::RequestSearch {
         request_id: [9u8; 32],
         cloud,
         tokens: tokens.iter().map(|t| t.to_chain(64)).collect(),
     };
-    let r = sys
-        .chain_mut()
+    let r = chain
         .send_transaction(Transaction::call(user, contract, 500, call.encode()))
         .unwrap();
     assert!(r.status.is_success());
 
-    let response = sys.instance_mut().cloud.respond(&tokens).unwrap();
+    let response = inst.cloud.respond(&tokens).unwrap();
     let submit = SlicerCall::SubmitResult {
         request_id: [9u8; 32],
         entries: response.entries.clone(),
     };
     let mut tx = Transaction::call(cloud, contract, 0, submit.encode());
     tx.gas_limit = 30_000; // below the verification cost
-    let starved = sys.chain_mut().send_transaction(tx).unwrap();
+    let starved = chain.send_transaction(tx).unwrap();
     assert!(
         matches!(starved.status, TxStatus::Reverted(ref e) if e.contains("out of gas")),
         "got {:?}",
@@ -162,13 +163,13 @@ fn verification_runs_out_of_gas_gracefully() {
     );
 
     // Retry with enough gas: succeeds and pays out.
-    let before = sys.chain().balance(&cloud);
+    let before = chain.balance(&cloud);
     let mut tx = Transaction::call(cloud, contract, 0, submit.encode());
     tx.gas_limit = 10_000_000;
-    let ok = sys.chain_mut().send_transaction(tx).unwrap();
+    let ok = chain.send_transaction(tx).unwrap();
     assert!(ok.status.is_success());
     assert_eq!(ok.output, [1]);
-    assert_eq!(sys.chain().balance(&cloud), before + 500);
+    assert_eq!(chain.balance(&cloud), before + 500);
 }
 
 #[test]

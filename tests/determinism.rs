@@ -4,7 +4,8 @@
 //! owner state and the on-chain transcript. This is what makes every other
 //! test in the repo replayable from a printed seed.
 
-use slicer_core::{Query, RecordId, SlicerConfig, SlicerSystem};
+use slicer_chain::Blockchain;
+use slicer_core::{DataOwner, Query, RecordId, SlicerConfig, SlicerInstance};
 use slicer_store::codec::to_bytes;
 use slicer_telemetry::TelemetryHandle;
 
@@ -14,27 +15,37 @@ fn db(n: u64) -> Vec<(RecordId, u64)> {
         .collect()
 }
 
-/// A fresh 8-bit deployment with telemetry off.
-fn system(seed: u64) -> SlicerSystem {
-    SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), seed, TelemetryHandle::disabled())
-        .unwrap()
+/// Build, insert and two searches on a fresh deployment.
+fn lifecycle(
+    config: SlicerConfig,
+    seed: u64,
+    telemetry: TelemetryHandle,
+) -> (SlicerInstance, Blockchain) {
+    let mut chain = Blockchain::new();
+    let mut inst = SlicerInstance::try_setup_with(config, seed, &mut chain, telemetry).unwrap();
+    inst.build(&mut chain, &db(24)).expect("in-domain build");
+    inst.insert(
+        &mut chain,
+        &[(RecordId::from_u64(500), 42), (RecordId::from_u64(501), 7)],
+    )
+    .expect("in-domain insert");
+    for q in [Query::less_than(100), Query::equal(42)] {
+        inst.search(&mut chain, &q, 10).expect("search runs");
+    }
+    (inst, chain)
 }
 
-fn run_lifecycle(seed: u64) -> SlicerSystem {
-    let mut sys = system(seed);
-    sys.build(&db(24)).expect("in-domain build");
-    sys.insert(&[(RecordId::from_u64(500), 42), (RecordId::from_u64(501), 7)])
-        .expect("in-domain insert");
-    sys.search(&Query::less_than(100), 10).expect("search runs");
-    sys.search(&Query::equal(42), 10).expect("search runs");
-    sys
+/// [`lifecycle`] on an 8-bit deployment with telemetry off.
+fn run_lifecycle(seed: u64) -> (SlicerInstance, Blockchain) {
+    lifecycle(SlicerConfig::test_8bit(), seed, TelemetryHandle::disabled())
 }
 
 #[test]
 fn same_seed_same_build_output() {
-    let (mut a, mut b) = (system(0xD5EED), system(0xD5EED));
-    let out_a = a.instance_mut().owner.build(&db(24)).expect("in-domain");
-    let out_b = b.instance_mut().owner.build(&db(24)).expect("in-domain");
+    let owner = || DataOwner::new(SlicerConfig::test_8bit(), 0xD5EED);
+    let (mut a, mut b) = (owner(), owner());
+    let out_a = a.build(&db(24)).expect("in-domain");
+    let out_b = b.build(&db(24)).expect("in-domain");
     assert_eq!(
         to_bytes(&out_a).expect("encodes"),
         to_bytes(&out_b).expect("encodes"),
@@ -44,31 +55,31 @@ fn same_seed_same_build_output() {
 
 #[test]
 fn same_seed_same_digest_and_owner_state() {
-    let a = run_lifecycle(0xD5EED);
-    let b = run_lifecycle(0xD5EED);
+    let (a, _) = run_lifecycle(0xD5EED);
+    let (b, _) = run_lifecycle(0xD5EED);
     assert_eq!(
-        a.instance().owner.accumulator().to_bytes_be(),
-        b.instance().owner.accumulator().to_bytes_be(),
+        a.owner.accumulator().to_bytes_be(),
+        b.owner.accumulator().to_bytes_be(),
         "accumulator digests diverged"
     );
     assert_eq!(
-        to_bytes(a.instance().owner.state()).expect("encodes"),
-        to_bytes(b.instance().owner.state()).expect("encodes"),
+        to_bytes(a.owner.state()).expect("encodes"),
+        to_bytes(b.owner.state()).expect("encodes"),
         "owner state (trapdoors + set hashes) diverged"
     );
 }
 
 #[test]
 fn same_seed_same_search_tokens() {
-    let a = run_lifecycle(0xD5EED);
-    let b = run_lifecycle(0xD5EED);
+    let (a, _) = run_lifecycle(0xD5EED);
+    let (b, _) = run_lifecycle(0xD5EED);
     for q in [
         Query::equal(42),
         Query::less_than(100),
         Query::greater_than(13),
     ] {
-        let ta = a.instance().owner.search_tokens(&q);
-        let tb = b.instance().owner.search_tokens(&q);
+        let ta = a.owner.search_tokens(&q);
+        let tb = b.owner.search_tokens(&q);
         assert_eq!(
             to_bytes(&ta).expect("encodes"),
             to_bytes(&tb).expect("encodes"),
@@ -79,10 +90,10 @@ fn same_seed_same_search_tokens() {
 
 #[test]
 fn same_seed_same_chain_transcript() {
-    let a = run_lifecycle(0xD5EED);
-    let b = run_lifecycle(0xD5EED);
-    assert_eq!(a.chain().height(), b.chain().height());
-    for (block_a, block_b) in a.chain().blocks().iter().zip(b.chain().blocks()) {
+    let (_, a_chain) = run_lifecycle(0xD5EED);
+    let (_, b_chain) = run_lifecycle(0xD5EED);
+    assert_eq!(a_chain.height(), b_chain.height());
+    for (block_a, block_b) in a_chain.blocks().iter().zip(b_chain.blocks()) {
         assert_eq!(
             to_bytes(block_a).expect("encodes"),
             to_bytes(block_b).expect("encodes"),
@@ -96,11 +107,11 @@ fn same_seed_same_chain_transcript() {
 fn different_seeds_diverge() {
     // Sanity check that the equality above is not vacuous: a different
     // seed must produce different key material and a different transcript.
-    let a = run_lifecycle(0xD5EED);
-    let b = run_lifecycle(0xD5EED + 1);
+    let (a, _) = run_lifecycle(0xD5EED);
+    let (b, _) = run_lifecycle(0xD5EED + 1);
     assert_ne!(
-        a.instance().owner.accumulator().to_bytes_be(),
-        b.instance().owner.accumulator().to_bytes_be(),
+        a.owner.accumulator().to_bytes_be(),
+        b.owner.accumulator().to_bytes_be(),
         "different seeds should not collide"
     );
 }
@@ -118,20 +129,14 @@ fn pool_size_does_not_change_any_transcript() {
         let sink = Arc::new(MemorySink::new());
         let handle = TelemetryHandle::with(Arc::new(LogicalClock::default()), sink.clone() as _);
         let cfg = SlicerConfig::test_8bit().with_workers(workers);
-        let mut sys = SlicerSystem::try_setup_with(cfg, 0xD5EED, handle).unwrap();
-        sys.build(&db(24)).expect("in-domain build");
-        sys.insert(&[(RecordId::from_u64(500), 42), (RecordId::from_u64(501), 7)])
-            .expect("in-domain insert");
-        sys.search(&Query::less_than(100), 10).expect("search runs");
-        sys.search(&Query::equal(42), 10).expect("search runs");
-        let chain: Vec<Vec<u8>> = sys
-            .chain()
+        let (inst, chain) = lifecycle(cfg, 0xD5EED, handle);
+        let chain: Vec<Vec<u8>> = chain
             .blocks()
             .iter()
             .map(|b| to_bytes(b).expect("encodes"))
             .collect();
-        let state = to_bytes(sys.instance().owner.state()).expect("encodes");
-        let acc = sys.instance().owner.accumulator().to_bytes_be();
+        let state = to_bytes(inst.owner.state()).expect("encodes");
+        let acc = inst.owner.accumulator().to_bytes_be();
         (chain, state, acc, sink.transcript())
     };
 
@@ -170,27 +175,15 @@ fn telemetry_does_not_perturb_the_transcript() {
     let instrumented = |seed: u64| {
         let sink = Arc::new(MemorySink::new());
         let handle = TelemetryHandle::with(Arc::new(LogicalClock::default()), sink.clone() as _);
-        let mut sys =
-            SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), seed, handle).unwrap();
-        sys.build(&db(24)).expect("in-domain build");
-        sys.insert(&[(RecordId::from_u64(500), 42), (RecordId::from_u64(501), 7)])
-            .expect("in-domain insert");
-        sys.search(&Query::less_than(100), 10).expect("search runs");
-        sys.search(&Query::equal(42), 10).expect("search runs");
-        (sys, sink)
+        (lifecycle(SlicerConfig::test_8bit(), seed, handle), sink)
     };
 
-    let plain = run_lifecycle(0xD5EED);
-    let (with_telemetry, sink_a) = instrumented(0xD5EED);
+    let (plain, plain_chain) = run_lifecycle(0xD5EED);
+    let ((with_telemetry, telemetry_chain), sink_a) = instrumented(0xD5EED);
     let (_again, sink_b) = instrumented(0xD5EED);
 
-    assert_eq!(plain.chain().height(), with_telemetry.chain().height());
-    for (block_p, block_t) in plain
-        .chain()
-        .blocks()
-        .iter()
-        .zip(with_telemetry.chain().blocks())
-    {
+    assert_eq!(plain_chain.height(), telemetry_chain.height());
+    for (block_p, block_t) in plain_chain.blocks().iter().zip(telemetry_chain.blocks()) {
         assert_eq!(
             to_bytes(block_p).expect("encodes"),
             to_bytes(block_t).expect("encodes"),
@@ -199,8 +192,8 @@ fn telemetry_does_not_perturb_the_transcript() {
         );
     }
     assert_eq!(
-        to_bytes(plain.instance().owner.state()).expect("encodes"),
-        to_bytes(with_telemetry.instance().owner.state()).expect("encodes"),
+        to_bytes(plain.owner.state()).expect("encodes"),
+        to_bytes(with_telemetry.owner.state()).expect("encodes"),
         "telemetry changed the owner state"
     );
 
@@ -244,12 +237,7 @@ fn structured_log_transcript_is_seed_deterministic() {
         let handle = TelemetryHandle::with(Arc::new(LogicalClock::default()), Arc::new(NullSink));
         handle.add_log_sink(ring.clone() as _);
         let cfg = SlicerConfig::test_8bit().with_workers(workers);
-        let mut sys = SlicerSystem::try_setup_with(cfg, 0xD5EED, handle).unwrap();
-        sys.build(&db(24)).expect("in-domain build");
-        sys.insert(&[(RecordId::from_u64(500), 42), (RecordId::from_u64(501), 7)])
-            .expect("in-domain insert");
-        sys.search(&Query::less_than(100), 10).expect("search runs");
-        sys.search(&Query::equal(42), 10).expect("search runs");
+        lifecycle(cfg, 0xD5EED, handle);
         ring.transcript()
     };
 
@@ -291,9 +279,9 @@ fn owner_state_transcript_digest_is_pinned() {
     // — pin the digest so any future change to map iteration order, the
     // codec, or the protocol's insertion bookkeeping surfaces here as an
     // explicit re-pin rather than silent drift.
-    let sys = run_lifecycle(0xD5EED);
-    let mut material = to_bytes(sys.instance().owner.state()).expect("encodes");
-    for block in sys.chain().blocks() {
+    let (inst, chain) = run_lifecycle(0xD5EED);
+    let mut material = to_bytes(inst.owner.state()).expect("encodes");
+    for block in chain.blocks() {
         material.extend_from_slice(&to_bytes(block).expect("encodes"));
     }
     let digest = slicer_crypto::sha256(&material);

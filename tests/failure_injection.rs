@@ -2,21 +2,27 @@
 //! IV-B threat model must fail on-chain verification and trigger a refund
 //! (Theorem 3's soundness, tested end to end).
 
-use slicer_core::{malicious, CloudResponse, Query, RecordId, SlicerConfig, SlicerSystem};
+use slicer_chain::Blockchain;
+use slicer_core::{malicious, CloudResponse, Query, RecordId, SlicerConfig, SlicerInstance};
 use slicer_telemetry::TelemetryHandle;
 use slicer_workload::DatasetSpec;
 
-fn system(seed: u64) -> SlicerSystem {
+fn system(seed: u64) -> (SlicerInstance, Blockchain) {
     let db: Vec<(RecordId, u64)> = DatasetSpec::uniform(250, 8, seed)
         .generate()
         .into_iter()
         .map(|(id, v)| (RecordId(id), v))
         .collect();
-    let mut sys =
-        SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), seed, TelemetryHandle::disabled())
-            .unwrap();
-    sys.build(&db).expect("fits domain");
-    sys
+    let mut chain = Blockchain::new();
+    let mut inst = SlicerInstance::try_setup_with(
+        SlicerConfig::test_8bit(),
+        seed,
+        &mut chain,
+        TelemetryHandle::disabled(),
+    )
+    .unwrap();
+    inst.build(&mut chain, &db).expect("fits domain");
+    (inst, chain)
 }
 
 /// Runs a tampered search and asserts failure + refund.
@@ -25,15 +31,17 @@ fn assert_attack_caught(
     query: Query,
     tamper: impl FnOnce(CloudResponse) -> CloudResponse,
 ) {
-    let mut sys = system(seed);
-    let (_, user, cloud) = sys.instance().addresses();
-    let u0 = sys.chain().balance(&user);
-    let c0 = sys.chain().balance(&cloud);
-    let out = sys.search_with(&query, 777, tamper).expect("workflow runs");
+    let (mut inst, mut chain) = system(seed);
+    let (_, user, cloud) = inst.addresses();
+    let u0 = chain.balance(&user);
+    let c0 = chain.balance(&cloud);
+    let out = inst
+        .search_with(&mut chain, &query, 777, tamper)
+        .expect("workflow runs");
     assert!(!out.verified, "attack must be detected");
     assert!(!out.paid_cloud);
-    assert_eq!(sys.chain().balance(&user), u0, "fee refunded to user");
-    assert_eq!(sys.chain().balance(&cloud), c0, "attacker unpaid");
+    assert_eq!(chain.balance(&user), u0, "fee refunded to user");
+    assert_eq!(chain.balance(&cloud), c0, "attacker unpaid");
 }
 
 #[test]
@@ -112,22 +120,22 @@ fn stale_cloud_fails_freshness() {
     // The cloud skips ingesting the owner's newest insert; the user's
     // fresh token (new trapdoor, new j) produces a state the stale cloud
     // cannot prove — data freshness without contacting the owner.
-    let mut sys = system(9);
+    let (mut inst, mut chain) = system(9);
     // Insert but sabotage the cloud's copy: capture the honest response
     // first, then re-run after dropping the cloud's view.
     let probe = 42u64;
-    sys.insert(&[(RecordId::from_u64(50_000), probe)])
+    inst.insert(&mut chain, &[(RecordId::from_u64(50_000), probe)])
         .expect("fits domain");
 
     // Remove the cloud's knowledge of the latest generation by rebuilding
     // a stale cloud from scratch: easiest faithful simulation is to tamper
     // the response so the new-generation record is missing, which is
     // byte-wise what a stale cloud would return.
-    let (_, user, cloud) = sys.instance().addresses();
-    let u0 = sys.chain().balance(&user);
-    let c0 = sys.chain().balance(&cloud);
-    let out = sys
-        .search_with(&Query::equal(probe), 500, |mut resp| {
+    let (_, user, cloud) = inst.addresses();
+    let u0 = chain.balance(&user);
+    let c0 = chain.balance(&cloud);
+    let out = inst
+        .search_with(&mut chain, &Query::equal(probe), 500, |mut resp| {
             // Drop the results that belong to the newest generation (the
             // freshly inserted record is the last one recovered in the
             // newest-first walk... drop the first recovered result).
@@ -141,8 +149,8 @@ fn stale_cloud_fails_freshness() {
         })
         .expect("workflow runs");
     assert!(!out.verified, "stale result set must fail");
-    assert_eq!(sys.chain().balance(&user), u0);
-    assert_eq!(sys.chain().balance(&cloud), c0);
+    assert_eq!(chain.balance(&user), u0);
+    assert_eq!(chain.balance(&cloud), c0);
 }
 
 #[test]
@@ -150,16 +158,15 @@ fn unregistered_request_submission_reverts() {
     // Submitting results for a request id that was never registered
     // reverts at the contract.
     use slicer_chain::{Address, SlicerCall, Transaction};
-    let mut sys = system(10);
-    let contract = sys.instance().contract_address();
+    let (inst, mut chain) = system(10);
+    let contract = inst.contract_address();
     let attacker = Address::from_byte(0xEE);
-    sys.chain_mut().create_account(attacker, 1_000_000);
+    chain.create_account(attacker, 1_000_000);
     let call = SlicerCall::SubmitResult {
         request_id: [0xEE; 32],
         entries: vec![],
     };
-    let receipt = sys
-        .chain_mut()
+    let receipt = chain
         .send_transaction(Transaction::call(attacker, contract, 0, call.encode()))
         .expect("well-formed transaction");
     assert!(
@@ -174,32 +181,30 @@ fn third_party_cannot_claim_anothers_request() {
     // Register a request honestly, then have an attacker (not the named
     // cloud) try to submit and claim the escrow: unauthorized.
     use slicer_chain::{Address, SlicerCall, Transaction};
-    let mut sys = system(11);
-    let contract = sys.instance().contract_address();
-    let (_, user, _) = sys.instance().addresses();
+    let (inst, mut chain) = system(11);
+    let contract = inst.contract_address();
+    let (_, user, _) = inst.addresses();
 
     // Register a request directly so it stays unsettled.
-    let tokens = sys.instance().user.tokens_for(&Query::less_than(100));
+    let tokens = inst.user.tokens_for(&Query::less_than(100));
     let width = 64;
     let call = SlicerCall::RequestSearch {
         request_id: [0xAB; 32],
-        cloud: sys.instance().addresses().2,
+        cloud: inst.addresses().2,
         tokens: tokens.iter().map(|t| t.to_chain(width)).collect(),
     };
-    let r = sys
-        .chain_mut()
+    let r = chain
         .send_transaction(Transaction::call(user, contract, 500, call.encode()))
         .expect("request accepted");
     assert!(r.status.is_success());
 
     let attacker = Address::from_byte(0xEE);
-    sys.chain_mut().create_account(attacker, 1_000_000);
+    chain.create_account(attacker, 1_000_000);
     let submit = SlicerCall::SubmitResult {
         request_id: [0xAB; 32],
         entries: vec![],
     };
-    let receipt = sys
-        .chain_mut()
+    let receipt = chain
         .send_transaction(Transaction::call(attacker, contract, 0, submit.encode()))
         .expect("well-formed transaction");
     assert!(
@@ -212,13 +217,12 @@ fn third_party_cannot_claim_anothers_request() {
 #[test]
 fn only_owner_updates_accumulator() {
     use slicer_chain::{Address, SlicerCall, Transaction};
-    let mut sys = system(12);
-    let contract = sys.instance().contract_address();
+    let (mut inst, mut chain) = system(12);
+    let contract = inst.contract_address();
     let attacker = Address::from_byte(0xDD);
-    sys.chain_mut().create_account(attacker, 1_000_000);
+    chain.create_account(attacker, 1_000_000);
     let call = SlicerCall::SetAccumulator(vec![0x11; 64]);
-    let receipt = sys
-        .chain_mut()
+    let receipt = chain
         .send_transaction(Transaction::call(attacker, contract, 0, call.encode()))
         .expect("well-formed transaction");
     assert!(
@@ -227,6 +231,8 @@ fn only_owner_updates_accumulator() {
         receipt.status
     );
     // And the stored digest is untouched: an honest search still passes.
-    let out = sys.search(&Query::less_than(100), 10).expect("workflow");
+    let out = inst
+        .search(&mut chain, &Query::less_than(100), 10)
+        .expect("workflow");
     assert!(out.verified);
 }

@@ -5,7 +5,10 @@
 //! protocol end-to-end against the auditor, then tamper with the
 //! transcript to prove the auditor actually rejects over-leaky traces.
 
-use slicer_core::{LeakageAuditor, LeakageViolation, Query, RecordId, SlicerConfig, SlicerSystem};
+use slicer_chain::Blockchain;
+use slicer_core::{
+    LeakageAuditor, LeakageViolation, Query, RecordId, SlicerConfig, SlicerInstance,
+};
 use slicer_telemetry::{
     chrome_trace, json, AttrValue, Event, LogicalClock, MemorySink, SpanId, TelemetryHandle,
 };
@@ -19,26 +22,31 @@ fn db(n: u64) -> Vec<(RecordId, u64)> {
 
 /// A full instrumented lifecycle: build, insert, three searches (one a
 /// byte-identical repeat, exercising `L^repeat`).
-fn instrumented_run() -> (SlicerSystem, Vec<Event>) {
+fn instrumented_run() -> (SlicerInstance, Vec<Event>) {
     let sink = Arc::new(MemorySink::new());
     let handle = TelemetryHandle::with(Arc::new(LogicalClock::default()), sink.clone() as _);
-    let mut sys = SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), 0xA0D17, handle).unwrap();
-    sys.build(&db(24)).expect("in-domain build");
-    sys.insert(&[(RecordId::from_u64(500), 42), (RecordId::from_u64(501), 7)])
-        .expect("in-domain insert");
-    sys.search(&Query::less_than(100), 10).expect("search runs");
-    sys.search(&Query::equal(42), 10).expect("search runs");
-    sys.search(&Query::equal(42), 10)
-        .expect("repeat search runs");
-    (sys, sink.events())
+    let mut chain = Blockchain::new();
+    let mut inst =
+        SlicerInstance::try_setup_with(SlicerConfig::test_8bit(), 0xA0D17, &mut chain, handle)
+            .unwrap();
+    inst.build(&mut chain, &db(24)).expect("in-domain build");
+    inst.insert(
+        &mut chain,
+        &[(RecordId::from_u64(500), 42), (RecordId::from_u64(501), 7)],
+    )
+    .expect("in-domain insert");
+    for q in [Query::less_than(100), Query::equal(42), Query::equal(42)] {
+        inst.search(&mut chain, &q, 10).expect("search runs");
+    }
+    (inst, sink.events())
 }
 
 #[test]
 fn honest_run_passes_the_audit() {
-    let (sys, events) = instrumented_run();
+    let (inst, events) = instrumented_run();
     let auditor = LeakageAuditor::from_events(&events).expect("honest transcript parses");
     let report = auditor
-        .verify(sys.instance().declared_leakage())
+        .verify(inst.declared_leakage())
         .expect("honest transcript matches declared leakage");
     assert_eq!(report.builds, 2, "one build + one insert shipment");
     assert_eq!(report.searches, 3);
@@ -53,9 +61,14 @@ fn honest_run_passes_the_audit() {
 fn search_outcome_carries_its_trace_id() {
     let sink = Arc::new(MemorySink::new());
     let handle = TelemetryHandle::with(Arc::new(LogicalClock::default()), sink.clone() as _);
-    let mut sys = SlicerSystem::try_setup_with(SlicerConfig::test_8bit(), 0xA0D17, handle).unwrap();
-    sys.build(&db(24)).expect("in-domain build");
-    let outcome = sys.search(&Query::less_than(100), 10).expect("search runs");
+    let mut chain = Blockchain::new();
+    let mut inst =
+        SlicerInstance::try_setup_with(SlicerConfig::test_8bit(), 0xA0D17, &mut chain, handle)
+            .unwrap();
+    inst.build(&mut chain, &db(24)).expect("in-domain build");
+    let outcome = inst
+        .search(&mut chain, &Query::less_than(100), 10)
+        .expect("search runs");
     assert_ne!(
         outcome.trace_id, 0,
         "instrumented searches carry a trace id"
@@ -69,7 +82,7 @@ fn search_outcome_carries_its_trace_id() {
 
 #[test]
 fn undeclared_attribute_is_rejected() {
-    let (_sys, mut events) = instrumented_run();
+    let (_inst, mut events) = instrumented_run();
     // An over-leaky instrumentation change: a token span that records a
     // per-record plaintext-derived value.
     let tampered = events.iter_mut().find_map(|e| match e {
@@ -90,7 +103,7 @@ fn undeclared_attribute_is_rejected() {
 
 #[test]
 fn value_dependent_span_count_is_rejected() {
-    let (sys, mut events) = instrumented_run();
+    let (inst, mut events) = instrumented_run();
     // A value-dependent leak: one more token span than the query shape
     // warrants (e.g. a code path that probes the store once per match).
     let idx = events
@@ -100,7 +113,7 @@ fn value_dependent_span_count_is_rejected() {
     let duplicate = events[idx].clone();
     events.insert(idx, duplicate);
     let auditor = LeakageAuditor::from_events(&events).expect("keys are all declared");
-    match auditor.verify(sys.instance().declared_leakage()) {
+    match auditor.verify(inst.declared_leakage()) {
         Err(LeakageViolation::SearchMismatch { index, .. }) => assert_eq!(index, 0),
         other => panic!("expected SearchMismatch, got {other:?}"),
     }
@@ -108,7 +121,7 @@ fn value_dependent_span_count_is_rejected() {
 
 #[test]
 fn token_span_outside_any_search_is_rejected() {
-    let (_sys, mut events) = instrumented_run();
+    let (_inst, mut events) = instrumented_run();
     let mut stray = events
         .iter()
         .find(|e| matches!(e, Event::SpanEnd { name, .. } if name == "cloud.token"))
@@ -126,14 +139,14 @@ fn token_span_outside_any_search_is_rejected() {
 
 #[test]
 fn dropped_build_span_is_rejected() {
-    let (sys, mut events) = instrumented_run();
+    let (inst, mut events) = instrumented_run();
     let idx = events
         .iter()
         .position(|e| matches!(e, Event::SpanEnd { name, .. } if name == "phase.build"))
         .expect("run contains build spans");
     events.remove(idx);
     let auditor = LeakageAuditor::from_events(&events).expect("keys are all declared");
-    match auditor.verify(sys.instance().declared_leakage()) {
+    match auditor.verify(inst.declared_leakage()) {
         Err(LeakageViolation::BuildCountMismatch { observed, declared }) => {
             assert_eq!((observed, declared), (1, 2));
         }
@@ -153,7 +166,7 @@ const PHASES: [&str; 6] = [
 
 #[test]
 fn chrome_trace_export_round_trips_with_all_phases() {
-    let (_sys, events) = instrumented_run();
+    let (_inst, events) = instrumented_run();
     let exported = chrome_trace(&events);
     json::parse(&exported).expect("chrome trace is valid RFC 8259 JSON");
     assert!(
@@ -170,7 +183,7 @@ fn chrome_trace_export_round_trips_with_all_phases() {
 
 #[test]
 fn phase_spans_are_parents_of_protocol_work() {
-    let (_sys, events) = instrumented_run();
+    let (_inst, events) = instrumented_run();
     let span_end = |want: &str| {
         events.iter().find_map(|e| match e {
             Event::SpanEnd {

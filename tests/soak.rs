@@ -8,7 +8,8 @@
 //! also the end-to-end exerciser for the product-tree membership
 //! witnesses.
 
-use slicer_core::{Query, RecordId, SlicerConfig, SlicerSystem};
+use slicer_chain::Blockchain;
+use slicer_core::{Query, RecordId, SlicerConfig, SlicerInstance};
 use slicer_crypto::Rng;
 use slicer_telemetry::TelemetryHandle;
 use slicer_workload::splitmix_stream;
@@ -18,9 +19,11 @@ fn interleaved_16bit_lifecycle() {
     // An explicit multi-worker pool even on single-core CI boxes: the
     // deterministic fan-out must merge cross-thread results identically
     // regardless of the hardware the test lands on.
-    let mut sys = SlicerSystem::try_setup_with(
+    let mut chain = Blockchain::new();
+    let mut inst = SlicerInstance::try_setup_with(
         SlicerConfig::test_16bit().with_workers(3),
         99,
+        &mut chain,
         TelemetryHandle::disabled(),
     )
     .unwrap();
@@ -37,7 +40,7 @@ fn interleaved_16bit_lifecycle() {
         })
         .collect();
     model.extend(initial.iter().map(|(id, v)| (id.as_u64().unwrap(), *v)));
-    sys.build(&initial).expect("16-bit domain");
+    inst.build(&mut chain, &initial).expect("16-bit domain");
 
     let mut widest = 0usize;
     for step in 0..6 {
@@ -50,7 +53,7 @@ fn interleaved_16bit_lifecycle() {
             })
             .collect();
         model.extend(batch.iter().map(|(id, v)| (id.as_u64().unwrap(), *v)));
-        sys.insert(&batch).expect("16-bit domain");
+        inst.insert(&mut chain, &batch).expect("16-bit domain");
 
         // Verified search around a random pivot drawn from the data.
         let pivot = model[(rng.next_u64() % model.len() as u64) as usize].1;
@@ -59,7 +62,7 @@ fn interleaved_16bit_lifecycle() {
             1 => Query::greater_than(pivot),
             _ => Query::equal(pivot),
         };
-        let out = sys.search(&q, 50).expect("workflow runs");
+        let out = inst.search(&mut chain, &q, 50).expect("workflow runs");
         assert!(out.verified, "step {step}");
         widest = widest.max(out.records.len());
 
@@ -75,7 +78,7 @@ fn interleaved_16bit_lifecycle() {
 
         // Chain integrity after every insert + search round, not just at
         // the end: a corrupted block fails the step that broke it.
-        assert!(sys.chain().verify_chain(), "chain broken after step {step}");
+        assert!(chain.verify_chain(), "chain broken after step {step}");
     }
 
     // At least one range query must have matched a wide swath of the 1010+
@@ -88,7 +91,7 @@ fn interleaved_16bit_lifecycle() {
     );
 
     // Every settlement in this run was honest: all Settled events carry 1.
-    let settled = sys.chain().logs_by_topic("Settled");
+    let settled = chain.logs_by_topic("Settled");
     assert_eq!(settled.len(), 6);
     assert!(settled.iter().all(|l| *l.data.last().unwrap() == 1));
 }
