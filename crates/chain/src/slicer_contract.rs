@@ -152,8 +152,10 @@ impl SlicerCall {
             SELECTOR_REQUEST => {
                 let request_id = r.array32()?;
                 let cloud = Address(r.array20()?);
+                // Counts come from the sender: vectors grow with the bytes
+                // that are really there, never with a declared count.
                 let n = r.u16()?;
-                let mut tokens = Vec::with_capacity(n as usize);
+                let mut tokens = Vec::new();
                 for _ in 0..n {
                     tokens.push(TokenOnChain {
                         trapdoor: r.bytes16()?,
@@ -172,11 +174,11 @@ impl SlicerCall {
             SELECTOR_SUBMIT => {
                 let request_id = r.array32()?;
                 let n = r.u16()?;
-                let mut entries = Vec::with_capacity(n as usize);
+                let mut entries = Vec::new();
                 for _ in 0..n {
                     let token_idx = r.u16()?;
                     let n_er = r.u32()?;
-                    let mut er = Vec::with_capacity(n_er as usize);
+                    let mut er = Vec::new();
                     for _ in 0..n_er {
                         er.push(r.bytes16()?);
                     }
@@ -412,7 +414,7 @@ impl Contract for SlicerContract {
                 let cloud = Address(r.array20()?);
                 let amount = u128::from_be_bytes(r.array()?);
                 let n_tokens = r.u16()?;
-                let mut tokens = Vec::with_capacity(n_tokens as usize);
+                let mut tokens = Vec::new();
                 for _ in 0..n_tokens {
                     tokens.push(TokenOnChain {
                         trapdoor: r.bytes16()?,

@@ -3,7 +3,7 @@
 //! ```text
 //! slicerd --listen <endpoint> --data <dir> [--seed <n>] [--bits <n>]
 //!         [--log-level <debug|info|warn|error>] [--log-format <text|json>]
-//!         [--slow-ms <n>] [--event-ring <n>]
+//!         [--slow-ms <n>]
 //! ```
 //!
 //! Endpoints: `tcp://HOST:PORT`, `unix:///path/to.sock`, or a bare
@@ -18,10 +18,10 @@
 //! a fatal serve-loop error, and in-flight at the start of every request
 //! so even `kill -9` leaves the current request named on disk.
 
-use slicer_daemon::{
-    hex, instrumented_telemetry, Boot, Daemon, DaemonConfig, DaemonError, Endpoint, FlightRecorder,
+use slicer_daemon::{hex, Boot, Daemon, DaemonConfig, DaemonError, Endpoint, FlightRecorder};
+use slicer_telemetry::{
+    Level, LogFormat, MonotonicClock, ProfileAggregator, TelemetryHandle, WriterLogSink,
 };
-use slicer_telemetry::{Level, LogFormat, WriterLogSink};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -64,11 +64,6 @@ fn parse_args(args: &[String]) -> Result<Args, DaemonError> {
                 config.slow_request_ns =
                     parse_u64(value(&mut it, "--slow-ms")?, "--slow-ms")?.saturating_mul(1_000_000);
             }
-            "--event-ring" => {
-                let v = parse_u64(value(&mut it, "--event-ring")?, "--event-ring")?;
-                config.event_ring = usize::try_from(v)
-                    .map_err(|_| DaemonError::Config(format!("--event-ring out of range: {v}")))?;
-            }
             "--log-level" => {
                 let v = value(&mut it, "--log-level")?;
                 log_level = Level::parse(v)
@@ -85,15 +80,11 @@ fn parse_args(args: &[String]) -> Result<Args, DaemonError> {
                     }
                 };
             }
-            // Telemetry is always on now; the flag stays accepted so
-            // existing scripts keep working.
-            "--telemetry" => {}
             "--help" | "-h" => {
                 return Err(DaemonError::Config(
                     "usage: slicerd --listen <endpoint> --data <dir> \
                      [--seed <n>] [--bits <n>] [--log-level <level>] \
-                     [--log-format <text|json>] [--slow-ms <n>] \
-                     [--event-ring <n>]"
+                     [--log-format <text|json>] [--slow-ms <n>]"
                         .into(),
                 ))
             }
@@ -136,22 +127,16 @@ fn install_panic_hook(recorder: FlightRecorder) {
 
 fn run(raw: Vec<String>) -> Result<(), DaemonError> {
     let args = parse_args(&raw)?;
-    // The profiling plane is always on: every span feeds both the
-    // flamegraph aggregator (behind the `profile` RPC) and a bounded
-    // event ring, so `slicer-cli profile` works against any daemon.
-    let (telemetry, profile, events) = instrumented_telemetry(args.config.event_ring);
+    // The profiling plane is always on: every span feeds the flamegraph
+    // aggregator behind the `profile` RPC.
+    let profile = Arc::new(ProfileAggregator::new());
+    let telemetry = TelemetryHandle::with(Arc::new(MonotonicClock::new()), profile.clone());
     telemetry.set_log_level(args.log_level);
     telemetry.add_log_sink(Arc::new(match args.log_format {
         LogFormat::Text => WriterLogSink::stderr_text(),
         LogFormat::JsonLines => WriterLogSink::stderr_json(),
     }));
-    let mut daemon = Daemon::open(
-        &args.data,
-        args.config,
-        telemetry,
-        Some(profile),
-        Some(events),
-    )?;
+    let mut daemon = Daemon::open(&args.data, args.config, telemetry, profile)?;
     install_panic_hook(daemon.flight_recorder());
     let boot = match daemon.boot() {
         Boot::Fresh => "fresh".to_string(),

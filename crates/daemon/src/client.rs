@@ -3,8 +3,8 @@
 use crate::error::DaemonError;
 use crate::net::{Endpoint, Stream};
 use crate::proto::{
-    read_message, write_message, MetricsReply, ProfileReply, Request, RequestBody, Response,
-    ResponseBody, StatReply,
+    read_message, write_message, MetricsReply, ProfileReply, ReadOutcome, Request, RequestBody,
+    Response, ResponseBody, StatReply,
 };
 use slicer_core::Query;
 
@@ -40,8 +40,16 @@ impl DaemonClient {
             body,
         };
         write_message(&mut self.stream, &request)?;
-        let response: Response = read_message(&mut self.stream)?
-            .ok_or_else(|| DaemonError::Io("daemon closed the connection".into()))?;
+        let response: Response = match read_message(&mut self.stream)? {
+            ReadOutcome::Msg(response) => response,
+            ReadOutcome::Eof => return Err(DaemonError::Io("daemon closed the connection".into())),
+            ReadOutcome::Oversize { declared } => {
+                return Err(DaemonError::Protocol(format!(
+                    "incoming frame too large ({declared} bytes)"
+                )))
+            }
+            ReadOutcome::Undecodable(msg) => return Err(DaemonError::Protocol(msg)),
+        };
         match response.body {
             ResponseBody::Error(msg) => Err(DaemonError::Remote(msg)),
             body => Ok(body),
@@ -157,8 +165,8 @@ impl DaemonClient {
     ///
     /// # Errors
     ///
-    /// Transport failures, or [`DaemonError::Remote`] when the daemon
-    /// was booted without a profile aggregator.
+    /// Transport failures, or [`DaemonError::Remote`] /
+    /// [`DaemonError::Protocol`] on a daemon-side failure.
     pub fn profile(&mut self, svg: bool, gas: bool) -> Result<ProfileReply, DaemonError> {
         match self.call(RequestBody::Profile { svg, gas })? {
             ResponseBody::ProfileReport(report) => Ok(report),

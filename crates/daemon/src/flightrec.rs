@@ -21,14 +21,14 @@
 //! frame 0   FlightHeader  { version, reason, next_seq }
 //! frame 1   Vec<FlightRecord>   oldest → newest
 //! frame 2   String              log tail, JSON lines
-//! frame 3   String              folded wall profile   (version ≥ 2)
-//! frame 4   String              folded gas profile    (version ≥ 2)
+//! frame 3   String              folded wall profile
+//! frame 4   String              folded gas profile
 //! ```
 //!
-//! Version 2 embeds the daemon's final collapsed-stack profile (when a
-//! [`ProfileAggregator`] is attached), so a crash dump answers not just
-//! "what was running" but "where the time and gas had gone". Version-1
-//! recordings (three frames) still load, with empty profiles.
+//! The profile frames hold the daemon's live [`ProfileAggregator`] fold,
+//! so a crash dump answers not just "what was running" but "where the
+//! time and gas had gone". Only version 2 loads; any other version is an
+//! "unsupported flightrec version" error.
 
 use crate::error::DaemonError;
 use slicer_telemetry::{MemoryLogSink, ProfileAggregator, ProfileMode};
@@ -99,9 +99,9 @@ struct RecorderInner {
     /// The daemon's log ring; its tail is embedded in every persist so
     /// the post-mortem carries the words alongside the requests.
     logs: Arc<MemoryLogSink>,
-    /// The daemon's live profile aggregator, when profiling is on; its
-    /// folded wall and gas stacks are embedded in every persist.
-    profile: Option<Arc<ProfileAggregator>>,
+    /// The daemon's live profile aggregator; its folded wall and gas
+    /// stacks are embedded in every persist.
+    profile: Arc<ProfileAggregator>,
     state: Mutex<RecorderState>,
 }
 
@@ -114,13 +114,13 @@ pub struct FlightRecorder {
 
 impl FlightRecorder {
     /// A recorder persisting to `path`, retaining the last `capacity`
-    /// requests (min 1), embedding the tail of `logs` and — when
-    /// `profile` is supplied — the live folded wall/gas profiles.
+    /// requests (min 1), embedding the tail of `logs` and the live
+    /// folded wall/gas profiles of `profile`.
     pub fn new(
         path: PathBuf,
         capacity: usize,
         logs: Arc<MemoryLogSink>,
-        profile: Option<Arc<ProfileAggregator>>,
+        profile: Arc<ProfileAggregator>,
     ) -> Self {
         FlightRecorder {
             inner: Arc::new(RecorderInner {
@@ -210,22 +210,13 @@ impl FlightRecorder {
             reason: reason.to_string(),
             next_seq,
         };
-        let (profile_wall, profile_gas) = match &self.inner.profile {
-            Some(agg) => {
-                let p = agg.snapshot();
-                (
-                    p.to_folded(ProfileMode::Wall),
-                    p.to_folded(ProfileMode::Gas),
-                )
-            }
-            None => (String::new(), String::new()),
-        };
+        let profile = self.inner.profile.snapshot();
         let frames = vec![
             slicer_crypto::codec::to_bytes(&header)?,
             slicer_crypto::codec::to_bytes(&records)?,
             slicer_crypto::codec::to_bytes(&self.inner.logs.transcript())?,
-            slicer_crypto::codec::to_bytes(&profile_wall)?,
-            slicer_crypto::codec::to_bytes(&profile_gas)?,
+            slicer_crypto::codec::to_bytes(&profile.to_folded(ProfileMode::Wall))?,
+            slicer_crypto::codec::to_bytes(&profile.to_folded(ProfileMode::Gas))?,
         ];
         let tmp = self.inner.path.with_extension("slc.tmp");
         slicer_persist::write_frames(&tmp, &frames)?;
@@ -246,10 +237,9 @@ pub struct FlightRecording {
     pub requests: Vec<FlightRecord>,
     /// The embedded log tail, JSON lines.
     pub log: String,
-    /// Folded wall-weighted profile (empty in v1 recordings or when the
-    /// daemon ran without profiling).
+    /// Folded wall-weighted profile.
     pub profile_wall: String,
-    /// Folded gas-weighted profile (likewise possibly empty).
+    /// Folded gas-weighted profile.
     pub profile_gas: String,
 }
 
@@ -260,7 +250,7 @@ impl FlightRecording {
     ///
     /// [`DaemonError::Persist`] when the file is unreadable or fails
     /// frame validation, [`DaemonError::Protocol`] when a frame is
-    /// missing or does not decode.
+    /// missing or does not decode, or the version is not 2.
     pub fn load(path: &Path) -> Result<Self, DaemonError> {
         let (frames, _) = slicer_persist::read_frames(path)?;
         let mut it = frames.iter();
@@ -269,30 +259,19 @@ impl FlightRecording {
                 .ok_or_else(|| DaemonError::Protocol(format!("flightrec missing {what} frame")))
         };
         let header: FlightHeader = slicer_crypto::codec::from_bytes(frame("header")?)?;
-        if !(1..=FLIGHTREC_VERSION).contains(&header.version) {
+        if header.version != FLIGHTREC_VERSION {
             return Err(DaemonError::Protocol(format!(
                 "unsupported flightrec version {}",
                 header.version
             )));
         }
-        let requests: Vec<FlightRecord> = slicer_crypto::codec::from_bytes(frame("requests")?)?;
-        let log: String = slicer_crypto::codec::from_bytes(frame("log")?)?;
-        // Version 1 recordings stop after the log frame.
-        let (profile_wall, profile_gas) = if header.version >= 2 {
-            (
-                slicer_crypto::codec::from_bytes(frame("profile_wall")?)?,
-                slicer_crypto::codec::from_bytes(frame("profile_gas")?)?,
-            )
-        } else {
-            (String::new(), String::new())
-        };
         Ok(FlightRecording {
             reason: header.reason,
             next_seq: header.next_seq,
-            requests,
-            log,
-            profile_wall,
-            profile_gas,
+            requests: slicer_crypto::codec::from_bytes(frame("requests")?)?,
+            log: slicer_crypto::codec::from_bytes(frame("log")?)?,
+            profile_wall: slicer_crypto::codec::from_bytes(frame("profile_wall")?)?,
+            profile_gas: slicer_crypto::codec::from_bytes(frame("profile_gas")?)?,
         })
     }
 
@@ -329,7 +308,7 @@ mod tests {
     #[test]
     fn begin_persists_an_in_flight_entry_before_the_request_runs() {
         let path = tmp("begin");
-        let rec = FlightRecorder::new(path.clone(), 4, log_ring(), None);
+        let rec = FlightRecorder::new(path.clone(), 4, log_ring(), Arc::default());
         let (seq, err) = rec.begin(42, "search", 100);
         assert!(err.is_none(), "{err:?}");
 
@@ -353,7 +332,7 @@ mod tests {
     #[test]
     fn ring_evicts_oldest_and_seq_keeps_counting() {
         let path = tmp("evict");
-        let rec = FlightRecorder::new(path.clone(), 2, log_ring(), None);
+        let rec = FlightRecorder::new(path.clone(), 2, log_ring(), Arc::default());
         for i in 0..4u64 {
             let (seq, _) = rec.begin(i, "stat", i * 10);
             rec.end(seq, 1, "ok");
@@ -370,7 +349,7 @@ mod tests {
     #[test]
     fn explicit_persist_stamps_the_reason() {
         let path = tmp("reason");
-        let rec = FlightRecorder::new(path.clone(), 4, log_ring(), None);
+        let rec = FlightRecorder::new(path.clone(), 4, log_ring(), Arc::default());
         rec.persist("shutdown").unwrap();
         assert_eq!(FlightRecording::load(&path).unwrap().reason, "shutdown");
         // Clones (panic hook) share the same ring and path.
@@ -396,7 +375,7 @@ mod tests {
             duration_ns: 40,
             attrs: vec![("gas.used", slicer_telemetry::AttrValue::U64(9))],
         });
-        let rec = FlightRecorder::new(path.clone(), 4, log_ring(), Some(agg));
+        let rec = FlightRecorder::new(path.clone(), 4, log_ring(), agg);
         rec.persist("shutdown").unwrap();
         let loaded = FlightRecording::load(&path).unwrap();
         assert_eq!(loaded.profile_wall, "daemon.request 40\n");
@@ -404,55 +383,34 @@ mod tests {
     }
 
     #[test]
-    fn version_1_recordings_still_load_with_empty_profiles() {
-        // Hand-assemble a three-frame v1 segment, as an old daemon
-        // would have written it.
-        let path = tmp("v1");
-        let header = FlightHeader {
-            version: 1,
-            reason: "shutdown".into(),
-            next_seq: 3,
-        };
-        let records = vec![FlightRecord {
-            seq: 2,
-            trace_id: 0,
-            kind: "stat".into(),
-            start_ns: 1,
-            duration_ns: 2,
-            outcome: "ok".into(),
-        }];
-        let frames = vec![
-            slicer_crypto::codec::to_bytes(&header).unwrap(),
-            slicer_crypto::codec::to_bytes(&records).unwrap(),
-            slicer_crypto::codec::to_bytes(&String::from("{}\n")).unwrap(),
-        ];
-        slicer_persist::write_frames(&path, &frames).unwrap();
-        let loaded = FlightRecording::load(&path).unwrap();
-        assert_eq!(loaded.reason, "shutdown");
-        assert_eq!(loaded.requests, records);
-        assert!(loaded.profile_wall.is_empty());
-        assert!(loaded.profile_gas.is_empty());
-        // An unknown future version is still rejected.
-        let bad = FlightHeader {
-            version: 99,
-            ..header
-        };
-        let frames = vec![
-            slicer_crypto::codec::to_bytes(&bad).unwrap(),
-            slicer_crypto::codec::to_bytes(&Vec::<FlightRecord>::new()).unwrap(),
-            slicer_crypto::codec::to_bytes(&String::new()).unwrap(),
-        ];
-        slicer_persist::write_frames(&path, &frames).unwrap();
-        assert!(matches!(
-            FlightRecording::load(&path),
-            Err(DaemonError::Protocol(_))
-        ));
+    fn only_version_2_recordings_load() {
+        // A three-frame v1 segment and an unknown future version get the
+        // same typed error.
+        let path = tmp("version");
+        for version in [1, 99] {
+            let header = FlightHeader {
+                version,
+                reason: "shutdown".into(),
+                next_seq: 3,
+            };
+            let frames = vec![
+                slicer_crypto::codec::to_bytes(&header).unwrap(),
+                slicer_crypto::codec::to_bytes(&Vec::<FlightRecord>::new()).unwrap(),
+                slicer_crypto::codec::to_bytes(&String::from("{}\n")).unwrap(),
+            ];
+            slicer_persist::write_frames(&path, &frames).unwrap();
+            let err = FlightRecording::load(&path).unwrap_err();
+            assert!(
+                matches!(&err, DaemonError::Protocol(m) if m.contains("unsupported flightrec version")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
     fn corrupted_recording_fails_validation() {
         let path = tmp("corrupt");
-        let rec = FlightRecorder::new(path.clone(), 4, log_ring(), None);
+        let rec = FlightRecorder::new(path.clone(), 4, log_ring(), Arc::default());
         rec.persist("shutdown").unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 40; // inside a payload, not the magic

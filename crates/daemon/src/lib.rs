@@ -37,4 +37,4 @@ pub use proto::{
     MetricsReply, ProfileReply, ReadOutcome, Request, RequestBody, Response, ResponseBody,
     StatReply, WireHistogram, MAX_FRAME_LEN,
 };
-pub use server::{hex, instrumented_telemetry, Boot, Daemon, DaemonConfig, DEFAULT_EVENT_RING};
+pub use server::{hex, Boot, Daemon, DaemonConfig};

@@ -501,38 +501,7 @@ pub fn write_message<T: Encode>(stream: &mut impl Write, message: &T) -> Result<
     Ok(())
 }
 
-/// Reads one length-prefixed message. Returns `Ok(None)` on a clean EOF
-/// at a frame boundary (the peer closed the connection).
-///
-/// # Errors
-///
-/// [`DaemonError::Protocol`] on an oversized frame or undecodable
-/// payload, [`DaemonError::Io`] on socket failure or mid-frame EOF.
-pub fn read_message<T: Decode>(stream: &mut impl Read) -> Result<Option<T>, DaemonError> {
-    let mut len_bytes = [0u8; 4];
-    let mut filled = 0usize;
-    while let Some(unfilled) = len_bytes.get_mut(filled..).filter(|s| !s.is_empty()) {
-        let n = stream.read(unfilled)?;
-        if n == 0 {
-            if filled == 0 {
-                return Ok(None);
-            }
-            return Err(DaemonError::Io("eof inside frame length".into()));
-        }
-        filled += n;
-    }
-    let len = u32::from_be_bytes(len_bytes);
-    if len > MAX_FRAME_LEN {
-        return Err(DaemonError::Protocol(format!(
-            "incoming frame too large ({len} bytes)"
-        )));
-    }
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload)?;
-    Ok(Some(from_bytes(&payload)?))
-}
-
-/// What [`read_message_lenient`] found on the stream.
+/// What [`read_message`] found on the stream.
 #[derive(Debug)]
 pub enum ReadOutcome<T> {
     /// Clean EOF at a frame boundary — the peer closed the connection.
@@ -551,19 +520,21 @@ pub enum ReadOutcome<T> {
     Undecodable(String),
 }
 
-/// Reads one length-prefixed message without giving up on the
-/// connection for recoverable faults: an oversized frame is drained
-/// (bounded, never buffered) and an undecodable payload is reported
-/// instead of raised, so the serving loop can answer with a clean
-/// [`ResponseBody::Error`] and keep the stream alive. Hard transport
-/// faults (mid-frame EOF, socket errors) still raise.
+/// The most a frame's payload buffer is sized ahead of the bytes that
+/// arrive: a header alone pins at most this much memory.
+const PAYLOAD_PREALLOC: usize = 64 * 1024;
+
+/// Reads one length-prefixed message. Recoverable faults are reported,
+/// not raised: an oversized frame is drained (a bounded copy, never
+/// buffered) and an undecodable payload is consumed, so a server can
+/// answer with a clean [`ResponseBody::Error`] and keep the stream. The
+/// payload buffer starts at `min(declared, 64 KiB)` and grows only with
+/// the bytes actually received.
 ///
 /// # Errors
 ///
 /// [`DaemonError::Io`] on socket failure or EOF inside a frame.
-pub fn read_message_lenient<T: Decode>(
-    stream: &mut impl Read,
-) -> Result<ReadOutcome<T>, DaemonError> {
+pub fn read_message<T: Decode>(stream: &mut impl Read) -> Result<ReadOutcome<T>, DaemonError> {
     let mut len_bytes = [0u8; 4];
     let mut filled = 0usize;
     while let Some(unfilled) = len_bytes.get_mut(filled..).filter(|s| !s.is_empty()) {
@@ -577,20 +548,25 @@ pub fn read_message_lenient<T: Decode>(
         filled += n;
     }
     let len = u32::from_be_bytes(len_bytes);
+    let mut payload_stream = stream.take(u64::from(len));
     if len > MAX_FRAME_LEN {
-        // Consume the declared payload through a bounded copy into the
-        // sink — no allocation proportional to the hostile length. A
-        // short read (peer gave up mid-payload) surfaces on the next
+        // A short read (peer gave up mid-payload) surfaces on the next
         // frame read as EOF.
-        std::io::copy(&mut stream.take(u64::from(len)), &mut std::io::sink())?;
+        std::io::copy(&mut payload_stream, &mut std::io::sink())?;
         return Ok(ReadOutcome::Oversize { declared: len });
     }
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload)?;
-    match from_bytes(&payload) {
-        Ok(message) => Ok(ReadOutcome::Msg(message)),
-        Err(e) => Ok(ReadOutcome::Undecodable(e.to_string())),
+    let mut payload = Vec::with_capacity((len as usize).min(PAYLOAD_PREALLOC));
+    payload_stream.read_to_end(&mut payload)?;
+    if payload.len() != len as usize {
+        return Err(DaemonError::Io(format!(
+            "eof inside frame: {} of {len} payload bytes",
+            payload.len()
+        )));
     }
+    Ok(match from_bytes(&payload) {
+        Ok(message) => ReadOutcome::Msg(message),
+        Err(e) => ReadOutcome::Undecodable(e.to_string()),
+    })
 }
 
 #[cfg(test)]
@@ -605,7 +581,9 @@ mod tests {
         let mut wire = Vec::new();
         write_message(&mut wire, &value).unwrap();
         let mut cursor = wire.as_slice();
-        let back: T = read_message(&mut cursor).unwrap().unwrap();
+        let ReadOutcome::Msg(back) = read_message::<T>(&mut cursor).unwrap() else {
+            panic!("want Msg");
+        };
         assert_eq!(back, value);
         assert!(cursor.is_empty());
     }
@@ -746,36 +724,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lenient_reader_reports_instead_of_raising() {
-        // Clean EOF.
-        let empty: &[u8] = &[];
-        assert!(matches!(
-            read_message_lenient::<Request>(&mut { empty }).unwrap(),
-            ReadOutcome::Eof
-        ));
+    fn read(wire: &[u8]) -> Result<ReadOutcome<Request>, DaemonError> {
+        read_message(&mut { wire })
+    }
 
-        // A good message still decodes.
-        let mut wire = Vec::new();
-        write_message(
-            &mut wire,
-            &Request {
-                trace_id: 5,
-                body: RequestBody::Stat,
-            },
-        )
-        .unwrap();
-        let ReadOutcome::Msg(req) = read_message_lenient::<Request>(&mut wire.as_slice()).unwrap()
-        else {
-            panic!("want Msg");
-        };
-        assert_eq!(req.trace_id, 5);
+    #[test]
+    fn reader_reports_recoverable_faults_instead_of_raising() {
+        assert!(matches!(read(&[]).unwrap(), ReadOutcome::Eof));
 
         // Oversize: declared length above the cap is reported with the
         // payload drained, and a following frame is still readable.
         let declared = MAX_FRAME_LEN + 1;
         let mut wire = (declared).to_be_bytes().to_vec();
-        wire.extend(std::iter::repeat(0u8).take(declared as usize));
+        wire.resize(4 + declared as usize, 0);
         write_message(
             &mut wire,
             &Request {
@@ -785,32 +746,39 @@ mod tests {
         )
         .unwrap();
         let mut cursor = wire.as_slice();
-        let ReadOutcome::Oversize { declared: got } =
-            read_message_lenient::<Request>(&mut cursor).unwrap()
+        let ReadOutcome::Oversize { declared: got } = read_message::<Request>(&mut cursor).unwrap()
         else {
             panic!("want Oversize");
         };
         assert_eq!(got, declared);
-        let ReadOutcome::Msg(next) = read_message_lenient::<Request>(&mut cursor).unwrap() else {
+        let ReadOutcome::Msg(next) = read_message::<Request>(&mut cursor).unwrap() else {
             panic!("the stream must stay framed after the drain");
         };
         assert_eq!(next.trace_id, 6);
+        // A bare oversized header is drained as far as it goes.
+        assert!(matches!(
+            read(&u32::MAX.to_be_bytes()).unwrap(),
+            ReadOutcome::Oversize { .. }
+        ));
 
         // Undecodable payload: consumed and reported, not raised.
         let payload = [0xFFu8; 3];
         let mut wire = (payload.len() as u32).to_be_bytes().to_vec();
         wire.extend_from_slice(&payload);
+        wire.extend_from_slice(&[0, 0, 0, 4, 3, 0, 0, 0]);
+        let mut cursor = wire.as_slice();
         assert!(matches!(
-            read_message_lenient::<Request>(&mut wire.as_slice()).unwrap(),
+            read_message::<RequestBody>(&mut cursor).unwrap(),
             ReadOutcome::Undecodable(_)
+        ));
+        assert!(matches!(
+            read_message::<RequestBody>(&mut cursor).unwrap(),
+            ReadOutcome::Msg(RequestBody::Stat)
         ));
     }
 
     #[test]
-    fn clean_eof_is_none_and_torn_frame_is_error() {
-        let empty: &[u8] = &[];
-        assert!(read_message::<Request>(&mut { empty }).unwrap().is_none());
-
+    fn torn_frame_is_an_io_error() {
         let mut wire = Vec::new();
         write_message(
             &mut wire,
@@ -820,26 +788,40 @@ mod tests {
             },
         )
         .unwrap();
-        wire.truncate(wire.len() - 1);
-        let err = read_message::<Request>(&mut wire.as_slice()).unwrap_err();
+        for cut in [2, wire.len() - 1] {
+            let err = read(&wire[..cut]).unwrap_err();
+            assert!(matches!(err, DaemonError::Io(_)), "{err}");
+        }
+    }
+
+    /// A reader that records the largest buffer it is asked to fill.
+    struct Widest<'a> {
+        bytes: &'a [u8],
+        widest: usize,
+    }
+
+    impl Read for Widest<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.widest = self.widest.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_frame_header_alone_pins_at_most_64_kib() {
+        // A header declaring the largest legal frame, 16 bytes, then EOF.
+        let mut wire = MAX_FRAME_LEN.to_be_bytes().to_vec();
+        wire.extend_from_slice(&[0u8; 16]);
+        let mut stream = Widest {
+            bytes: &wire,
+            widest: 0,
+        };
+        let err = read_message::<Request>(&mut stream).unwrap_err();
         assert!(matches!(err, DaemonError::Io(_)), "{err}");
-    }
-
-    #[test]
-    fn oversized_length_prefix_is_rejected_without_allocating() {
-        let wire = u32::MAX.to_be_bytes();
-        let err = read_message::<Request>(&mut wire.as_slice()).unwrap_err();
-        assert!(matches!(err, DaemonError::Protocol(_)), "{err}");
-    }
-
-    #[test]
-    fn undecodable_payload_is_a_protocol_error() {
-        // A well-framed payload that is not a valid Request encoding.
-        let payload = [0xFFu8; 3];
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        wire.extend_from_slice(&payload);
-        let err = read_message::<Request>(&mut wire.as_slice()).unwrap_err();
-        assert!(matches!(err, DaemonError::Protocol(_)), "{err}");
+        assert!(
+            stream.widest <= PAYLOAD_PREALLOC,
+            "asked to fill {} bytes",
+            stream.widest
+        );
     }
 }

@@ -17,15 +17,14 @@ use crate::error::DaemonError;
 use crate::flightrec::{FlightRecorder, FLIGHTREC_FILE};
 use crate::net::{Listener, Meter, MeteredStream};
 use crate::proto::{
-    read_message_lenient, write_message, MetricsReply, ProfileReply, ReadOutcome, Request,
-    RequestBody, Response, ResponseBody, StatReply, MAX_FRAME_LEN,
+    read_message, write_message, MetricsReply, ProfileReply, ReadOutcome, Request, RequestBody,
+    Response, ResponseBody, StatReply, MAX_FRAME_LEN,
 };
 use slicer_chain::Blockchain;
 use slicer_core::{Query, RecordId, SlicerConfig, SlicerInstance};
 use slicer_persist::{Delta, SegmentStore, Snapshot};
 use slicer_telemetry::{
-    FanoutSink, Level, MemoryLogSink, MemorySink, MonotonicClock, ProfileAggregator, ProfileMode,
-    Sink, TelemetryHandle, TraceId,
+    Level, MemoryLogSink, ProfileAggregator, ProfileMode, TelemetryHandle, TraceId,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -33,6 +32,9 @@ use std::sync::Arc;
 /// How many accept failures in a row the serve loop tolerates before
 /// concluding the listener is gone and bailing out.
 const MAX_CONSECUTIVE_ACCEPT_FAILURES: u32 = 8;
+
+/// How many recent requests the flight recorder retains.
+const FLIGHTREC_REQUESTS: usize = 64;
 
 /// Boot parameters for a daemon.
 #[derive(Debug, Clone)]
@@ -46,14 +48,6 @@ pub struct DaemonConfig {
     /// Requests taking at least this long earn a warn-level
     /// `slow request` log line.
     pub slow_request_ns: u64,
-    /// Capacity of the in-memory structured-log ring serving `Tail`
-    /// and embedded in the flight recorder.
-    pub log_ring: usize,
-    /// How many recent requests the flight recorder retains.
-    pub flightrec_requests: usize,
-    /// Capacity of the bounded telemetry event ring a profiled daemon
-    /// retains (see [`instrumented_telemetry`]).
-    pub event_ring: usize,
 }
 
 impl Default for DaemonConfig {
@@ -62,35 +56,8 @@ impl Default for DaemonConfig {
             seed: 7,
             value_bits: 16,
             slow_request_ns: 250_000_000,
-            log_ring: slicer_telemetry::DEFAULT_LOG_RING,
-            flightrec_requests: 64,
-            event_ring: DEFAULT_EVENT_RING,
         }
     }
-}
-
-/// Default capacity of the daemon's bounded span-event ring: enough for
-/// thousands of requests' spans, bounded so a long-lived `slicerd`
-/// cannot grow without limit (evictions are counted, not silent).
-pub const DEFAULT_EVENT_RING: usize = 65_536;
-
-/// Builds the telemetry stack `slicerd` boots with: a live handle whose
-/// event stream fans out to a [`ProfileAggregator`] (the live flamegraph
-/// fold) and a bounded [`MemorySink`] ring of capacity `event_ring`
-/// (recent raw events, eviction-counted). Pass the returned aggregator
-/// and ring to [`Daemon::open`] so the `Profile` RPC, the flight
-/// recorder and the `telemetry.events.dropped` gauge see them.
-pub fn instrumented_telemetry(
-    event_ring: usize,
-) -> (TelemetryHandle, Arc<ProfileAggregator>, Arc<MemorySink>) {
-    let profile = Arc::new(ProfileAggregator::new());
-    let events = Arc::new(MemorySink::with_capacity(event_ring));
-    let fanout = FanoutSink::new(vec![
-        Arc::clone(&profile) as Arc<dyn Sink>,
-        Arc::clone(&events) as Arc<dyn Sink>,
-    ]);
-    let telemetry = TelemetryHandle::with(Arc::new(MonotonicClock::new()), Arc::new(fanout));
-    (telemetry, profile, events)
 }
 
 /// How the daemon came up: fresh setup or restored from disk.
@@ -118,10 +85,8 @@ pub struct Daemon {
     meter: Meter,
     log_ring: Arc<MemoryLogSink>,
     flightrec: FlightRecorder,
-    /// The live collapsed-stack fold, when profiling is enabled.
-    profile: Option<Arc<ProfileAggregator>>,
-    /// The bounded raw-event ring, when profiling is enabled.
-    events: Option<Arc<MemorySink>>,
+    /// The live collapsed-stack fold behind the `Profile` RPC.
+    profile: Arc<ProfileAggregator>,
 }
 
 impl Daemon {
@@ -130,12 +95,11 @@ impl Daemon {
     /// accumulator digest byte-identical to the snapshot's), otherwise
     /// run a fresh setup with `config`.
     ///
-    /// The profiling plane is optional: `profile` is the aggregator the
-    /// handle's sink already feeds (see [`instrumented_telemetry`]) — the
-    /// daemon serves its snapshots via the `Profile` RPC and embeds its
-    /// folded stacks in flight recordings; `events` is the bounded
-    /// raw-event ring whose evictions surface in the
-    /// `telemetry.events.dropped` gauge. Pass `None, None` for neither.
+    /// `profile` is the aggregator the handle's sink feeds (`slicerd`
+    /// makes it the handle's sink). The daemon serves its snapshots via
+    /// the `Profile` RPC, embeds its folded stacks in flight recordings
+    /// and reports its dropped stacks in the `telemetry.events.dropped`
+    /// gauge.
     ///
     /// # Errors
     ///
@@ -147,8 +111,7 @@ impl Daemon {
         data_dir: &Path,
         config: DaemonConfig,
         telemetry: TelemetryHandle,
-        profile: Option<Arc<ProfileAggregator>>,
-        events: Option<Arc<MemorySink>>,
+        profile: Arc<ProfileAggregator>,
     ) -> Result<Self, DaemonError> {
         if !(1..=64).contains(&config.value_bits) {
             return Err(DaemonError::Config(format!(
@@ -164,11 +127,11 @@ impl Daemon {
         // The operations plane comes up before the instance: the log
         // ring catches boot-time records and the flight recorder's first
         // persist happens on the first request.
-        let log_ring = Arc::new(MemoryLogSink::with_capacity(config.log_ring));
+        let log_ring = Arc::new(MemoryLogSink::new());
         telemetry.add_log_sink(log_ring.clone() as _);
         let flightrec = FlightRecorder::new(
             data_dir.join(FLIGHTREC_FILE),
-            config.flightrec_requests,
+            FLIGHTREC_REQUESTS,
             log_ring.clone(),
             profile.clone(),
         );
@@ -224,7 +187,6 @@ impl Daemon {
             log_ring,
             flightrec,
             profile,
-            events,
         };
         daemon.telemetry.log(
             Level::Info,
@@ -298,7 +260,7 @@ impl Daemon {
             RequestBody::Shutdown => Ok(ResponseBody::ShuttingDown),
             RequestBody::Metrics => Ok(ResponseBody::MetricsReport(self.metrics_report())),
             RequestBody::Tail { count } => Ok(self.tail(*count)),
-            RequestBody::Profile { svg, gas } => self.profile_report(*svg, *gas),
+            RequestBody::Profile { svg, gas } => Ok(self.profile_report(*svg, *gas)),
         }
         .unwrap_or_else(|e| ResponseBody::Error(e.to_string()));
         let outcome = match &body {
@@ -418,12 +380,9 @@ impl Daemon {
         self.telemetry
             .gauge("net.bytes_out", self.meter.bytes_out());
         self.telemetry.gauge("log.dropped", self.log_ring.dropped());
-        // Telemetry-plane losses: event-ring evictions plus profile
-        // stacks discarded at the aggregator's cap.
-        let events_dropped = self.events.as_ref().map_or(0, |e| e.dropped())
-            + self.profile.as_ref().map_or(0, |p| p.dropped_stacks());
+        // Telemetry-plane losses: stacks discarded at the aggregator's cap.
         self.telemetry
-            .gauge("telemetry.events.dropped", events_dropped);
+            .gauge("telemetry.events.dropped", self.profile.dropped_stacks());
         let snap = self.telemetry.snapshot();
         MetricsReply {
             uptime_ns: self.telemetry.now_nanos().saturating_sub(self.boot_ns),
@@ -443,13 +402,8 @@ impl Daemon {
         }
     }
 
-    fn profile_report(&self, svg: bool, gas: bool) -> Result<ResponseBody, DaemonError> {
-        let Some(agg) = &self.profile else {
-            return Err(DaemonError::Config(
-                "profiling is not enabled on this daemon (no profile aggregator attached)".into(),
-            ));
-        };
-        let profile = agg.snapshot();
+    fn profile_report(&self, svg: bool, gas: bool) -> ResponseBody {
+        let profile = self.profile.snapshot();
         let mode = if gas {
             ProfileMode::Gas
         } else {
@@ -461,14 +415,14 @@ impl Daemon {
         } else {
             profile.to_folded(mode)
         };
-        Ok(ResponseBody::ProfileReport(ProfileReply {
+        ResponseBody::ProfileReport(ProfileReply {
             format: if svg { "svg" } else { "folded" }.to_string(),
             mode: mode_name.to_string(),
             rendered,
             total: profile.total(mode),
             stacks: profile.entries.len() as u64,
             dropped_stacks: profile.dropped_stacks,
-        }))
+        })
     }
 
     fn tail(&self, count: u64) -> ResponseBody {
@@ -548,56 +502,38 @@ impl Daemon {
     /// when the peer requested shutdown. Oversized and undecodable
     /// frames are answered with a clean [`ResponseBody::Error`] (and
     /// counted under `rpc.error.oversize` / `rpc.error.decode`) instead
-    /// of dropping the connection — the lenient reader keeps the stream
-    /// framed in both cases.
+    /// of dropping the connection: the reader consumes both, so the
+    /// stream stays framed.
     fn serve_connection(&mut self, mut stream: MeteredStream) -> Result<bool, DaemonError> {
         loop {
-            let request = match read_message_lenient::<Request>(&mut stream)? {
+            let (counter, reason) = match read_message::<Request>(&mut stream)? {
                 ReadOutcome::Eof => return Ok(false),
-                ReadOutcome::Msg(request) => request,
-                ReadOutcome::Oversize { declared } => {
-                    self.telemetry.count("rpc.error.oversize", 1);
-                    self.telemetry.log(
-                        Level::Warn,
-                        "slicerd.rpc",
-                        "oversize frame rejected",
-                        vec![("declared", declared.into()), ("cap", MAX_FRAME_LEN.into())],
-                    );
-                    write_message(
-                        &mut stream,
-                        &Response {
-                            trace_id: 0,
-                            body: ResponseBody::Error(format!(
-                                "frame too large: {declared} bytes exceeds cap {MAX_FRAME_LEN}"
-                            )),
-                        },
-                    )?;
+                ReadOutcome::Msg(request) => {
+                    let response = self.handle(&request);
+                    write_message(&mut stream, &response)?;
+                    if matches!(request.body, RequestBody::Shutdown) {
+                        return Ok(true);
+                    }
                     continue;
                 }
+                ReadOutcome::Oversize { declared } => (
+                    "rpc.error.oversize",
+                    format!("frame too large: {declared} bytes exceeds cap {MAX_FRAME_LEN}"),
+                ),
                 ReadOutcome::Undecodable(msg) => {
-                    self.telemetry.count("rpc.error.decode", 1);
-                    self.telemetry.log(
-                        Level::Warn,
-                        "slicerd.rpc",
-                        format!("undecodable request: {msg}"),
-                        vec![],
-                    );
-                    write_message(
-                        &mut stream,
-                        &Response {
-                            trace_id: 0,
-                            body: ResponseBody::Error(format!("undecodable request: {msg}")),
-                        },
-                    )?;
-                    continue;
+                    ("rpc.error.decode", format!("undecodable request: {msg}"))
                 }
             };
-            let shutdown = matches!(request.body, RequestBody::Shutdown);
-            let response = self.handle(&request);
-            write_message(&mut stream, &response)?;
-            if shutdown {
-                return Ok(true);
-            }
+            self.telemetry.count(counter, 1);
+            self.telemetry
+                .log(Level::Warn, "slicerd.rpc", reason.clone(), vec![]);
+            write_message(
+                &mut stream,
+                &Response {
+                    trace_id: 0,
+                    body: ResponseBody::Error(reason),
+                },
+            )?;
         }
     }
 }
@@ -648,7 +584,7 @@ mod tests {
     fn fresh_boot_serves_ingest_search_verify_stat() {
         let dir = tmp("fresh");
         let mut daemon =
-            Daemon::open(&dir, cfg(), TelemetryHandle::disabled(), None, None).unwrap();
+            Daemon::open(&dir, cfg(), TelemetryHandle::disabled(), Arc::default()).unwrap();
         assert_eq!(daemon.boot(), Boot::Fresh);
 
         let resp = daemon.handle(&Request {
@@ -718,7 +654,7 @@ mod tests {
         let digest_before;
         {
             let mut daemon =
-                Daemon::open(&dir, cfg(), TelemetryHandle::disabled(), None, None).unwrap();
+                Daemon::open(&dir, cfg(), TelemetryHandle::disabled(), Arc::default()).unwrap();
             daemon.handle(&Request {
                 trace_id: 0,
                 body: RequestBody::Ingest {
@@ -729,7 +665,7 @@ mod tests {
         } // dropped without any clean shutdown — like a crash after commit
 
         let mut daemon =
-            Daemon::open(&dir, cfg(), TelemetryHandle::disabled(), None, None).unwrap();
+            Daemon::open(&dir, cfg(), TelemetryHandle::disabled(), Arc::default()).unwrap();
         assert_eq!(daemon.boot(), Boot::Restored(1));
         assert_eq!(
             daemon.digest(),
@@ -766,7 +702,7 @@ mod tests {
         };
         let counter = |daemon: &Daemon, name: &str| daemon.telemetry.counter_value(name);
 
-        let mut daemon = Daemon::open(&dir, cfg(), live(), None, None).unwrap();
+        let mut daemon = Daemon::open(&dir, cfg(), live(), Arc::default()).unwrap();
         // A base large enough that small deltas do not outgrow it.
         ingest(&mut daemon, (100..140).map(|id| (id, id)).collect());
         for id in 4..7 {
@@ -802,7 +738,7 @@ mod tests {
         let victim = dir.join("seg-0000000006-0000.slc");
         let bytes = std::fs::read(&victim).unwrap();
         std::fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
-        let daemon = Daemon::open(&dir, cfg(), live(), None, None).unwrap();
+        let daemon = Daemon::open(&dir, cfg(), live(), Arc::default()).unwrap();
         assert_eq!(daemon.boot(), Boot::Restored(5));
         assert_eq!(daemon.digest(), digest);
         assert_eq!(counter(&daemon, "persist.recovery.fallbacks"), Some(1));
@@ -817,7 +753,7 @@ mod tests {
     fn domain_errors_become_error_responses_not_crashes() {
         let dir = tmp("err");
         let mut daemon =
-            Daemon::open(&dir, cfg(), TelemetryHandle::disabled(), None, None).unwrap();
+            Daemon::open(&dir, cfg(), TelemetryHandle::disabled(), Arc::default()).unwrap();
         // Value 300 exceeds the 8-bit domain: the owner rejects it.
         let resp = daemon.handle(&Request {
             trace_id: 0,
@@ -840,7 +776,7 @@ mod tests {
         let dir = tmp("metrics");
         let telemetry =
             TelemetryHandle::with(Arc::new(LogicalClock::with_step(1_000)), Arc::new(NullSink));
-        let mut daemon = Daemon::open(&dir, cfg(), telemetry.clone(), None, None).unwrap();
+        let mut daemon = Daemon::open(&dir, cfg(), telemetry.clone(), Arc::default()).unwrap();
 
         daemon.handle(&Request {
             trace_id: 0,
@@ -885,7 +821,7 @@ mod tests {
             slow_request_ns: 0, // every request logs as slow
             ..cfg()
         };
-        let mut daemon = Daemon::open(&dir, config, telemetry, None, None).unwrap();
+        let mut daemon = Daemon::open(&dir, config, telemetry, Arc::default()).unwrap();
         daemon.handle(&Request {
             trace_id: 0,
             body: RequestBody::Stat,
@@ -921,26 +857,23 @@ mod tests {
 
     #[test]
     fn profile_rpc_serves_stacks_that_reconcile_with_gas_counters() {
-        use slicer_telemetry::{LogicalClock, ProfileAggregator};
+        use slicer_telemetry::LogicalClock;
         let dir = tmp("profile");
-        let profile = Arc::new(ProfileAggregator::new());
-        // A deliberately tiny event ring: the boot + request span
-        // traffic must overflow it, exercising eviction accounting.
-        let events = Arc::new(MemorySink::with_capacity(4));
-        let fanout = FanoutSink::new(vec![
-            Arc::clone(&profile) as Arc<dyn Sink>,
-            Arc::clone(&events) as Arc<dyn Sink>,
-        ]);
-        let telemetry =
-            TelemetryHandle::with(Arc::new(LogicalClock::with_step(100)), Arc::new(fanout));
-        let mut daemon =
-            Daemon::open(&dir, cfg(), telemetry.clone(), Some(profile), Some(events)).unwrap();
-        daemon.handle(&Request {
-            trace_id: 0,
-            body: RequestBody::Ingest {
-                records: vec![(1, 10), (2, 20), (3, 30)],
-            },
-        });
+        // The aggregator is the handle's sink, as in slicerd.
+        let profiled = |dir: &Path, profile: ProfileAggregator| {
+            let profile = Arc::new(profile);
+            let telemetry =
+                TelemetryHandle::with(Arc::new(LogicalClock::with_step(100)), profile.clone());
+            let mut daemon = Daemon::open(dir, cfg(), telemetry.clone(), profile).unwrap();
+            daemon.handle(&Request {
+                trace_id: 0,
+                body: RequestBody::Ingest {
+                    records: vec![(1, 10), (2, 20), (3, 30)],
+                },
+            });
+            (daemon, telemetry)
+        };
+        let (mut daemon, telemetry) = profiled(&dir, ProfileAggregator::new());
         daemon.handle(&Request {
             trace_id: 0,
             body: RequestBody::Search {
@@ -1018,24 +951,15 @@ mod tests {
         assert_eq!(format, "svg");
         slicer_telemetry::xml::check(&rendered).expect("well-formed SVG");
 
-        // The tiny event ring overflowed; the scrape surfaces it, and
-        // the in-flight gauge reads 1 mid-request by construction.
-        let snap = daemon.metrics_report().snapshot();
-        let gauge = |name: &str| snap.gauge(name).unwrap_or(0);
-        assert!(gauge("telemetry.events.dropped") > 0);
-
-        // An unprofiled daemon answers Profile with a clean error.
-        let dir2 = tmp("unprofiled");
-        let mut plain =
-            Daemon::open(&dir2, cfg(), TelemetryHandle::disabled(), None, None).unwrap();
-        let resp = plain.handle(&Request {
-            trace_id: 0,
-            body: RequestBody::Profile {
-                svg: false,
-                gas: false,
-            },
-        });
-        assert!(matches!(resp.body, ResponseBody::Error(_)));
+        // Nothing was dropped under the default cap; a one-stack cap
+        // overflows on boot and ingest, and the scrape surfaces it.
+        let dropped = |daemon: &Daemon| {
+            let snap = daemon.metrics_report().snapshot();
+            snap.gauge("telemetry.events.dropped").unwrap_or(0)
+        };
+        assert_eq!(dropped(&daemon), 0);
+        let (capped, _) = profiled(&tmp("capped"), ProfileAggregator::with_max_stacks(1));
+        assert!(dropped(&capped) > 0);
     }
 
     #[test]
@@ -1047,7 +971,7 @@ mod tests {
             ..DaemonConfig::default()
         };
         assert!(matches!(
-            Daemon::open(&dir, bad, TelemetryHandle::disabled(), None, None),
+            Daemon::open(&dir, bad, TelemetryHandle::disabled(), Arc::default()),
             Err(DaemonError::Config(_))
         ));
     }

@@ -216,7 +216,26 @@ fn cli_round_trip_against_a_live_daemon() {
 #[test]
 fn oversize_frame_gets_a_clean_error_and_the_connection_survives() {
     use slicer_daemon::proto::{
-        read_message, write_message, Request, RequestBody, Response, ResponseBody, MAX_FRAME_LEN,
+        read_message, write_message, ReadOutcome, Request, RequestBody, Response, ResponseBody,
+        MAX_FRAME_LEN,
+    };
+    let reply = |stream: &mut slicer_daemon::Stream| -> ResponseBody {
+        match read_message::<Response>(stream).expect("framed reply, not a dropped connection") {
+            ReadOutcome::Msg(response) => response.body,
+            other => panic!("want a response frame, got {other:?}"),
+        }
+    };
+    let stat = |stream: &mut slicer_daemon::Stream| {
+        write_message(
+            stream,
+            &Request {
+                trace_id: 9,
+                body: RequestBody::Stat,
+            },
+        )
+        .unwrap();
+        let body = reply(stream);
+        assert!(matches!(body, ResponseBody::Stats(_)), "{body:?}");
     };
 
     let dir = temp_dir("oversize");
@@ -242,38 +261,38 @@ fn oversize_frame_gets_a_clean_error_and_the_connection_survives() {
     }
     stream.flush().unwrap();
 
-    let reply: Response = read_message(&mut stream)
-        .expect("framed reply, not a dropped connection")
-        .expect("a response frame");
-    let ResponseBody::Error(msg) = reply.body else {
-        panic!("want Error, got {:?}", reply.body);
-    };
-    assert!(msg.contains("frame too large"), "{msg}");
-
+    let body = reply(&mut stream);
+    assert!(
+        matches!(&body, ResponseBody::Error(msg) if msg.contains("frame too large")),
+        "{body:?}"
+    );
     // Same connection, well-formed request: still served.
-    write_message(
-        &mut stream,
-        &Request {
-            trace_id: 9,
-            body: RequestBody::Stat,
-        },
-    )
-    .unwrap();
-    let reply: Response = read_message(&mut stream).unwrap().expect("stat reply");
-    assert!(matches!(reply.body, ResponseBody::Stats(_)), "{reply:?}");
+    stat(&mut stream);
+
+    // A well-framed payload that is no request: the same error path.
+    stream.write_all(&[0, 0, 0, 3, 0xFF, 0xFF, 0xFF]).unwrap();
+    let body = reply(&mut stream);
+    assert!(
+        matches!(&body, ResponseBody::Error(msg) if msg.contains("undecodable request")),
+        "{body:?}"
+    );
+    stat(&mut stream);
     // The daemon serves sequentially: close this connection before the
     // metrics client queues up behind it.
     drop(stream);
 
-    // The rejection landed in the error taxonomy.
+    // Both rejections landed in the error taxonomy.
     let mut client = DaemonClient::connect(&endpoint).unwrap();
     let metrics = client.metrics().unwrap();
-    let oversize = metrics
-        .counters
-        .iter()
-        .find(|(n, _)| n == "rpc.error.oversize")
-        .map_or(0, |(_, v)| *v);
-    assert_eq!(oversize, 1, "{:?}", metrics.counters);
+    let counter = |name: &str| {
+        metrics
+            .counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |(_, v)| *v)
+    };
+    assert_eq!(counter("rpc.error.oversize"), 1, "{:?}", metrics.counters);
+    assert_eq!(counter("rpc.error.decode"), 1, "{:?}", metrics.counters);
 
     client.shutdown().unwrap();
     child.wait().unwrap();

@@ -14,8 +14,7 @@
 use slicer_core::Query;
 use slicer_daemon::{Daemon, DaemonConfig, Request, RequestBody, ResponseBody};
 use slicer_telemetry::{
-    chrome_trace, Event, FanoutSink, LogicalClock, MemorySink, ProfileAggregator, ProfileMode,
-    Sink, TelemetryHandle,
+    chrome_trace, fold_events, Event, LogicalClock, MemorySink, ProfileMode, TelemetryHandle,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -29,13 +28,10 @@ fn temp_dir(name: &str) -> PathBuf {
 
 #[test]
 fn adopted_daemon_request_joins_the_client_trace() {
+    // Record the raw stream; `fold_events` is the same fold a live
+    // aggregator runs.
     let events = Arc::new(MemorySink::new());
-    let profile = Arc::new(ProfileAggregator::new());
-    let fanout = FanoutSink::new(vec![
-        Arc::clone(&profile) as Arc<dyn Sink>,
-        Arc::clone(&events) as Arc<dyn Sink>,
-    ]);
-    let telemetry = TelemetryHandle::with(Arc::new(LogicalClock::with_step(100)), Arc::new(fanout));
+    let telemetry = TelemetryHandle::with(Arc::new(LogicalClock::with_step(100)), events.clone());
 
     let dir = temp_dir("adopt");
     let mut daemon = Daemon::open(
@@ -46,8 +42,7 @@ fn adopted_daemon_request_joins_the_client_trace() {
             ..DaemonConfig::default()
         },
         telemetry.clone(),
-        Some(Arc::clone(&profile)),
-        Some(Arc::clone(&events)),
+        Arc::default(),
     )
     .expect("fresh boot");
 
@@ -86,7 +81,8 @@ fn adopted_daemon_request_joins_the_client_trace() {
     // (a) Flamegraph continuity: the daemon's adopted request folds
     // *under* the client root — one stack, rooted at cli.search, with
     // the protocol's search span below the daemon dispatch frame.
-    let folded = profile.snapshot().to_folded(ProfileMode::Wall);
+    let recorded = events.events();
+    let folded = fold_events(&recorded).to_folded(ProfileMode::Wall);
     assert!(
         folded
             .lines()
@@ -101,7 +97,6 @@ fn adopted_daemon_request_joins_the_client_trace() {
 
     // (b) Chrome-trace continuity: client span and adopted daemon span
     // share the same track (tid = trace id) in the exported document.
-    let recorded = events.events();
     let trace_of = |wanted: &str| -> Vec<u64> {
         recorded
             .iter()

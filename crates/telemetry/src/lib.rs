@@ -28,8 +28,8 @@
 //!   a [`Clock`] and a [`Sink`]; [`TelemetryHandle::span`] returns a guard
 //!   that records a latency observation when dropped.
 //! * [`Sink`] — a pluggable event stream: [`MemorySink`] for tests,
-//!   [`JsonLinesSink`] for stderr tracing, [`NullSink`] when only the
-//!   aggregated registry matters.
+//!   [`ProfileAggregator`] for a live flamegraph fold, [`NullSink`] when
+//!   only the aggregated registry matters.
 //! * Structured logs — [`TelemetryHandle::log`] emits leveled
 //!   [`LogRecord`]s (same `'static`-keyed [`AttrValue`] fields as span
 //!   attributes, timestamped on the handle's clock) to pluggable
@@ -84,13 +84,12 @@ pub use clock::{Clock, LogicalClock, MonotonicClock};
 pub use export::{HistogramSummary, Snapshot};
 pub use handle::{Span, TelemetryHandle};
 pub use log::{
-    Level, LogFormat, LogRecord, LogSink, MemoryLogSink, NullLogSink, WriterLogSink,
-    DEFAULT_LOG_RING,
+    Level, LogFormat, LogRecord, LogSink, MemoryLogSink, WriterLogSink, DEFAULT_LOG_RING,
 };
 pub use metrics::{Histogram, Metrics, HISTOGRAM_BUCKETS};
 pub use profile::{
     fold_events, Profile, ProfileAggregator, ProfileEntry, ProfileMode, DEFAULT_MAX_STACKS,
     GAS_ATTR,
 };
-pub use sink::{Event, FanoutSink, JsonLinesSink, MemorySink, NullSink, Sink};
+pub use sink::{Event, MemorySink, NullSink, Sink};
 pub use trace::{chrome_trace, AttrValue, Attrs, SpanContext, SpanId, TraceId};

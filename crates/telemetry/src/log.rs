@@ -135,14 +135,6 @@ pub trait LogSink: Send + Sync + fmt::Debug {
     fn log(&self, record: &LogRecord);
 }
 
-/// Discards every record.
-#[derive(Debug, Default)]
-pub struct NullLogSink;
-
-impl LogSink for NullLogSink {
-    fn log(&self, _record: &LogRecord) {}
-}
-
 /// A fixed-capacity ring of the most recent records.
 ///
 /// This is the test sink, the backing store of the daemon's `Tail`

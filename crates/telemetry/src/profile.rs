@@ -160,8 +160,7 @@ struct AggState {
 }
 
 /// Incremental collapsed-stack aggregator; plug it into a
-/// [`TelemetryHandle`](crate::TelemetryHandle) as its [`Sink`] (fan out
-/// with [`FanoutSink`](crate::FanoutSink) to keep other sinks) and call
+/// [`TelemetryHandle`](crate::TelemetryHandle) as its [`Sink`] and call
 /// [`snapshot`](ProfileAggregator::snapshot) at any time.
 #[derive(Debug)]
 pub struct ProfileAggregator {

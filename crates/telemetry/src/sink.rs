@@ -4,14 +4,10 @@
 //! stream answers "what happened, in order". A [`Sink`] receives one
 //! [`Event`] per span end, counter bump and gauge set. The default
 //! [`NullSink`] drops everything (aggregation still happens in the
-//! registry); [`MemorySink`] records for tests; [`JsonLinesSink`] writes
-//! one JSON object per line for offline analysis.
+//! registry); [`MemorySink`] records for tests.
 
-use std::collections::VecDeque;
 use std::fmt;
-use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use crate::json;
 use crate::trace::{write_attrs_json, Attrs, SpanId, TraceId};
@@ -141,73 +137,45 @@ impl Sink for NullSink {
     fn record(&self, _event: Event) {}
 }
 
-/// Buffers events in memory — unbounded via [`MemorySink::new`] for
-/// tests and determinism comparisons, or as a fixed-capacity ring via
-/// [`MemorySink::with_capacity`] so a long-running daemon can retain a
-/// recent event window without unbounded growth (mirroring
-/// [`MemoryLogSink`](crate::MemoryLogSink)). When the ring is full the
-/// oldest event is evicted and counted in [`MemorySink::dropped`].
-#[derive(Debug)]
+/// Buffers every event in memory, for tests and determinism
+/// comparisons.
+#[derive(Debug, Default)]
 pub struct MemorySink {
-    events: Mutex<VecDeque<Event>>,
-    capacity: usize,
-    dropped: AtomicU64,
-}
-
-impl Default for MemorySink {
-    fn default() -> Self {
-        Self::new()
-    }
+    events: Mutex<Vec<Event>>,
 }
 
 impl MemorySink {
-    /// An empty, effectively unbounded sink (the test/determinism
-    /// configuration — nothing is ever evicted).
+    /// An empty sink.
     pub fn new() -> Self {
-        Self::with_capacity(usize::MAX)
-    }
-
-    /// An empty ring retaining the most recent `capacity` events
-    /// (minimum 1). Older events are evicted and counted as dropped.
-    pub fn with_capacity(capacity: usize) -> Self {
-        MemorySink {
-            events: Mutex::new(VecDeque::new()),
-            capacity: capacity.max(1),
-            dropped: AtomicU64::new(0),
-        }
+        Self::default()
     }
 
     /// Telemetry must never take the process down: recover the buffer
     /// from a poisoned lock instead of propagating the panic.
-    fn locked(&self) -> std::sync::MutexGuard<'_, VecDeque<Event>> {
+    fn locked(&self) -> std::sync::MutexGuard<'_, Vec<Event>> {
         match self.events.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         }
     }
 
-    /// A copy of every retained event, oldest first.
+    /// A copy of every recorded event, oldest first.
     pub fn events(&self) -> Vec<Event> {
-        self.locked().iter().cloned().collect()
+        self.locked().clone()
     }
 
-    /// Number of events currently retained.
+    /// Number of events recorded.
     pub fn len(&self) -> usize {
         self.locked().len()
     }
 
-    /// Whether no events are retained.
+    /// Whether no events were recorded.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Events evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// The retained transcript as JSON lines — a canonical byte string
-    /// for byte-identical determinism assertions.
+    /// The transcript as JSON lines — a canonical byte string for
+    /// byte-identical determinism assertions.
     pub fn transcript(&self) -> String {
         let mut out = String::new();
         for e in self.locked().iter() {
@@ -220,74 +188,7 @@ impl MemorySink {
 
 impl Sink for MemorySink {
     fn record(&self, event: Event) {
-        let mut events = self.locked();
-        if events.len() >= self.capacity {
-            events.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        events.push_back(event);
-    }
-}
-
-/// Duplicates every event to each wrapped sink, in order — how `slicerd`
-/// feeds one span stream to both its
-/// [`ProfileAggregator`](crate::ProfileAggregator) and its bounded event
-/// ring.
-#[derive(Debug, Default)]
-pub struct FanoutSink {
-    sinks: Vec<Arc<dyn Sink>>,
-}
-
-impl FanoutSink {
-    /// A sink fanning out to `sinks` in the given order.
-    pub fn new(sinks: Vec<Arc<dyn Sink>>) -> Self {
-        FanoutSink { sinks }
-    }
-}
-
-impl Sink for FanoutSink {
-    fn record(&self, event: Event) {
-        if let Some((last, rest)) = self.sinks.split_last() {
-            for sink in rest {
-                sink.record(event.clone());
-            }
-            last.record(event);
-        }
-    }
-}
-
-/// Writes one JSON object per event to a writer (typically stderr).
-pub struct JsonLinesSink<W: Write + Send> {
-    writer: Mutex<W>,
-}
-
-impl<W: Write + Send> JsonLinesSink<W> {
-    /// Wraps `writer`; each event becomes one line.
-    pub fn new(writer: W) -> Self {
-        JsonLinesSink {
-            writer: Mutex::new(writer),
-        }
-    }
-}
-
-impl JsonLinesSink<std::io::Stderr> {
-    /// A sink writing JSON lines to stderr.
-    pub fn stderr() -> Self {
-        Self::new(std::io::stderr())
-    }
-}
-
-impl<W: Write + Send> fmt::Debug for JsonLinesSink<W> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("JsonLinesSink").finish_non_exhaustive()
-    }
-}
-
-impl<W: Write + Send> Sink for JsonLinesSink<W> {
-    fn record(&self, event: Event) {
-        let mut w = self.writer.lock().expect("sink lock poisoned");
-        // Telemetry must never take the process down: ignore I/O errors.
-        let _ = writeln!(w, "{}", event.to_json());
+        self.locked().push(event);
     }
 }
 
@@ -340,76 +241,6 @@ mod tests {
         let j = s.to_json();
         assert!(json::parse(&j).is_ok(), "invalid JSON: {j}");
         assert!(j.contains("\"parent\":null"));
-    }
-
-    #[test]
-    fn json_lines_sink_writes_one_line_per_event() {
-        let sink = JsonLinesSink::new(Vec::new());
-        sink.record(Event::Counter {
-            name: "x".into(),
-            delta: 3,
-        });
-        sink.record(Event::Counter {
-            name: "y".into(),
-            delta: 4,
-        });
-        let buf = sink.writer.into_inner().unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in lines {
-            assert!(json::parse(line).is_ok(), "invalid JSON line: {line}");
-        }
-    }
-
-    #[test]
-    fn bounded_memory_sink_evicts_oldest_and_counts_drops() {
-        let sink = MemorySink::with_capacity(2);
-        for i in 0..5u64 {
-            sink.record(Event::Counter {
-                name: format!("c{i}"),
-                delta: i,
-            });
-        }
-        assert_eq!(sink.len(), 2);
-        assert_eq!(sink.dropped(), 3);
-        let names: Vec<String> = sink
-            .events()
-            .iter()
-            .map(|e| match e {
-                Event::Counter { name, .. } => name.clone(),
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(names, vec!["c3", "c4"], "oldest evicted first");
-        // The unbounded configuration never drops.
-        let unbounded = MemorySink::new();
-        for i in 0..5u64 {
-            unbounded.record(Event::Counter {
-                name: "x".into(),
-                delta: i,
-            });
-        }
-        assert_eq!(unbounded.len(), 5);
-        assert_eq!(unbounded.dropped(), 0);
-    }
-
-    #[test]
-    fn fanout_sink_duplicates_to_every_sink_in_order() {
-        let a = Arc::new(MemorySink::new());
-        let b = Arc::new(MemorySink::new());
-        let fan = FanoutSink::new(vec![a.clone() as _, b.clone() as _]);
-        fan.record(Event::Counter {
-            name: "n".into(),
-            delta: 7,
-        });
-        assert_eq!(a.events(), b.events());
-        assert_eq!(a.len(), 1);
-        // An empty fanout is inert, not a panic.
-        FanoutSink::default().record(Event::Counter {
-            name: "n".into(),
-            delta: 1,
-        });
     }
 
     #[test]

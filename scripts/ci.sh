@@ -39,6 +39,34 @@ SLICER_THREADS=1 cargo test -q --offline --workspace --release
 echo "==> cargo test -q --offline (SLICER_THREADS=4)"
 SLICER_THREADS=4 cargo test -q --offline --workspace --release
 
+echo "==> decoders under a 4 GiB address-space cap (ulimit -v)"
+# Overcommit lets a huge Vec::with_capacity from a hostile length or
+# count field pass by luck. Under the cap the same allocation aborts, so
+# the calldata and wire-frame decoder tests fail here deterministically.
+# Runs the test binaries the stage above built; cargo itself stays
+# outside the cap.
+capped_bins=()
+for target in "-p slicer-repro --test chain_adversarial" "-p slicer-daemon --lib"; do
+  # shellcheck disable=SC2086
+  bin="$(cargo test -q --offline --release --no-run --message-format=json $target |
+    grep -o '"executable":"[^"]*"' | cut -d'"' -f4)"
+  [ -x "$bin" ] || {
+    echo "memory-cap stage FAILED: no test binary for $target" >&2
+    exit 1
+  }
+  capped_bins+=("$bin")
+done
+(
+  ulimit -v 4194304
+  for bin in "${capped_bins[@]}"; do
+    "$bin" -q
+  done
+) || {
+  echo "memory-cap stage FAILED: a decoder test failed or aborted under ulimit -v" >&2
+  exit 1
+}
+echo "memory-cap stage OK"
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -51,6 +51,10 @@ fn malformed_calldata_reverts_cleanly() {
         vec![0x01, 0x00],    // truncated SetAccumulator
         vec![0x02; 10],      // truncated RequestSearch
         vec![0x03, 1, 2, 3], // truncated SubmitResult
+        // SubmitResult: one entry whose `er` count is u32::MAX (41 bytes).
+        [&[0x03][..], &[0; 32], &[0, 1], &[0, 0], &[0xFF; 4]].concat(),
+        // RequestSearch: 0xFFFF tokens declared, none sent.
+        [&[0x02][..], &[0; 32], &[0; 20], &[0xFF, 0xFF]].concat(),
     ] {
         let r = chain
             .send_transaction(Transaction::call(owner, contract, 0, data.clone()))
