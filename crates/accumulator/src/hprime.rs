@@ -67,7 +67,7 @@ fn sieve_table() -> &'static [SievePrime] {
                 magic: u64::MAX / p + 1,
                 c32: (u32::MAX % p as u32) + 1,
                 c64: ((((u32::MAX % p as u32) + 1) as u64).pow(2) % p) as u32,
-                inv2: ((p + 1) / 2) as u32,
+                inv2: p.div_ceil(2) as u32,
             })
             .collect()
     })

@@ -163,7 +163,7 @@ impl MerkleTree {
         for level in self.levels.iter().take(inner) {
             // Even position: pair with the right neighbour (or itself under
             // duplicate-last-leaf padding). Odd position: pair leftward.
-            let pair = if i % 2 == 0 {
+            let pair = if i.is_multiple_of(2) {
                 level.get(i + 1).or_else(|| level.get(i))
             } else {
                 level.get(i - 1)
@@ -184,7 +184,7 @@ impl MerkleTree {
         let mut digest = leaf_digest(leaf);
         let mut i = proof.index;
         for sibling in &proof.siblings {
-            digest = if i % 2 == 0 {
+            digest = if i.is_multiple_of(2) {
                 node_digest(&digest, sibling)
             } else {
                 node_digest(sibling, &digest)

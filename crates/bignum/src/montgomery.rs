@@ -2,13 +2,25 @@
 //!
 //! The RSA accumulator and trapdoor permutation perform millions of modular
 //! multiplications against a fixed modulus; [`MontgomeryCtx`] amortizes the
-//! per-multiplication reduction cost using the CIOS (coarsely integrated
-//! operand scanning) algorithm.
+//! per-multiplication reduction cost. Multiplication is CIOS (coarsely
+//! integrated operand scanning) and squaring is SOS (separated operand
+//! scanning), after Koç, Acar and Kaliski, "Analyzing and Comparing
+//! Montgomery Multiplication Algorithms" (IEEE Micro, 1996).
 //!
-//! The multiplication core writes into caller-provided scratch buffers so
-//! the exponentiation loops allocate a fixed handful of vectors up front
-//! instead of one per multiply, and two-limb moduli (the 128-bit
-//! representative primes of `H_prime`) take a fully unrolled path.
+//! One body per kernel: [`cios`] (which also runs the extended pass of
+//! [`MontgomeryCtx::mul_wide`]) and [`sos_sqr`], both ending in
+//! [`reduce_once`]. They are `#[inline(always)]`, and the dispatchers
+//! specialize the hot widths (8 limbs for the 512-bit accumulator, 16 for
+//! the 1024-bit multiset-hash field) by passing constant-length reborrows
+//! such as `&n[..8]`, so the compiler unrolls the limb loops and drops the
+//! index checks. A width is specialized at the dispatch site, never by a
+//! second copy of a kernel. Only two-limb moduli (the 128-bit
+//! representative primes of `H_prime`) take a separate, fully unrolled
+//! tuple path ([`Mont2`]).
+//!
+//! The kernels write into caller-provided scratch buffers so the
+//! exponentiation loops allocate a fixed handful of vectors up front
+//! instead of one per multiply.
 //! [`MontgomeryCtx::modpow`] uses a sliding window over odd powers;
 //! [`MontgomeryCtx::modpow_product`] folds a whole list of exponents in
 //! multi-thousand-bit chunks, sharing one window table across each chunk.
@@ -226,293 +238,49 @@ impl MontgomeryCtx {
     /// and `t` is a `len + 2`-limb scratch. `out` must not alias `a`, `b`
     /// or `t`.
     pub(crate) fn mont_mul_into(&self, a: &[Limb], b: &[Limb], t: &mut [Limb], out: &mut [Limb]) {
-        let len = self.n.len();
+        let (n, k) = (&self.n[..], self.n0_inv);
+        let len = n.len();
         debug_assert_eq!(a.len(), len);
         debug_assert_eq!(b.len(), len);
         debug_assert_eq!(out.len(), len);
         debug_assert_eq!(t.len(), len + 2);
-
-        if len == 2 {
-            let (r0, r1) = self.mont_mul_2(a[0], a[1], b[0], b[1]);
-            out[0] = r0;
-            out[1] = r1;
-            return;
-        }
         match len {
-            8 => return self.mont_mul_const::<8>(a, b, out),
-            16 => return self.mont_mul_const::<16>(a, b, out),
-            _ => {}
-        }
-
-        // Exact-length reborrows so the index checks in the hot loops fold
-        // away (`len` is runtime data; without these the optimizer keeps a
-        // bounds test per limb access).
-        let a = &a[..len];
-        let b = &b[..len];
-        let n = &self.n[..len];
-        let t = &mut t[..len + 2];
-
-        t.fill(0);
-        for i in 0..len {
-            // t += a[i] * b
-            let ai = a[i] as DoubleLimb;
-            let mut carry: DoubleLimb = 0;
-            for j in 0..len {
-                let s = t[j] as DoubleLimb + ai * b[j] as DoubleLimb + carry;
-                t[j] = s as Limb;
-                carry = s >> 64;
+            2 => {
+                let (r0, r1) = self.mont_mul_2(a[0], a[1], b[0], b[1]);
+                out[0] = r0;
+                out[1] = r1;
             }
-            let s = t[len] as DoubleLimb + carry;
-            t[len] = s as Limb;
-            t[len + 1] = t[len + 1].wrapping_add((s >> 64) as Limb);
-
-            // m = t[0] * n' mod 2^64; t = (t + m*n) / 2^64
-            let m = t[0].wrapping_mul(self.n0_inv) as DoubleLimb;
-            let mut carry: DoubleLimb = (t[0] as DoubleLimb + m * n[0] as DoubleLimb) >> 64;
-            for j in 1..len {
-                let s = t[j] as DoubleLimb + m * n[j] as DoubleLimb + carry;
-                t[j - 1] = s as Limb;
-                carry = s >> 64;
-            }
-            let s = t[len] as DoubleLimb + carry;
-            t[len - 1] = s as Limb;
-            let s2 = t[len + 1] as DoubleLimb + (s >> 64);
-            t[len] = s2 as Limb;
-            t[len + 1] = (s2 >> 64) as Limb;
-        }
-        // Conditional final subtraction: t may be in [0, 2n).
-        if t[len] != 0 || ge(&t[..len], &self.n) {
-            let mut borrow: DoubleLimb = 0;
-            for j in 0..len {
-                let rhs = self.n[j] as DoubleLimb + borrow;
-                let lhs = t[j] as DoubleLimb;
-                if lhs >= rhs {
-                    out[j] = (lhs - rhs) as Limb;
-                    borrow = 0;
-                } else {
-                    out[j] = (lhs + (1u128 << 64) - rhs) as Limb;
-                    borrow = 1;
-                }
-            }
-            debug_assert_eq!(t[len] as DoubleLimb, borrow);
-        } else {
-            out.copy_from_slice(&t[..len]);
+            8 => cios(&n[..8], k, &a[..8], &b[..8], &mut t[..10], &mut out[..8]),
+            16 => cios(
+                &n[..16],
+                k,
+                &a[..16],
+                &b[..16],
+                &mut t[..18],
+                &mut out[..16],
+            ),
+            _ => cios(n, k, &a[..len], b, t, out),
         }
     }
 
-    /// Montgomery squaring into caller buffers: `a * a * R^-1 mod n` via
-    /// separated operand scanning — cross products computed once and
-    /// doubled, so roughly a quarter of the limb multiplies of a general
-    /// CIOS multiply disappear. `wide` is a `2*len + 1`-limb scratch.
-    /// `out` must not alias `a` or `wide`.
+    /// Montgomery squaring into caller buffers: `a * a * R^-1 mod n` by
+    /// [`sos_sqr`]. `wide` is a `2*len + 1`-limb scratch. `out` must not
+    /// alias `a` or `wide`.
     pub(crate) fn mont_sqr_into(&self, a: &[Limb], wide: &mut [Limb], out: &mut [Limb]) {
-        let len = self.n.len();
-        if len == 2 {
-            let (r0, r1) = self.mont_mul_2(a[0], a[1], a[0], a[1]);
-            out[0] = r0;
-            out[1] = r1;
-            return;
-        }
-        match len {
-            8 => return self.mont_sqr_const::<8>(a, out),
-            16 => return self.mont_sqr_const::<16>(a, out),
-            _ => {}
-        }
-        debug_assert_eq!(wide.len(), 2 * len + 1);
+        let (n, k) = (&self.n[..], self.n0_inv);
+        let len = n.len();
+        debug_assert_eq!(a.len(), len);
         debug_assert_eq!(out.len(), len);
-        wide.fill(0);
-
-        // Cross products a[i] * a[j] for i < j.
-        for i in 0..len {
-            let ai = a[i] as DoubleLimb;
-            let mut carry: DoubleLimb = 0;
-            for j in (i + 1)..len {
-                let s = wide[i + j] as DoubleLimb + ai * a[j] as DoubleLimb + carry;
-                wide[i + j] = s as Limb;
-                carry = s >> 64;
+        debug_assert_eq!(wide.len(), 2 * len + 1);
+        match len {
+            2 => {
+                let (r0, r1) = self.mont_mul_2(a[0], a[1], a[0], a[1]);
+                out[0] = r0;
+                out[1] = r1;
             }
-            wide[i + len] = carry as Limb;
-        }
-        // Double them (the square is symmetric), ...
-        let mut prev: Limb = 0;
-        for w in wide[..2 * len].iter_mut() {
-            let cur = *w;
-            *w = (cur << 1) | (prev >> 63);
-            prev = cur;
-        }
-        // ... then add the diagonal a[i]^2 terms.
-        let mut carry: DoubleLimb = 0;
-        for i in 0..len {
-            let d = a[i] as DoubleLimb * a[i] as DoubleLimb;
-            let s = wide[2 * i] as DoubleLimb + (d as Limb) as DoubleLimb + carry;
-            wide[2 * i] = s as Limb;
-            let s1 = wide[2 * i + 1] as DoubleLimb + (d >> 64) + (s >> 64);
-            wide[2 * i + 1] = s1 as Limb;
-            carry = s1 >> 64;
-        }
-        wide[2 * len] = wide[2 * len].wrapping_add(carry as Limb);
-
-        // Montgomery reduction of the double-width square.
-        for i in 0..len {
-            let m = wide[i].wrapping_mul(self.n0_inv) as DoubleLimb;
-            let mut carry: DoubleLimb = 0;
-            for j in 0..len {
-                let s = wide[i + j] as DoubleLimb + m * self.n[j] as DoubleLimb + carry;
-                wide[i + j] = s as Limb;
-                carry = s >> 64;
-            }
-            let mut k = i + len;
-            while carry != 0 {
-                let s = wide[k] as DoubleLimb + carry;
-                wide[k] = s as Limb;
-                carry = s >> 64;
-                k += 1;
-            }
-        }
-        if wide[2 * len] != 0 || ge(&wide[len..2 * len], &self.n) {
-            let mut borrow: DoubleLimb = 0;
-            for j in 0..len {
-                let rhs = self.n[j] as DoubleLimb + borrow;
-                let lhs = wide[len + j] as DoubleLimb;
-                if lhs >= rhs {
-                    out[j] = (lhs - rhs) as Limb;
-                    borrow = 0;
-                } else {
-                    out[j] = (lhs + (1u128 << 64) - rhs) as Limb;
-                    borrow = 1;
-                }
-            }
-        } else {
-            out.copy_from_slice(&wide[len..2 * len]);
-        }
-    }
-
-    /// CIOS multiply monomorphized over the limb count: with `LEN` fixed at
-    /// compile time the limb loops fully unroll and every index check folds
-    /// away, which is worth ~1.5x over the runtime-length loops. The
-    /// accumulator fold (8 limbs) and the multiset-hash field (16 limbs)
-    /// spend nearly all their time here.
-    fn mont_mul_const<const LEN: usize>(&self, a: &[Limb], b: &[Limb], out: &mut [Limb]) {
-        let n: &[Limb; LEN] = self.n[..LEN].try_into().expect("modulus width");
-        let a: &[Limb; LEN] = a[..LEN].try_into().expect("operand width");
-        let b: &[Limb; LEN] = b[..LEN].try_into().expect("operand width");
-        // Scratch sized for the largest monomorphization (16 limbs).
-        assert!(LEN <= 16);
-        let mut t = [0 as Limb; 16 + 2];
-        for i in 0..LEN {
-            let ai = a[i] as DoubleLimb;
-            let mut carry: DoubleLimb = 0;
-            for j in 0..LEN {
-                let s = t[j] as DoubleLimb + ai * b[j] as DoubleLimb + carry;
-                t[j] = s as Limb;
-                carry = s >> 64;
-            }
-            let s = t[LEN] as DoubleLimb + carry;
-            t[LEN] = s as Limb;
-            t[LEN + 1] = t[LEN + 1].wrapping_add((s >> 64) as Limb);
-
-            let m = t[0].wrapping_mul(self.n0_inv) as DoubleLimb;
-            let mut carry: DoubleLimb = (t[0] as DoubleLimb + m * n[0] as DoubleLimb) >> 64;
-            for j in 1..LEN {
-                let s = t[j] as DoubleLimb + m * n[j] as DoubleLimb + carry;
-                t[j - 1] = s as Limb;
-                carry = s >> 64;
-            }
-            let s = t[LEN] as DoubleLimb + carry;
-            t[LEN - 1] = s as Limb;
-            let s2 = t[LEN + 1] as DoubleLimb + (s >> 64);
-            t[LEN] = s2 as Limb;
-            t[LEN + 1] = (s2 >> 64) as Limb;
-        }
-        if t[LEN] != 0 || ge(&t[..LEN], n) {
-            let mut borrow: DoubleLimb = 0;
-            for j in 0..LEN {
-                let rhs = n[j] as DoubleLimb + borrow;
-                let lhs = t[j] as DoubleLimb;
-                if lhs >= rhs {
-                    out[j] = (lhs - rhs) as Limb;
-                    borrow = 0;
-                } else {
-                    out[j] = (lhs + (1u128 << 64) - rhs) as Limb;
-                    borrow = 1;
-                }
-            }
-        } else {
-            out[..LEN].copy_from_slice(&t[..LEN]);
-        }
-    }
-
-    /// SOS squaring monomorphized over the limb count; see
-    /// [`MontgomeryCtx::mont_mul_const`].
-    fn mont_sqr_const<const LEN: usize>(&self, a: &[Limb], out: &mut [Limb]) {
-        let n: &[Limb; LEN] = self.n[..LEN].try_into().expect("modulus width");
-        let a: &[Limb; LEN] = a[..LEN].try_into().expect("operand width");
-        assert!(LEN <= 16);
-        let mut wide = [0 as Limb; 2 * 16 + 1];
-
-        // Cross products a[i] * a[j] for i < j.
-        for i in 0..LEN {
-            let ai = a[i] as DoubleLimb;
-            let mut carry: DoubleLimb = 0;
-            for j in (i + 1)..LEN {
-                let s = wide[i + j] as DoubleLimb + ai * a[j] as DoubleLimb + carry;
-                wide[i + j] = s as Limb;
-                carry = s >> 64;
-            }
-            wide[i + LEN] = carry as Limb;
-        }
-        // Double them (the square is symmetric), ...
-        let mut prev: Limb = 0;
-        for w in wide[..2 * LEN].iter_mut() {
-            let cur = *w;
-            *w = (cur << 1) | (prev >> 63);
-            prev = cur;
-        }
-        // ... then add the diagonal a[i]^2 terms.
-        let mut carry: DoubleLimb = 0;
-        for i in 0..LEN {
-            let d = a[i] as DoubleLimb * a[i] as DoubleLimb;
-            let s = wide[2 * i] as DoubleLimb + (d as Limb) as DoubleLimb + carry;
-            wide[2 * i] = s as Limb;
-            let s1 = wide[2 * i + 1] as DoubleLimb + (d >> 64) + (s >> 64);
-            wide[2 * i + 1] = s1 as Limb;
-            carry = s1 >> 64;
-        }
-        wide[2 * LEN] = wide[2 * LEN].wrapping_add(carry as Limb);
-
-        // Montgomery reduction of the double-width square. The carry out
-        // of position `i + LEN` is deferred one iteration — the next pass
-        // adds its own top carry at exactly that position — so no
-        // data-dependent propagation loop is needed.
-        let mut top: DoubleLimb = 0;
-        for i in 0..LEN {
-            let m = wide[i].wrapping_mul(self.n0_inv) as DoubleLimb;
-            let mut carry: DoubleLimb = 0;
-            for j in 0..LEN {
-                let s = wide[i + j] as DoubleLimb + m * n[j] as DoubleLimb + carry;
-                wide[i + j] = s as Limb;
-                carry = s >> 64;
-            }
-            let s = wide[i + LEN] as DoubleLimb + carry + top;
-            wide[i + LEN] = s as Limb;
-            top = s >> 64;
-        }
-        wide[2 * LEN] = wide[2 * LEN].wrapping_add(top as Limb);
-        if wide[2 * LEN] != 0 || ge(&wide[LEN..2 * LEN], n) {
-            let mut borrow: DoubleLimb = 0;
-            for j in 0..LEN {
-                let rhs = n[j] as DoubleLimb + borrow;
-                let lhs = wide[LEN + j] as DoubleLimb;
-                if lhs >= rhs {
-                    out[j] = (lhs - rhs) as Limb;
-                    borrow = 0;
-                } else {
-                    out[j] = (lhs + (1u128 << 64) - rhs) as Limb;
-                    borrow = 1;
-                }
-            }
-        } else {
-            out[..LEN].copy_from_slice(&wide[LEN..2 * LEN]);
+            8 => sos_sqr(&n[..8], k, &a[..8], &mut wide[..17], &mut out[..8]),
+            16 => sos_sqr(&n[..16], k, &a[..16], &mut wide[..33], &mut out[..16]),
+            _ => sos_sqr(n, k, a, wide, out),
         }
     }
 
@@ -553,20 +321,7 @@ impl MontgomeryCtx {
             out[j] = s as Limb;
             carry = s >> 64;
         }
-        if carry != 0 || ge(&out[..len], &self.n) {
-            let mut borrow: DoubleLimb = 0;
-            for j in 0..len {
-                let rhs = self.n[j] as DoubleLimb + borrow;
-                let lhs = out[j] as DoubleLimb;
-                if lhs >= rhs {
-                    out[j] = (lhs - rhs) as Limb;
-                    borrow = 0;
-                } else {
-                    out[j] = (lhs + (1u128 << 64) - rhs) as Limb;
-                    borrow = 1;
-                }
-            }
-        }
+        reduce_once(&self.n, carry as Limb, &mut out[..len]);
     }
 
     /// `out = (a - b) mod n` for `a, b < n`. `out` must not alias.
@@ -703,112 +458,16 @@ impl MontgomeryCtx {
     /// per-iteration invariant `t < 2n` holds for arbitrary `x` limbs, so
     /// `x` needs no prior reduction.
     fn mont_mul_wide_into(&self, x: &[Limb], b: &[Limb], t: &mut [Limb], out: &mut [Limb]) {
-        let len = self.n.len();
+        let (n, k) = (&self.n[..], self.n0_inv);
+        let len = n.len();
         debug_assert!(x.len() >= len);
         debug_assert_eq!(b.len(), len);
         debug_assert_eq!(out.len(), len);
         debug_assert_eq!(t.len(), len + 2);
-
         match len {
-            8 => return self.mont_mul_wide_const::<8>(x, b, out),
-            16 => return self.mont_mul_wide_const::<16>(x, b, out),
-            _ => {}
-        }
-
-        let b = &b[..len];
-        let n = &self.n[..len];
-        let t = &mut t[..len + 2];
-        t.fill(0);
-        for &xi in x {
-            let ai = xi as DoubleLimb;
-            let mut carry: DoubleLimb = 0;
-            for j in 0..len {
-                let s = t[j] as DoubleLimb + ai * b[j] as DoubleLimb + carry;
-                t[j] = s as Limb;
-                carry = s >> 64;
-            }
-            let s = t[len] as DoubleLimb + carry;
-            t[len] = s as Limb;
-            t[len + 1] = t[len + 1].wrapping_add((s >> 64) as Limb);
-
-            let m = t[0].wrapping_mul(self.n0_inv) as DoubleLimb;
-            let mut carry: DoubleLimb = (t[0] as DoubleLimb + m * n[0] as DoubleLimb) >> 64;
-            for j in 1..len {
-                let s = t[j] as DoubleLimb + m * n[j] as DoubleLimb + carry;
-                t[j - 1] = s as Limb;
-                carry = s >> 64;
-            }
-            let s = t[len] as DoubleLimb + carry;
-            t[len - 1] = s as Limb;
-            let s2 = t[len + 1] as DoubleLimb + (s >> 64);
-            t[len] = s2 as Limb;
-            t[len + 1] = (s2 >> 64) as Limb;
-        }
-        if t[len] != 0 || ge(&t[..len], n) {
-            let mut borrow: DoubleLimb = 0;
-            for j in 0..len {
-                let rhs = n[j] as DoubleLimb + borrow;
-                let lhs = t[j] as DoubleLimb;
-                if lhs >= rhs {
-                    out[j] = (lhs - rhs) as Limb;
-                    borrow = 0;
-                } else {
-                    out[j] = (lhs + (1u128 << 64) - rhs) as Limb;
-                    borrow = 1;
-                }
-            }
-        } else {
-            out.copy_from_slice(&t[..len]);
-        }
-    }
-
-    /// [`MontgomeryCtx::mont_mul_wide_into`] monomorphized over the
-    /// modulus limb count (the outer walk over `x` stays runtime-length).
-    fn mont_mul_wide_const<const LEN: usize>(&self, x: &[Limb], b: &[Limb], out: &mut [Limb]) {
-        let n: &[Limb; LEN] = self.n[..LEN].try_into().expect("modulus width");
-        let b: &[Limb; LEN] = b[..LEN].try_into().expect("operand width");
-        assert!(LEN <= 16);
-        let mut t = [0 as Limb; 16 + 2];
-        for &xi in x {
-            let ai = xi as DoubleLimb;
-            let mut carry: DoubleLimb = 0;
-            for j in 0..LEN {
-                let s = t[j] as DoubleLimb + ai * b[j] as DoubleLimb + carry;
-                t[j] = s as Limb;
-                carry = s >> 64;
-            }
-            let s = t[LEN] as DoubleLimb + carry;
-            t[LEN] = s as Limb;
-            t[LEN + 1] = t[LEN + 1].wrapping_add((s >> 64) as Limb);
-
-            let m = t[0].wrapping_mul(self.n0_inv) as DoubleLimb;
-            let mut carry: DoubleLimb = (t[0] as DoubleLimb + m * n[0] as DoubleLimb) >> 64;
-            for j in 1..LEN {
-                let s = t[j] as DoubleLimb + m * n[j] as DoubleLimb + carry;
-                t[j - 1] = s as Limb;
-                carry = s >> 64;
-            }
-            let s = t[LEN] as DoubleLimb + carry;
-            t[LEN - 1] = s as Limb;
-            let s2 = t[LEN + 1] as DoubleLimb + (s >> 64);
-            t[LEN] = s2 as Limb;
-            t[LEN + 1] = (s2 >> 64) as Limb;
-        }
-        if t[LEN] != 0 || ge(&t[..LEN], n) {
-            let mut borrow: DoubleLimb = 0;
-            for j in 0..LEN {
-                let rhs = n[j] as DoubleLimb + borrow;
-                let lhs = t[j] as DoubleLimb;
-                if lhs >= rhs {
-                    out[j] = (lhs - rhs) as Limb;
-                    borrow = 0;
-                } else {
-                    out[j] = (lhs + (1u128 << 64) - rhs) as Limb;
-                    borrow = 1;
-                }
-            }
-        } else {
-            out[..LEN].copy_from_slice(&t[..LEN]);
+            8 => cios(&n[..8], k, x, &b[..8], &mut t[..10], &mut out[..8]),
+            16 => cios(&n[..16], k, x, &b[..16], &mut t[..18], &mut out[..16]),
+            _ => cios(n, k, x, b, t, out),
         }
     }
 
@@ -1051,10 +710,134 @@ fn ge(a: &[Limb], b: &[Limb]) -> bool {
     true
 }
 
+/// CIOS Montgomery multiplication: `x * b * 2^(-64 x.len()) mod n` into
+/// `out`, for `b < n` and `x` of at least `len = n.len()` limbs. With
+/// `x.len() == len` this is the ordinary product `x * b * R^-1`; the
+/// extended pass of [`MontgomeryCtx::mul_wide`] runs it over `len + 2`
+/// limbs. `t` is a `len + 2`-limb scratch; `out` must not alias it.
+///
+/// Always inlined, so a caller passing constant-length slices gets a copy
+/// with fully unrolled limb loops and no index checks.
+#[inline(always)]
+fn cios(n: &[Limb], n0_inv: Limb, x: &[Limb], b: &[Limb], t: &mut [Limb], out: &mut [Limb]) {
+    let len = n.len();
+    let b = &b[..len];
+    let t = &mut t[..len + 2];
+    t.fill(0);
+    for &xi in x {
+        // t += x[i] * b
+        let ai = xi as DoubleLimb;
+        let mut carry: DoubleLimb = 0;
+        for j in 0..len {
+            let s = t[j] as DoubleLimb + ai * b[j] as DoubleLimb + carry;
+            t[j] = s as Limb;
+            carry = s >> 64;
+        }
+        let s = t[len] as DoubleLimb + carry;
+        t[len] = s as Limb;
+        t[len + 1] = t[len + 1].wrapping_add((s >> 64) as Limb);
+
+        // m = t[0] * n' mod 2^64; t = (t + m*n) / 2^64
+        let m = t[0].wrapping_mul(n0_inv) as DoubleLimb;
+        let mut carry: DoubleLimb = (t[0] as DoubleLimb + m * n[0] as DoubleLimb) >> 64;
+        for j in 1..len {
+            let s = t[j] as DoubleLimb + m * n[j] as DoubleLimb + carry;
+            t[j - 1] = s as Limb;
+            carry = s >> 64;
+        }
+        let s = t[len] as DoubleLimb + carry;
+        t[len - 1] = s as Limb;
+        let s2 = t[len + 1] as DoubleLimb + (s >> 64);
+        t[len] = s2 as Limb;
+        t[len + 1] = (s2 >> 64) as Limb;
+    }
+    out.copy_from_slice(&t[..len]);
+    reduce_once(n, t[len], out);
+}
+
+/// SOS Montgomery squaring: `a * a * R^-1 mod n` into `out`. The cross
+/// products are computed once and doubled, so roughly a quarter of the
+/// limb multiplies of a CIOS multiply disappear. `wide` is a
+/// `2*len + 1`-limb scratch; `out` must not alias it. Inlined like
+/// [`cios`].
+#[inline(always)]
+fn sos_sqr(n: &[Limb], n0_inv: Limb, a: &[Limb], wide: &mut [Limb], out: &mut [Limb]) {
+    let len = n.len();
+    let a = &a[..len];
+    let wide = &mut wide[..2 * len + 1];
+    wide.fill(0);
+
+    // Cross products a[i] * a[j] for i < j.
+    for i in 0..len {
+        let ai = a[i] as DoubleLimb;
+        let mut carry: DoubleLimb = 0;
+        for j in (i + 1)..len {
+            let s = wide[i + j] as DoubleLimb + ai * a[j] as DoubleLimb + carry;
+            wide[i + j] = s as Limb;
+            carry = s >> 64;
+        }
+        wide[i + len] = carry as Limb;
+    }
+    // Double them (the square is symmetric), ...
+    let mut prev: Limb = 0;
+    for w in wide[..2 * len].iter_mut() {
+        let cur = *w;
+        *w = (cur << 1) | (prev >> 63);
+        prev = cur;
+    }
+    // ... then add the diagonal a[i]^2 terms.
+    let mut carry: DoubleLimb = 0;
+    for i in 0..len {
+        let d = a[i] as DoubleLimb * a[i] as DoubleLimb;
+        let s = wide[2 * i] as DoubleLimb + (d as Limb) as DoubleLimb + carry;
+        wide[2 * i] = s as Limb;
+        let s1 = wide[2 * i + 1] as DoubleLimb + (d >> 64) + (s >> 64);
+        wide[2 * i + 1] = s1 as Limb;
+        carry = s1 >> 64;
+    }
+    wide[2 * len] = wide[2 * len].wrapping_add(carry as Limb);
+
+    // Montgomery reduction of the double-width square. The carry out of
+    // position `i + len` is deferred one iteration — the next pass adds
+    // its own top carry at exactly that position — so no data-dependent
+    // propagation loop is needed.
+    let mut top: DoubleLimb = 0;
+    for i in 0..len {
+        let m = wide[i].wrapping_mul(n0_inv) as DoubleLimb;
+        let mut carry: DoubleLimb = 0;
+        for j in 0..len {
+            let s = wide[i + j] as DoubleLimb + m * n[j] as DoubleLimb + carry;
+            wide[i + j] = s as Limb;
+            carry = s >> 64;
+        }
+        let s = wide[i + len] as DoubleLimb + carry + top;
+        wide[i + len] = s as Limb;
+        top = s >> 64;
+    }
+    wide[2 * len] = wide[2 * len].wrapping_add(top as Limb);
+    out.copy_from_slice(&wide[len..2 * len]);
+    reduce_once(n, wide[2 * len], out);
+}
+
+/// Final conditional subtraction: brings `v + top * 2^(64 len)`, a value
+/// in `[0, 2n)`, back to `[0, n)` in place.
+#[inline(always)]
+fn reduce_once(n: &[Limb], top: Limb, v: &mut [Limb]) {
+    if top != 0 || ge(v, n) {
+        let mut borrow = false;
+        for (vj, &nj) in v.iter_mut().zip(n) {
+            let (d, b1) = vj.overflowing_sub(nj);
+            let (d, b2) = d.overflowing_sub(borrow as Limb);
+            *vj = d;
+            borrow = b1 | b2;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slicer_testkit::{prop_assert_eq, prop_check};
+    use slicer_testkit::{prop_assert_eq, prop_check, Gen};
 
     #[test]
     fn rejects_even_modulus() {
@@ -1170,16 +953,38 @@ mod tests {
         });
     }
 
+    fn limbs(g: &mut Gen, len: usize) -> BigUint {
+        BigUint::from_limbs((0..len).map(|_| g.u64()).collect())
+    }
+
+    /// An odd `len`-limb modulus with the top bit set or, when `all_ones`,
+    /// `2^(64 len) - 1`: every limb all-ones, so every carry chain in the
+    /// kernels overflows if mishandled.
+    fn kernel_modulus(g: &mut Gen, len: usize, all_ones: bool) -> BigUint {
+        if all_ones {
+            return BigUint::from_limbs(vec![Limb::MAX; len]);
+        }
+        let mut m: Vec<Limb> = (0..len).map(|_| g.u64()).collect();
+        m[0] |= 1;
+        m[len - 1] |= 1 << 63;
+        BigUint::from_limbs(m)
+    }
+
     #[test]
     fn wide_modulus_sliding_window_matches_reference() {
-        // 256-bit modulus and exponent: covers the generic CIOS path plus
-        // window width 4 with multi-window exponents.
-        prop_check!(0x1014, 16, |g| {
-            let m = BigUint::from_limbs(vec![g.u64() | 1, g.u64(), g.u64(), g.u64() | (1 << 63)]);
-            let base = BigUint::from_limbs(vec![g.u64(), g.u64(), g.u64(), g.u64()]);
-            let exp = BigUint::from_limbs(vec![g.u64(), g.u64(), g.u64(), g.u64()]);
-            let ctx = MontgomeryCtx::new(&m).unwrap();
-            prop_assert_eq!(ctx.modpow(&base, &exp), reference_modpow(&base, &exp, &m));
+        // Every kernel arm (runtime length, then the 8- and 16-limb
+        // specializations) with 256-bit exponents: window width 4 with
+        // multi-window exponents, squarings and multiplies interleaved.
+        prop_check!(0x1014, 8, |g| {
+            for len in [4, 8, 16] {
+                for all_ones in [false, true] {
+                    let m = kernel_modulus(g, len, all_ones);
+                    let base = limbs(g, len);
+                    let exp = limbs(g, 4);
+                    let ctx = MontgomeryCtx::new(&m).unwrap();
+                    prop_assert_eq!(ctx.modpow(&base, &exp), reference_modpow(&base, &exp, &m));
+                }
+            }
             Ok(())
         });
     }
@@ -1235,24 +1040,29 @@ mod tests {
 
     #[test]
     fn mul_wide_matches_reduce_then_mul() {
-        // x spans one to two modulus widths (plus the >2len fallback);
-        // reference is plain reduce-then-multiply.
-        prop_check!(0x1018, 64, |g| {
-            let m = BigUint::from_limbs(vec![g.u64() | 1, g.u64(), g.u64() | (1 << 63)]);
-            let ctx = MontgomeryCtx::new(&m).unwrap();
-            for width in [1usize, 3, 5, 6, 8] {
-                let x = BigUint::from_limbs((0..width).map(|_| g.u64()).collect());
-                let acc = &BigUint::from_limbs(vec![g.u64(), g.u64(), g.u64()]) % &m;
-                let want = &(&acc * &(&x % &m)) % &m;
-                prop_assert_eq!(ctx.mul_wide(&acc, &x), want);
+        // At every kernel width, x spans below, at and up to two limbs
+        // above the modulus width (the extended pass) plus the fallback
+        // beyond; reference is plain reduce-then-multiply.
+        prop_check!(0x1018, 32, |g| {
+            for len in [3, 8, 16] {
+                for all_ones in [false, true] {
+                    let m = kernel_modulus(g, len, all_ones);
+                    let ctx = MontgomeryCtx::new(&m).unwrap();
+                    for width in [1, len, len + 1, len + 2, len + 3] {
+                        let x = limbs(g, width);
+                        let acc = &limbs(g, len) % &m;
+                        let want = &(&acc * &(&x % &m)) % &m;
+                        prop_assert_eq!(ctx.mul_wide(&acc, &x), want);
+                    }
+                    // Unreduced acc takes the reduction branch.
+                    let big_acc = limbs(g, len + 1);
+                    let x = limbs(g, 2);
+                    prop_assert_eq!(
+                        ctx.mul_wide(&big_acc, &x),
+                        &(&(&big_acc % &m) * &(&x % &m)) % &m
+                    );
+                }
             }
-            // Unreduced acc takes the reduction branch.
-            let big_acc = BigUint::from_limbs(vec![g.u64(), g.u64(), g.u64(), g.u64()]);
-            let x = BigUint::from_limbs(vec![g.u64(), g.u64()]);
-            prop_assert_eq!(
-                ctx.mul_wide(&big_acc, &x),
-                &(&(&big_acc % &m) * &(&x % &m)) % &m
-            );
             Ok(())
         });
     }

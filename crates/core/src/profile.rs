@@ -91,14 +91,16 @@ mod tests {
 
     #[test]
     fn totals_sum_phases() {
-        let mut p = SearchProfile::default();
-        p.token = PhaseStat {
-            wall: Duration::from_millis(2),
-            gas: 30_000,
-        };
-        p.verify = PhaseStat {
-            wall: Duration::from_millis(5),
-            gas: 85_000,
+        let mut p = SearchProfile {
+            token: PhaseStat {
+                wall: Duration::from_millis(2),
+                gas: 30_000,
+            },
+            verify: PhaseStat {
+                wall: Duration::from_millis(5),
+                gas: 85_000,
+            },
+            ..Default::default()
         };
         p.settle.gas = 9_000;
         assert_eq!(p.total_gas(), 124_000);

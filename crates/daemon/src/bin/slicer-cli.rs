@@ -395,9 +395,8 @@ fn top(client: &mut DaemonClient, rest: &[String]) -> Result<i32, DaemonError> {
 /// self-contained SVG flamegraph instead. `--gas` weighs frames by gas
 /// units rather than wall nanoseconds. `--check` reconciles the profile
 /// against the metrics surface instead of printing it: gas totals must
-/// equal the `phase.*.gas` counters exactly, wall totals must stay
-/// within the `rpc.*.ns` histogram envelope, and the SVG must pass the
-/// in-crate XML well-formedness checker.
+/// equal the `phase.*.gas` counters exactly, and wall totals must stay
+/// within the `rpc.*.ns` histogram envelope.
 fn profile(client: &mut DaemonClient, rest: &[String]) -> Result<i32, DaemonError> {
     let mut svg = false;
     let mut gas = false;
@@ -429,10 +428,9 @@ fn profile(client: &mut DaemonClient, rest: &[String]) -> Result<i32, DaemonErro
     Ok(0)
 }
 
-/// The `profile --check` reconciliation pass. Three RPCs (folded wall,
-/// folded gas, SVG) plus one metrics scrape, then three verdicts:
+/// The `profile --check` reconciliation pass. Two RPCs (folded wall,
+/// folded gas) plus one metrics scrape, then two verdicts:
 ///
-/// * `svg` — the rendered flamegraph is well-formed XML.
 /// * `wall` — the `daemon.request` root's inclusive wall total in the
 ///   profile does not exceed the summed `rpc.*.ns` histograms (the
 ///   histograms are scraped *after* the profile, so they cover a
@@ -443,18 +441,9 @@ fn profile(client: &mut DaemonClient, rest: &[String]) -> Result<i32, DaemonErro
 fn profile_check(client: &mut DaemonClient) -> Result<i32, DaemonError> {
     let wall = client.profile(false, false)?;
     let gas = client.profile(false, true)?;
-    let svg = client.profile(true, false)?;
     let metrics = client.metrics()?;
 
     let mut ok = true;
-    match slicer_telemetry::xml::check(&svg.rendered) {
-        Ok(()) => println!("profile-check svg=ok bytes={}", svg.rendered.len()),
-        Err(e) => {
-            ok = false;
-            println!("profile-check svg=INVALID error={e}");
-        }
-    }
-
     let wall_root: u64 = wall
         .rendered
         .lines()

@@ -675,8 +675,8 @@ fn arg_ranges(toks: &[Tok], open: usize, close: usize) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     let mut depth = 0usize;
     let mut start = open + 1;
-    for j in open + 1..close {
-        match toks[j].text.as_str() {
+    for (j, tok) in toks.iter().enumerate().take(close).skip(open + 1) {
+        match tok.text.as_str() {
             "(" | "[" | "{" => depth += 1,
             ")" | "]" | "}" => depth = depth.saturating_sub(1),
             "," if depth == 0 => {

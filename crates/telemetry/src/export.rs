@@ -33,11 +33,7 @@ pub struct HistogramSummary {
 impl HistogramSummary {
     /// Mean observation, rounded down (0 when empty).
     pub fn mean(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.sum / self.count
-        }
+        self.sum.checked_div(self.count).unwrap_or(0)
     }
 }
 

@@ -78,7 +78,6 @@ mod metrics;
 mod profile;
 mod sink;
 mod trace;
-pub mod xml;
 
 pub use clock::{Clock, LogicalClock, MonotonicClock};
 pub use export::{HistogramSummary, Snapshot};

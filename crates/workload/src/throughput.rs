@@ -331,11 +331,7 @@ fn summarize(
         verified,
         wall_ns,
         p99_ns,
-        mean_gas: if searches == 0 {
-            0
-        } else {
-            total_gas / searches
-        },
+        mean_gas: total_gas.checked_div(searches).unwrap_or(0),
         snapshot,
     }
 }
