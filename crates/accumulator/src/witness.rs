@@ -52,7 +52,6 @@ pub fn membership_witness(
             len: primes.len(),
         });
     }
-    slicer_telemetry::global::count("accumulator.witness.direct", 1);
     let mut w = params.generator().clone();
     for (i, p) in primes.iter().enumerate() {
         if i != target {
@@ -141,7 +140,9 @@ impl BatchProver {
     /// Witnesses for `targets` (distinct indexes into `primes`), one per
     /// target in target order, after folding any primes appended to
     /// `primes` since the last call. `primes[..self.folded()]` must be the
-    /// list this prover saw before: the list is append-only.
+    /// list this prover saw before: the list is append-only. Records an
+    /// `accumulator.witness` span, and one `accumulator.leaves` span per
+    /// fold, through the pool's telemetry handle.
     ///
     /// # Errors
     ///
@@ -160,9 +161,8 @@ impl BatchProver {
         if targets.is_empty() {
             return Ok(Vec::new());
         }
-        let mut span = slicer_telemetry::global::span("accumulator.witness");
+        let mut span = pool.telemetry().span("accumulator.witness");
         span.attr("targets", targets.len());
-        slicer_telemetry::global::count("accumulator.witness.batched", targets.len() as u64);
         let len = primes.len();
         let mut seen = vec![false; len];
         for &t in targets {
@@ -246,7 +246,7 @@ impl BatchProver {
         }
         let k = fresh.len();
         let m = k.div_ceil(LEAF);
-        let mut span = slicer_telemetry::global::span("accumulator.leaves");
+        let mut span = pool.telemetry().span("accumulator.leaves");
         span.attr("primes", k);
         span.attr("leaves", m);
         let ranges: Vec<Range<usize>> = (0..m)

@@ -107,18 +107,4 @@ fn main() {
     if let Some(dir) = &args.csv {
         println!("\nCSV written to {}", dir.display());
     }
-    // The bench experiment mirrors its telemetry exports to the working
-    // directory so tooling expecting ./BENCH_*.json finds them without
-    // knowing --csv.
-    if matches!(args.experiment.as_str(), "bench" | "telemetry") {
-        if let Some(dir) = &args.csv {
-            for name in ["BENCH_build.json", "BENCH_search.json"] {
-                let src = dir.join(name);
-                if src.exists() {
-                    std::fs::copy(&src, name).expect("working directory is writable");
-                    println!("mirrored {} -> ./{name}", src.display());
-                }
-            }
-        }
-    }
 }

@@ -299,16 +299,15 @@ pub fn telemetry_experiment(
     queries: usize,
     out: Option<&std::path::Path>,
 ) -> Vec<Table> {
-    use slicer_telemetry::{global, Snapshot};
+    use slicer_telemetry::Snapshot;
 
     let n = record_sweep(scale)[0];
     let db = dataset(n, 8, 42);
 
-    // Build under its own registry (global facade captures the leaf-crate
-    // counters: SORE tuples, index lookups, witness generation).
+    // Build under its own registry, which the chain's spans join.
     let build_handle = TelemetryHandle::enabled();
-    global::set(build_handle.clone());
     let mut chain = Blockchain::new();
+    chain.set_telemetry(build_handle.clone());
     let mut inst = SlicerInstance::try_setup_with(
         SlicerConfig::test_8bit(),
         42,
@@ -322,7 +321,7 @@ pub fn telemetry_experiment(
     // Search the same deployment under a fresh registry.
     let search_handle = TelemetryHandle::enabled();
     inst.set_telemetry(search_handle.clone());
-    global::set(search_handle.clone());
+    chain.set_telemetry(search_handle.clone());
     let raw: Vec<([u8; 16], u64)> = db.iter().map(|(id, v)| (id.0, *v)).collect();
     for &v in &sample_query_values(&raw, queries, 7) {
         let outcome = inst
@@ -336,7 +335,6 @@ pub fn telemetry_experiment(
         );
     }
     let search_snap = search_handle.snapshot();
-    global::reset();
 
     if let Some(dir) = out {
         std::fs::create_dir_all(dir).expect("results directory is creatable");

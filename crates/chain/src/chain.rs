@@ -8,6 +8,7 @@ use crate::gas::{GasBreakdown, GasCategory, GasMeter, GasSchedule};
 use crate::tx::{Transaction, TxReceipt, TxStatus};
 use crate::types::{Address, H256};
 use crate::CallContext;
+use slicer_telemetry::TelemetryHandle;
 use std::collections::BTreeMap;
 
 struct Account {
@@ -34,6 +35,7 @@ pub struct Blockchain {
     contracts: BTreeMap<Address, Deployed>,
     blocks: Vec<Block>,
     pending: Vec<TxReceipt>,
+    telemetry: TelemetryHandle,
 }
 
 impl Default for Blockchain {
@@ -66,7 +68,15 @@ impl Blockchain {
             contracts: BTreeMap::new(),
             blocks: vec![Block::genesis()],
             pending: Vec::new(),
+            telemetry: TelemetryHandle::disabled(),
         }
+    }
+
+    /// Installs a telemetry context. Deployments, transactions and seals
+    /// then record `chain.deploy`, `chain.tx` and `chain.seal` spans
+    /// carrying their gas, hash and block attributes. Disabled by default.
+    pub fn set_telemetry(&mut self, telemetry: TelemetryHandle) {
+        self.telemetry = telemetry;
     }
 
     /// The active gas schedule.
@@ -140,7 +150,7 @@ impl Blockchain {
         contract: Box<dyn Contract>,
         value: u128,
     ) -> Result<DeployOutcome, ChainError> {
-        let mut span = slicer_telemetry::global::span("chain.deploy");
+        let mut span = self.telemetry.span("chain.deploy");
         let nonce = {
             let acct = self
                 .accounts
@@ -215,7 +225,7 @@ impl Blockchain {
     /// intrinsic cost). Contract-level failures are reported in the receipt
     /// status, not as errors.
     pub fn send_transaction(&mut self, tx: Transaction) -> Result<TxReceipt, ChainError> {
-        let mut span = slicer_telemetry::global::span("chain.tx");
+        let mut span = self.telemetry.span("chain.tx");
         let intrinsic =
             self.schedule.tx_base + self.schedule.calldata_cost(&tx.data) + self.schedule.call_base;
         if tx.gas_limit < intrinsic {
@@ -344,7 +354,7 @@ impl Blockchain {
 
     /// Seals the pending block (PoA: the single sealer signs by fiat).
     pub fn seal_block(&mut self) {
-        let mut span = slicer_telemetry::global::span("chain.seal");
+        let mut span = self.telemetry.span("chain.seal");
         let receipts = std::mem::take(&mut self.pending);
         if span.is_recording() {
             span.attr("block", self.height() + 1);

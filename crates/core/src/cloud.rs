@@ -108,6 +108,8 @@ impl CloudServer {
     /// Returns [`SlicerError::IndexCorruption`] if the shipment collides
     /// with existing index labels.
     pub fn ingest(&mut self, output: &BuildOutput) -> Result<(), SlicerError> {
+        let mut span = self.telemetry.span("store.extend");
+        span.attr("entries", output.entries.len());
         self.state
             .index
             .extend(output.entries.iter().cloned())

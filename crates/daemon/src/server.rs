@@ -910,6 +910,14 @@ mod tests {
             rendered.lines().any(|l| l.starts_with("daemon.request;")),
             "{rendered}"
         );
+        // The prover reports through the cloud's handle: witness work
+        // folds under cloud.prove, and the first search builds the leaves.
+        assert!(
+            rendered
+                .lines()
+                .any(|l| l.contains("cloud.prove;accumulator.witness;accumulator.leaves ")),
+            "{rendered}"
+        );
 
         // Gas profile total reconciles exactly with the phase gas
         // counters (the span attrs carry the same settle/verify split).

@@ -96,11 +96,10 @@ impl Pool {
         self.telemetry = telemetry;
     }
 
-    /// Builder-style [`Pool::set_telemetry`].
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: TelemetryHandle) -> Self {
-        self.telemetry = telemetry;
-        self
+    /// The installed telemetry context, for callers that record their own
+    /// spans around work they fan out over this pool.
+    pub fn telemetry(&self) -> &TelemetryHandle {
+        &self.telemetry
     }
 
     /// The fixed worker count of this pool.
@@ -291,7 +290,8 @@ mod tests {
             let sink = Arc::new(MemorySink::new());
             let handle =
                 TelemetryHandle::with(Arc::new(LogicalClock::default()), sink.clone() as _);
-            let pool = Pool::new(workers).with_telemetry(handle);
+            let mut pool = Pool::new(workers);
+            pool.set_telemetry(handle);
             let items: Vec<u64> = (0..100).collect();
             let out = pool.par_map(&items, |&x| x + 1);
             assert_eq!(out[99], 100);
@@ -308,7 +308,8 @@ mod tests {
     fn run_is_telemetry_silent() {
         let sink = Arc::new(MemorySink::new());
         let handle = TelemetryHandle::with(Arc::new(LogicalClock::default()), sink.clone() as _);
-        let pool = Pool::new(4).with_telemetry(handle);
+        let mut pool = Pool::new(4);
+        pool.set_telemetry(handle);
         let items: Vec<u64> = (0..64).collect();
         let out = pool.run(&items, |&x| x);
         assert_eq!(out, items);

@@ -64,9 +64,6 @@ pub(crate) fn prefix_at(value: u64, bits: u8, i: u8) -> u64 {
 
 /// Builds the token tuples `tk_i = a‖v_{|i-1}‖v_i‖oc` for all `i ∈ [1, b]`.
 pub fn token_tuples(attr: &[u8], value: u64, bits: u8, oc: Order) -> Vec<SliceTuple> {
-    let mut span = slicer_telemetry::global::span("sore.tokens");
-    span.attr("tuples", u64::from(bits));
-    slicer_telemetry::global::count("sore.token_tuples", u64::from(bits));
     (1..=bits)
         .map(|i| SliceTuple {
             attr: attr.to_vec(),
@@ -80,7 +77,6 @@ pub fn token_tuples(attr: &[u8], value: u64, bits: u8, oc: Order) -> Vec<SliceTu
 
 /// Builds the ciphertext tuples `ct_i = a‖v_{|i-1}‖v̄_i‖cmp(v̄_i, v_i)`.
 pub fn cipher_tuples(attr: &[u8], value: u64, bits: u8) -> Vec<SliceTuple> {
-    slicer_telemetry::global::count("sore.cipher_tuples", u64::from(bits));
     (1..=bits)
         .map(|i| {
             let v_i = bit_at(value, bits, i);

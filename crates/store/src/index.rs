@@ -72,13 +72,7 @@ impl EncryptedIndex {
 
     /// Looks up a label (`I.find(l)` / `I.get(l)` in Algorithm 4).
     pub fn get(&self, label: &IndexLabel) -> Option<&[u8]> {
-        let hit = self.entries.get(label).map(Vec::as_slice);
-        if hit.is_some() {
-            slicer_telemetry::global::count("store.index.lookup.hit", 1);
-        } else {
-            slicer_telemetry::global::count("store.index.lookup.miss", 1);
-        }
-        hit
+        self.entries.get(label).map(Vec::as_slice)
     }
 
     /// Whether a label exists.
@@ -107,13 +101,9 @@ impl EncryptedIndex {
         &mut self,
         batch: impl IntoIterator<Item = (IndexLabel, Vec<u8>)>,
     ) -> Result<(), DuplicateLabelError> {
-        let mut span = slicer_telemetry::global::span("store.extend");
-        let mut count = 0u64;
         for (l, d) in batch {
             self.put(l, d)?;
-            count += 1;
         }
-        span.attr("entries", count);
         Ok(())
     }
 

@@ -54,12 +54,6 @@ impl TelemetryHandle {
     /// A no-op handle: every operation returns immediately, spans are
     /// inert, snapshots are empty. This is the default everywhere.
     pub fn disabled() -> Self {
-        Self::const_disabled()
-    }
-
-    /// `disabled()` as a `const fn`, so the [`global`](crate::global)
-    /// facade can live in a `static` initializer.
-    pub(crate) const fn const_disabled() -> Self {
         TelemetryHandle { inner: None }
     }
 

@@ -17,8 +17,12 @@
 //!    protocol transcripts either.
 //! 3. **Free when disabled** — [`TelemetryHandle::disabled`] is an
 //!    `Option::None` behind the scenes: every operation is a branch on a
-//!    niche-optimized pointer. The process-global facade ([`global`]) used
-//!    by leaf crates guards with one relaxed atomic load.
+//!    niche-optimized pointer.
+//! 4. **Injected, never ambient** — there is no process-global handle.
+//!    Whoever owns a component installs the handle it reports through
+//!    (`set_telemetry` on the actors, the pool, the segment store and
+//!    the chain; a `&TelemetryHandle` argument on the batch prover), so
+//!    two deployments in one process never see each other's recordings.
 //!
 //! # Architecture
 //!
@@ -39,9 +43,6 @@
 //! * [`Snapshot`] — a point-in-time copy of the registry, exportable as
 //!   Prometheus text ([`Snapshot::to_prometheus_text`]) or JSON
 //!   ([`Snapshot::to_json`]).
-//! * [`global`] — a process-wide default handle for leaf crates (SORE
-//!   tuple counts, index lookup hit rates, witness-cache hit rates) that
-//!   cannot reasonably thread a handle through their APIs.
 //! * Causal traces — every live span carries a [`SpanContext`]
 //!   ([`TraceId`] + [`SpanId`], sequence-counter assigned so same-seed
 //!   transcripts stay byte-identical) and parents implicitly on the
@@ -70,7 +71,6 @@
 
 mod clock;
 mod export;
-pub mod global;
 mod handle;
 pub mod json;
 mod log;

@@ -14,7 +14,7 @@
 
 use slicer_chain::Blockchain;
 use slicer_core::{RecordId, SlicerConfig, SlicerInstance};
-use slicer_telemetry::{global, Clock, MonotonicClock, TelemetryHandle};
+use slicer_telemetry::{Clock, MonotonicClock, TelemetryHandle};
 use slicer_workload::DatasetSpec;
 
 fn env_usize(key: &str, default: usize) -> usize {
@@ -36,10 +36,10 @@ fn main() {
         .collect();
 
     let handle = TelemetryHandle::enabled();
-    global::set(handle.clone());
     let clock = MonotonicClock::new();
     let t0 = clock.now_nanos();
     let mut chain = Blockchain::new();
+    chain.set_telemetry(handle.clone());
     let mut slicer = SlicerInstance::try_setup_with(
         SlicerConfig::with_bits(bits),
         42,
@@ -52,7 +52,6 @@ fn main() {
         .expect("benchmark data is in-domain");
     let wall = clock.now_nanos().saturating_sub(t0);
     let snap = handle.snapshot();
-    global::reset();
 
     let build_ns = snap
         .histogram("phase.build.ns")

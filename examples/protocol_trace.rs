@@ -13,7 +13,7 @@
 
 use slicer_chain::Blockchain;
 use slicer_core::{LeakageAuditor, Query, RecordId, SearchOutcome, SlicerConfig, SlicerInstance};
-use slicer_telemetry::{global, Event, MemorySink, MonotonicClock, TelemetryHandle};
+use slicer_telemetry::{Event, MemorySink, MonotonicClock, TelemetryHandle};
 use std::sync::Arc;
 
 fn ms(ns: u64) -> String {
@@ -21,16 +21,16 @@ fn ms(ns: u64) -> String {
 }
 
 fn main() {
-    // One enabled handle serves the whole run: the system's parties get it
-    // injected, and the global facade routes the leaf-crate spans and
-    // counters (SORE tuples, index lookups, chain txs, accumulator
-    // witnesses) into the same registry and event stream.
+    // One enabled handle serves the whole run: the chain and the
+    // system's parties get it injected, so chain transactions, SORE
+    // slicing, index extension and witness generation land in one
+    // registry and event stream.
     let sink = Arc::new(MemorySink::new());
     let telemetry = TelemetryHandle::with(Arc::new(MonotonicClock::new()), sink.clone() as _);
-    global::set(telemetry.clone());
 
     println!("── Setup + Build (Algorithms 1–2) ────────────────────────");
     let mut chain = Blockchain::new();
+    chain.set_telemetry(telemetry.clone());
     let mut slicer =
         SlicerInstance::try_setup_with(SlicerConfig::test_8bit(), 7, &mut chain, telemetry.clone())
             .expect("chain accepts the deployment");
@@ -177,5 +177,4 @@ fn main() {
         report.builds, report.searches, report.tokens, report.distinct_tokens
     );
     println!("LEAKAGE AUDIT OK");
-    global::reset();
 }

@@ -86,6 +86,9 @@ echo "==> pool determinism (bench counters agree across SLICER_THREADS)"
 # histograms legitimately differ; everything the protocol counts must not.
 bench_tmp="$(mktemp -d)"
 trap 'rm -rf "$bench_tmp"' EXIT
+# Fingerprint the committed baselines: the gate below must read them as
+# committed, whatever the runs here write.
+sha256sum BENCH_build.json BENCH_search.json >"$bench_tmp/baselines.sha256"
 for threads in 1 4; do
   mkdir -p "$bench_tmp/t$threads"
   SLICER_THREADS=$threads cargo run -q --release --offline -p slicer-bench \
@@ -113,6 +116,10 @@ echo "==> bench-diff regression gate (counters vs committed baselines)"
 # invariance), so the gate demands exact agreement on those, while
 # timing metrics (.ns / .iters) stay informational unless a tolerance
 # is supplied. Reuses the single-threaded transcripts generated above.
+sha256sum -c --quiet "$bench_tmp/baselines.sha256" || {
+  echo "bench-diff gate FAILED: a committed baseline changed during the run" >&2
+  exit 1
+}
 for f in BENCH_build.json BENCH_search.json; do
   if ! ./target/release/slicer-cli bench-diff "$f" "$bench_tmp/t1/$f"; then
     echo "bench-diff gate FAILED: $f drifted from the committed baseline" >&2
@@ -318,6 +325,12 @@ obs_pid=$!
 owait_ready
 ocli ingest 1:10 2:20 3:30 >/dev/null
 ocli search lt 25 >/dev/null
+# The prover reports through the cloud's handle, so the daemon's profile
+# shows witness generation under cloud.prove.
+grep -q "cloud.prove;accumulator.witness" <<<"$(ocli profile)" || {
+  echo "observability smoke FAILED: prover spans missing from the profile" >&2
+  exit 1
+}
 
 ocli metrics | grep -q "slicer_rpc_search_ns" || {
   echo "observability smoke FAILED: search histogram missing from scrape" >&2

@@ -214,6 +214,9 @@ fn telemetry_does_not_perturb_the_transcript() {
         "\"trace\":",
         "\"parent\":",
         "\"token.fp\":",
+        "\"name\":\"accumulator.witness\"",
+        "\"name\":\"sore.tokens\"",
+        "\"name\":\"store.extend\"",
     ] {
         assert!(
             transcript.contains(needle),
