@@ -346,7 +346,7 @@ pub fn telemetry_experiment(
 
     let mut t = Table::new(
         "bench",
-        "Telemetry: per-phase latency and gas (see results/BENCH_*.json)",
+        "Telemetry: per-phase latency and gas (BENCH_*.json baselines: repro --experiment telemetry --scale 0.01 --queries 2 --csv <dir>)",
         &["phase", "mean (ms)", "p99 (ms)", "gas"],
     );
     let ms = |ns: u64| format!("{:.3}", ns as f64 / 1e6);

@@ -1,8 +1,10 @@
 //! The Slicer verification smart contract (Algorithm 5 + fair payment).
 //!
 //! The contract stores the owner's accumulator digest `Ac` and, for each
-//! search request, the user's search tokens and escrowed payment. When the
-//! cloud submits results it recomputes, *on chain*:
+//! search request, the parties, the escrowed payment and a SHA-256
+//! commitment to the user's search tokens. When the cloud submits results
+//! it re-sends the tokens, the contract checks them against the commitment
+//! and recomputes, *on chain*:
 //!
 //! 1. `h ← H(er)` — the multiset hash of the returned ciphertexts,
 //! 2. `x ← H_prime(t_j ‖ j ‖ G₁ ‖ G₂ ‖ h)` — the prime representative,
@@ -24,7 +26,7 @@ use slicer_mshash::MsetHash;
 
 /// Selector byte: owner updates the accumulator digest.
 pub const SELECTOR_SET_AC: u8 = 0x01;
-/// Selector byte: user registers a search request with tokens + escrow.
+/// Selector byte: user registers a search request: token commitment + escrow.
 pub const SELECTOR_REQUEST: u8 = 0x02;
 /// Selector byte: cloud submits results + verification objects.
 pub const SELECTOR_SUBMIT: u8 = 0x03;
@@ -71,20 +73,24 @@ pub struct VerifyEntry {
 pub enum SlicerCall {
     /// `SetAccumulator(Ac)` — owner only.
     SetAccumulator(Vec<u8>),
-    /// `RequestSearch` — registers tokens, names the serving cloud and
-    /// escrows the attached transaction value as the search fee.
+    /// `RequestSearch` — commits to the tokens, names the serving cloud
+    /// and escrows the attached transaction value as the search fee.
     RequestSearch {
         /// Caller-chosen request identifier.
         request_id: [u8; 32],
         /// The cloud allowed to claim the fee.
         cloud: Address,
-        /// The search tokens (Algorithm 3 output).
+        /// The search tokens (Algorithm 3 output); only their SHA-256
+        /// digest is stored.
         tokens: Vec<TokenOnChain>,
     },
     /// `SubmitResult` — cloud submits one entry per registered token.
     SubmitResult {
         /// The request being answered.
         request_id: [u8; 32],
+        /// The request's tokens, re-sent as calldata; they must hash to the
+        /// request's commitment.
+        tokens: Vec<TokenOnChain>,
         /// Per-token results and witnesses.
         entries: Vec<VerifyEntry>,
     },
@@ -107,20 +113,16 @@ impl SlicerCall {
                 out.push(SELECTOR_REQUEST);
                 out.extend_from_slice(request_id);
                 out.extend_from_slice(&cloud.0);
-                out.extend_from_slice(&(tokens.len() as u16).to_be_bytes());
-                for t in tokens {
-                    put_bytes16(&mut out, &t.trapdoor);
-                    out.extend_from_slice(&t.j.to_be_bytes());
-                    out.extend_from_slice(&t.g1);
-                    out.extend_from_slice(&t.g2);
-                }
+                put_tokens(&mut out, tokens);
             }
             SlicerCall::SubmitResult {
                 request_id,
+                tokens,
                 entries,
             } => {
                 out.push(SELECTOR_SUBMIT);
                 out.extend_from_slice(request_id);
+                put_tokens(&mut out, tokens);
                 out.extend_from_slice(&(entries.len() as u16).to_be_bytes());
                 for e in entries {
                     out.extend_from_slice(&e.token_idx.to_be_bytes());
@@ -152,18 +154,7 @@ impl SlicerCall {
             SELECTOR_REQUEST => {
                 let request_id = r.array32()?;
                 let cloud = Address(r.array20()?);
-                // Counts come from the sender: vectors grow with the bytes
-                // that are really there, never with a declared count.
-                let n = r.u16()?;
-                let mut tokens = Vec::new();
-                for _ in 0..n {
-                    tokens.push(TokenOnChain {
-                        trapdoor: r.bytes16()?,
-                        j: r.u32()?,
-                        g1: r.array32()?,
-                        g2: r.array32()?,
-                    });
-                }
+                let tokens = r.tokens()?;
                 r.finish()?;
                 Ok(SlicerCall::RequestSearch {
                     request_id,
@@ -173,6 +164,9 @@ impl SlicerCall {
             }
             SELECTOR_SUBMIT => {
                 let request_id = r.array32()?;
+                let tokens = r.tokens()?;
+                // Counts come from the sender: vectors grow with the bytes
+                // that are really there, never with a declared count.
                 let n = r.u16()?;
                 let mut entries = Vec::new();
                 for _ in 0..n {
@@ -188,6 +182,7 @@ impl SlicerCall {
                 r.finish()?;
                 Ok(SlicerCall::SubmitResult {
                     request_id,
+                    tokens,
                     entries,
                 })
             }
@@ -201,6 +196,19 @@ impl SlicerCall {
 fn put_bytes16(out: &mut Vec<u8>, data: &[u8]) {
     out.extend_from_slice(&(data.len() as u16).to_be_bytes());
     out.extend_from_slice(data);
+}
+
+/// The token block: a `u16` count, then per token a length-prefixed `t_j`,
+/// `j`, `G₁` and `G₂`. Both calls carry it, and the request commits to its
+/// `sha256`.
+fn put_tokens(out: &mut Vec<u8>, tokens: &[TokenOnChain]) {
+    out.extend_from_slice(&(tokens.len() as u16).to_be_bytes());
+    for t in tokens {
+        put_bytes16(out, &t.trapdoor);
+        out.extend_from_slice(&t.j.to_be_bytes());
+        out.extend_from_slice(&t.g1);
+        out.extend_from_slice(&t.g2);
+    }
 }
 
 struct Reader<'a> {
@@ -259,6 +267,23 @@ impl<'a> Reader<'a> {
         Ok(self.take(n)?.to_vec())
     }
 
+    /// Reads a token block written by `put_tokens`.
+    fn tokens(&mut self) -> Result<Vec<TokenOnChain>, ContractError> {
+        // The count comes from the sender: the vector grows with the bytes
+        // that are really there, never with a declared count.
+        let n = self.u16()?;
+        let mut tokens = Vec::new();
+        for _ in 0..n {
+            tokens.push(TokenOnChain {
+                trapdoor: self.bytes16()?,
+                j: self.u32()?,
+                g1: self.array32()?,
+                g2: self.array32()?,
+            });
+        }
+        Ok(tokens)
+    }
+
     fn finish(&self) -> Result<(), ContractError> {
         if self.pos == self.data.len() {
             Ok(())
@@ -298,6 +323,18 @@ impl SlicerContract {
         let mut k = b"req:".to_vec();
         k.extend_from_slice(id);
         k
+    }
+
+    /// `sha256` of the token block, charged as one hash over its bytes: the
+    /// commitment a request stores and a submission must reproduce.
+    fn token_digest(
+        ctx: &mut CallContext<'_>,
+        tokens: &[TokenOnChain],
+    ) -> Result<[u8; 32], ContractError> {
+        let mut block = Vec::new();
+        put_tokens(&mut block, tokens);
+        ctx.charge_as(GasCategory::Hash, ctx.schedule().hash_cost(block.len()))?;
+        Ok(sha256(&block))
     }
 
     fn verify_entry(
@@ -385,24 +422,22 @@ impl Contract for SlicerContract {
                 if ctx.sload(&key)?.is_some() {
                     return Err(ContractError::Reverted("request id already used".into()));
                 }
-                // Persist (user, cloud, amount, tokens) for the settlement.
+                // Persist user ‖ cloud ‖ amount ‖ sha256(tokens) for the
+                // settlement: 88 bytes, three words, whatever the token
+                // count. The tokens themselves come back as calldata.
+                let digest = Self::token_digest(ctx, &tokens)?;
                 let mut record = Vec::new();
                 record.extend_from_slice(&ctx.caller.0);
                 record.extend_from_slice(&cloud.0);
                 record.extend_from_slice(&ctx.value.to_be_bytes());
-                record.extend_from_slice(&(tokens.len() as u16).to_be_bytes());
-                for t in &tokens {
-                    put_bytes16(&mut record, &t.trapdoor);
-                    record.extend_from_slice(&t.j.to_be_bytes());
-                    record.extend_from_slice(&t.g1);
-                    record.extend_from_slice(&t.g2);
-                }
+                record.extend_from_slice(&digest);
                 ctx.sstore(&key, record)?;
                 ctx.emit("SearchRequested", request_id.to_vec())?;
                 Ok(Vec::new())
             }
             SlicerCall::SubmitResult {
                 request_id,
+                tokens,
                 entries,
             } => {
                 let key = Self::req_key(&request_id);
@@ -413,19 +448,14 @@ impl Contract for SlicerContract {
                 let user = Address(r.array20()?);
                 let cloud = Address(r.array20()?);
                 let amount = u128::from_be_bytes(r.array()?);
-                let n_tokens = r.u16()?;
-                let mut tokens = Vec::new();
-                for _ in 0..n_tokens {
-                    tokens.push(TokenOnChain {
-                        trapdoor: r.bytes16()?,
-                        j: r.u32()?,
-                        g1: r.array32()?,
-                        g2: r.array32()?,
-                    });
-                }
+                let committed = r.array32()?;
                 if ctx.caller != cloud {
                     return Err(ContractError::Unauthorized);
                 }
+                // Tokens that do not match the request's commitment fail
+                // verification like a bad witness: nothing is verified and
+                // the user is refunded. A revert would lock the escrow.
+                let bound = Self::token_digest(ctx, &tokens)? == committed;
 
                 let ac_bytes = ctx
                     .sload(b"ac")?
@@ -434,8 +464,9 @@ impl Contract for SlicerContract {
 
                 // Every token must be answered exactly once.
                 let mut seen = vec![false; tokens.len()];
-                let mut all_ok = entries.len() == tokens.len();
-                for e in &entries {
+                let mut all_ok = bound && entries.len() == tokens.len();
+                let checked = if bound { entries.as_slice() } else { &[] };
+                for e in checked {
                     let idx = e.token_idx as usize;
                     let (Some(token), Some(slot)) = (tokens.get(idx), seen.get_mut(idx)) else {
                         all_ok = false;
@@ -459,7 +490,7 @@ impl Contract for SlicerContract {
                 if amount > 0 {
                     ctx.transfer(beneficiary, amount)?;
                 }
-                // Mark settled by clearing the stored tokens.
+                // Mark settled by overwriting the request record.
                 ctx.sstore(&key, b"settled".to_vec())?;
                 // The settlement outcome is a public event: anyone can
                 // audit who was paid for which request.
@@ -492,6 +523,12 @@ mod tests {
             },
             SlicerCall::SubmitResult {
                 request_id: [9u8; 32],
+                tokens: vec![TokenOnChain {
+                    trapdoor: vec![4; 64],
+                    j: 3,
+                    g1: [1; 32],
+                    g2: [2; 32],
+                }],
                 entries: vec![VerifyEntry {
                     token_idx: 0,
                     er: vec![vec![5; 48], vec![6; 48]],

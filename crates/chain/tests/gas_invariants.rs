@@ -37,6 +37,18 @@ fn set_ac(chain: &mut Blockchain, owner: Address, contract: Address, byte: u8) -
     r.gas_used
 }
 
+/// `n` distinct tokens with 64-byte trapdoors.
+fn tokens(n: usize) -> Vec<TokenOnChain> {
+    (0..n)
+        .map(|i| TokenOnChain {
+            trapdoor: vec![3u8; 64],
+            j: 0,
+            g1: [i as u8 + 4; 32],
+            g2: [5; 32],
+        })
+        .collect()
+}
+
 #[test]
 fn insertion_gas_is_constant_per_digest_update() {
     // Paper: "It only costs 29,144 gas per time regardless of the amount
@@ -89,12 +101,6 @@ fn verification_gas_grows_with_result_count_via_calldata_and_hashing() {
     let mut measured = Vec::new();
     for (i, n_er) in [1usize, 256].iter().enumerate() {
         let rid = [i as u8 + 10; 32];
-        let token = TokenOnChain {
-            trapdoor: vec![3u8; 64],
-            j: 0,
-            g1: [4; 32],
-            g2: [5; 32],
-        };
         chain
             .send_transaction(Transaction::call(
                 owner,
@@ -103,7 +109,7 @@ fn verification_gas_grows_with_result_count_via_calldata_and_hashing() {
                 SlicerCall::RequestSearch {
                     request_id: rid,
                     cloud,
-                    tokens: vec![token],
+                    tokens: tokens(1),
                 }
                 .encode(),
             ))
@@ -120,6 +126,7 @@ fn verification_gas_grows_with_result_count_via_calldata_and_hashing() {
                 0,
                 SlicerCall::SubmitResult {
                     request_id: rid,
+                    tokens: tokens(1),
                     entries,
                 }
                 .encode(),
@@ -133,6 +140,75 @@ fn verification_gas_grows_with_result_count_via_calldata_and_hashing() {
         measured[1] > measured[0] + 100_000,
         "256 results must dwarf 1 result: {measured:?}"
     );
+}
+
+#[test]
+fn request_storage_is_three_words_and_tokens_cost_only_calldata_and_hashing() {
+    // The request stores user ‖ cloud ‖ amount ‖ sha256(tokens): three
+    // fresh words at any token count. The submission re-sends the tokens,
+    // so they cost calldata and one hash there and nothing else: the same
+    // single bad entry for token 0 spends identical storage, H_prime and
+    // MODEXP gas whatever the block around it holds.
+    let (mut chain, owner, cloud, contract) = setup();
+    set_ac(&mut chain, owner, contract, 1);
+    let schedule = chain.schedule().clone();
+    let mut submits = Vec::new();
+    for (i, n) in [1usize, 4, 16].into_iter().enumerate() {
+        let rid = [i as u8 + 20; 32];
+        let request = chain
+            .send_transaction(Transaction::call(
+                owner,
+                contract,
+                0,
+                SlicerCall::RequestSearch {
+                    request_id: rid,
+                    cloud,
+                    tokens: tokens(n),
+                }
+                .encode(),
+            ))
+            .unwrap();
+        assert!(request.status.is_success());
+        assert_eq!(
+            request.gas_breakdown.sstore,
+            3 * schedule.sstore_set,
+            "{n} tokens"
+        );
+        let submit = chain
+            .send_transaction(Transaction::call(
+                cloud,
+                contract,
+                0,
+                SlicerCall::SubmitResult {
+                    request_id: rid,
+                    tokens: tokens(n),
+                    entries: vec![VerifyEntry {
+                        token_idx: 0,
+                        er: vec![vec![9u8; 32]],
+                        vo: vec![6u8; 64],
+                    }],
+                }
+                .encode(),
+            ))
+            .unwrap();
+        assert_eq!(submit.output, [0], "garbage vo never verifies");
+        submits.push((n, submit.gas_breakdown));
+    }
+    let (_, one) = &submits[0];
+    for (n, gas) in &submits[1..] {
+        for ((category, a), (_, b)) in one.entries().into_iter().zip(gas.entries()) {
+            match category {
+                "intrinsic" => assert!(b > a, "{n} tokens: calldata grows"),
+                // The token block is a 2-byte count plus 134 bytes a token.
+                "hash" => assert_eq!(
+                    b - a,
+                    schedule.hash_cost(2 + 134 * n) - schedule.hash_cost(2 + 134),
+                    "{n} tokens: one more hash over the longer block"
+                ),
+                _ => assert_eq!(a, b, "{n} tokens: {category} must not grow"),
+            }
+        }
+    }
 }
 
 #[test]
@@ -167,12 +243,6 @@ fn eip2565_schedule_reduces_verification_cost() {
             .unwrap()
             .address;
         set_ac(&mut chain, owner, contract, 1);
-        let token = TokenOnChain {
-            trapdoor: vec![3u8; 64],
-            j: 0,
-            g1: [4; 32],
-            g2: [5; 32],
-        };
         chain
             .send_transaction(Transaction::call(
                 owner,
@@ -181,7 +251,7 @@ fn eip2565_schedule_reduces_verification_cost() {
                 SlicerCall::RequestSearch {
                     request_id: [1; 32],
                     cloud,
-                    tokens: vec![token],
+                    tokens: tokens(1),
                 }
                 .encode(),
             ))
@@ -193,6 +263,7 @@ fn eip2565_schedule_reduces_verification_cost() {
                 0,
                 SlicerCall::SubmitResult {
                     request_id: [1; 32],
+                    tokens: tokens(1),
                     entries: vec![VerifyEntry {
                         token_idx: 0,
                         er: vec![vec![9u8; 32]],

@@ -417,10 +417,11 @@ impl SlicerInstance {
             .concat(),
         );
         let width = self.owner.keys().trapdoor().public().trapdoor_bytes();
+        let chain_tokens: Vec<_> = tokens.iter().map(|t| t.to_chain(width)).collect();
         let call = SlicerCall::RequestSearch {
             request_id: rid,
             cloud: self.cloud_addr,
-            tokens: tokens.iter().map(|t| t.to_chain(width)).collect(),
+            tokens: chain_tokens.clone(),
         };
         let req_receipt = chain.send_transaction(Transaction::call(
             self.user_addr,
@@ -453,8 +454,11 @@ impl SlicerInstance {
         // 3. Submit for verification and settlement.
         let mut verify_span = self.telemetry.span("phase.verify");
         let verify_start = self.clock.now_nanos();
+        // The cloud re-sends the request's tokens; the contract checks them
+        // against the commitment the request stored.
         let submit = SlicerCall::SubmitResult {
             request_id: rid,
+            tokens: chain_tokens,
             entries: response.entries.clone(),
         };
         let mut tx = Transaction::call(self.cloud_addr, self.contract, 0, submit.encode());
@@ -519,6 +523,9 @@ impl SlicerInstance {
         // (`phase.<name>.ns`); only the gas counters are explicit.
         for (name, stat) in profile.phases() {
             self.telemetry.count(&format!("phase.{name}.gas"), stat.gas);
+        }
+        for (category, gas) in profile.gas.entries() {
+            self.telemetry.count(&format!("gas.{category}"), gas);
         }
         drop(root);
         self.telemetry.log(

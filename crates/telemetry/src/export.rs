@@ -5,7 +5,7 @@
 //! [`HistogramSummary`] (count/sum/min/max + p50/p90/p99). Snapshots are
 //! what crosses process boundaries — as Prometheus exposition text or as
 //! a single JSON document. The JSON schema is shared by the metrics
-//! exporter, the testkit micro-bench reporter and the `results/BENCH_*`
+//! exporter, the testkit micro-bench reporter and the `BENCH_*.json`
 //! baseline files, so every measurement in the repo diffs the same way.
 
 use crate::json;

@@ -51,10 +51,13 @@ fn malformed_calldata_reverts_cleanly() {
         vec![0x01, 0x00],    // truncated SetAccumulator
         vec![0x02; 10],      // truncated RequestSearch
         vec![0x03, 1, 2, 3], // truncated SubmitResult
-        // SubmitResult: one entry whose `er` count is u32::MAX (41 bytes).
-        [&[0x03][..], &[0; 32], &[0, 1], &[0, 0], &[0xFF; 4]].concat(),
+        // SubmitResult: an empty token block, then one entry whose `er`
+        // count is u32::MAX (43 bytes).
+        [&[0x03][..], &[0; 32], &[0, 0], &[0, 1], &[0, 0], &[0xFF; 4]].concat(),
         // RequestSearch: 0xFFFF tokens declared, none sent.
         [&[0x02][..], &[0; 32], &[0; 20], &[0xFF, 0xFF]].concat(),
+        // SubmitResult: 0xFFFF tokens declared, none sent.
+        [&[0x03][..], &[0; 32], &[0xFF, 0xFF]].concat(),
     ] {
         let r = chain
             .send_transaction(Transaction::call(owner, contract, 0, data.clone()))
@@ -119,6 +122,7 @@ fn settled_request_cannot_be_resubmitted() {
     // The request id of the first search is deterministic (counter = 1).
     let call = SlicerCall::SubmitResult {
         request_id: [0u8; 32], // unknown id
+        tokens: vec![],
         entries: vec![VerifyEntry {
             token_idx: 0,
             er: vec![],
@@ -142,10 +146,11 @@ fn verification_runs_out_of_gas_gracefully() {
     let (_, user, cloud) = inst.addresses();
     let tokens = inst.user.tokens_for(&Query::equal(5));
     assert_eq!(tokens.len(), 1);
+    let chain_tokens: Vec<_> = tokens.iter().map(|t| t.to_chain(64)).collect();
     let call = SlicerCall::RequestSearch {
         request_id: [9u8; 32],
         cloud,
-        tokens: tokens.iter().map(|t| t.to_chain(64)).collect(),
+        tokens: chain_tokens.clone(),
     };
     let r = chain
         .send_transaction(Transaction::call(user, contract, 500, call.encode()))
@@ -155,6 +160,7 @@ fn verification_runs_out_of_gas_gracefully() {
     let response = inst.cloud.respond(&tokens).unwrap();
     let submit = SlicerCall::SubmitResult {
         request_id: [9u8; 32],
+        tokens: chain_tokens,
         entries: response.entries.clone(),
     };
     let mut tx = Transaction::call(cloud, contract, 0, submit.encode());
@@ -174,6 +180,95 @@ fn verification_runs_out_of_gas_gracefully() {
     assert!(ok.status.is_success());
     assert_eq!(ok.output, [1]);
     assert_eq!(chain.balance(&cloud), before + 500);
+}
+
+/// Registers a request for `query` under `rid`, escrowing 500 wei, and
+/// returns its on-chain tokens with the cloud's honest entries.
+fn open_request(
+    inst: &mut SlicerInstance,
+    chain: &mut Blockchain,
+    rid: [u8; 32],
+    query: &Query,
+) -> (Vec<TokenOnChain>, Vec<VerifyEntry>) {
+    let (_, user, cloud) = inst.addresses();
+    let tokens = inst.user.tokens_for(query);
+    let chain_tokens: Vec<_> = tokens.iter().map(|t| t.to_chain(64)).collect();
+    let call = SlicerCall::RequestSearch {
+        request_id: rid,
+        cloud,
+        tokens: chain_tokens.clone(),
+    };
+    let r = chain
+        .send_transaction(Transaction::call(
+            user,
+            inst.contract_address(),
+            500,
+            call.encode(),
+        ))
+        .unwrap();
+    assert!(r.status.is_success());
+    (chain_tokens, inst.cloud.respond(&tokens).unwrap().entries)
+}
+
+#[test]
+fn resent_tokens_must_match_the_request_commitment() {
+    // The request stores only sha256 of its token block; the cloud re-sends
+    // the tokens at settlement. Any other token block fails verification
+    // before a single MODEXP and refunds the user.
+    let (mut inst, mut chain) = deployment(44);
+    let contract = inst.contract_address();
+    let (_, user, cloud) = inst.addresses();
+    let query = Query::less_than(20);
+    let (tokens, entries) = open_request(&mut inst, &mut chain, [0x40; 32], &query);
+    assert!(tokens.len() >= 2, "the cases need several tokens");
+    let (other, other_entries) =
+        open_request(&mut inst, &mut chain, [0x41; 32], &Query::greater_than(20));
+
+    let mut flipped = tokens.clone();
+    flipped[0].trapdoor[0] ^= 1;
+    let mut reordered = tokens.clone();
+    reordered.swap(0, 1);
+    let mut dropped = tokens.clone();
+    dropped.pop();
+    let mut appended = tokens.clone();
+    appended.push(other[0].clone());
+    let cases = [
+        ("honest", tokens.clone(), entries.clone(), true),
+        ("trapdoor byte flipped", flipped, entries.clone(), false),
+        ("reordered", reordered, entries.clone(), false),
+        ("one dropped", dropped, entries.clone(), false),
+        ("one appended", appended, entries.clone(), false),
+        // Another request's tokens with that request's honest answers:
+        // every witness is valid, but for a query the user did not pay for.
+        ("another request's", other, other_entries, false),
+    ];
+    for (i, (name, resent, entries, verifies)) in cases.into_iter().enumerate() {
+        let rid = [0x50 + i as u8; 32];
+        let user_before = chain.balance(&user);
+        open_request(&mut inst, &mut chain, rid, &query);
+        let submit = SlicerCall::SubmitResult {
+            request_id: rid,
+            tokens: resent,
+            entries,
+        };
+        let r = chain
+            .send_transaction(Transaction::call(cloud, contract, 0, submit.encode()))
+            .unwrap();
+        assert!(r.status.is_success(), "{name}: settles, never reverts");
+        let settled = r.logs.iter().find(|l| l.topic == "Settled").unwrap();
+        assert_eq!(
+            settled.data,
+            [&rid[..], &[u8::from(verifies)]].concat(),
+            "{name}: Settled outcome"
+        );
+        if verifies {
+            assert_eq!(r.output, [1], "{name}");
+            continue;
+        }
+        assert_eq!(r.output, [0], "{name}");
+        assert_eq!(r.gas_breakdown.modexp, 0, "{name}: no entry is verified");
+        assert_eq!(chain.balance(&user), user_before, "{name}: user refunded");
+    }
 }
 
 #[test]
@@ -207,7 +302,7 @@ fn oversized_accumulator_value_is_stored_verbatim_but_breaks_nothing() {
             SlicerCall::RequestSearch {
                 request_id: [3u8; 32],
                 cloud,
-                tokens: vec![token],
+                tokens: vec![token.clone()],
             }
             .encode(),
         ))
@@ -219,6 +314,7 @@ fn oversized_accumulator_value_is_stored_verbatim_but_breaks_nothing() {
             0,
             SlicerCall::SubmitResult {
                 request_id: [3u8; 32],
+                tokens: vec![token],
                 entries: vec![VerifyEntry {
                     token_idx: 0,
                     er: vec![],

@@ -299,7 +299,7 @@ fn owner_state_transcript_digest_is_pinned() {
 /// SHA-256 of `encode(owner_state) ‖ encode(block_0) ‖ …` for the
 /// `run_lifecycle(0xD5EED)` deployment above.
 const PINNED_TRANSCRIPT_DIGEST: &str =
-    "a73f4013df4be33f976d336a0c74b554b5cbe68cd0bfdbaaecf842afcaa363fd";
+    "b6b96d756e41169cb4ef1374a203bfc71b6e803ec0a28322086dc42f0a73aa40";
 
 #[test]
 fn dual_delete_reinsert_transcript_is_seed_deterministic() {

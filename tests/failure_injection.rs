@@ -164,6 +164,7 @@ fn unregistered_request_submission_reverts() {
     chain.create_account(attacker, 1_000_000);
     let call = SlicerCall::SubmitResult {
         request_id: [0xEE; 32],
+        tokens: vec![],
         entries: vec![],
     };
     let receipt = chain
@@ -202,6 +203,7 @@ fn third_party_cannot_claim_anothers_request() {
     chain.create_account(attacker, 1_000_000);
     let submit = SlicerCall::SubmitResult {
         request_id: [0xAB; 32],
+        tokens: vec![],
         entries: vec![],
     };
     let receipt = chain
