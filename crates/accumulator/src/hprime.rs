@@ -11,7 +11,7 @@ use std::sync::OnceLock;
 /// walk to a 128-bit prime (≈ 44 candidates) rarely needs a second window.
 /// Sized to the walk rather than larger: the remainder pass is per-window
 /// work, and the few walks that overflow just sieve another window — the
-/// candidate sequence (and thus the gas-metered `tried` count) is
+/// candidate sequence (and thus the walk index handed to the contract) is
 /// unchanged by the window size.
 const SIEVE_WINDOW: usize = 128;
 
@@ -81,13 +81,11 @@ pub const DEFAULT_PRIME_BITS: u32 = 128;
 
 /// Maps arbitrary bytes to a probable prime of exactly `bits` bits.
 ///
-/// Deterministic hash-and-increment: the candidate starts at
-/// `SHA-256(data)` truncated/expanded to `bits` bits with the top and low
-/// bits forced to one, then walks upward by 2 until a Miller–Rabin probable
-/// prime is found. Determinism is essential — the blockchain verifier
-/// recomputes `x = H_prime(t_j‖j‖G₁‖G₂‖h)` from public values in
-/// Algorithm 5 and must land on the same prime as the data owner did in
-/// Algorithm 1.
+/// Deterministic hash-and-increment over [`candidate`]'s sequence: the
+/// walk tests `candidate(data, bits, 0)`, `candidate(data, bits, 1)`, …
+/// and returns the first BPSW probable prime. Determinism is essential —
+/// the data owner derives `x = H_prime(t_j‖j‖G₁‖G₂‖h)` in Algorithm 1 and
+/// the blockchain verifier must land on the same prime in Algorithm 5.
 ///
 /// # Errors
 ///
@@ -97,45 +95,81 @@ pub fn hash_to_prime(data: &[u8], bits: u32) -> Result<BigUint, AccumulatorError
     Ok(hash_to_prime_counted(data, bits)?.0)
 }
 
-/// [`hash_to_prime`] that also reports how many candidates were examined —
-/// the blockchain gas meter charges per candidate (trial division) plus the
-/// Miller–Rabin rounds on survivors.
+/// The `k`-th candidate of `H_prime`'s walk over `data`: the start
+/// `SHA-256(data)`, expanded and trimmed to `bits` bits with the top and
+/// low bits forced to one, plus `2k`. A candidate past `2^bits - 1` wraps
+/// to the bottom of the width (`2^(bits-1) + 1` follows `2^bits - 1`), so
+/// every candidate is odd and exactly `bits` bits wide.
+///
+/// The settlement contract computes only the candidate the cloud names
+/// (the walk index [`hash_to_prime_counted`] reports) and never walks.
+///
+/// # Errors
+///
+/// Returns [`AccumulatorError::UnsupportedPrimeBits`] if `bits < 16` or
+/// `bits > 512`.
+pub fn candidate(data: &[u8], bits: u32, k: u64) -> Result<BigUint, AccumulatorError> {
+    Ok(step(&walk_start(data, bits)?, bits, k))
+}
+
+/// The walk's first candidate: `SHA-256(data)` (expanded by
+/// `SHA-256(0x01 ‖ SHA-256(data))` past 256 bits) trimmed to exactly
+/// `bits` bits, top bit (exact width) and low bit (odd) set.
+fn walk_start(data: &[u8], bits: u32) -> Result<BigUint, AccumulatorError> {
+    if !(16..=512).contains(&bits) {
+        return Err(AccumulatorError::UnsupportedPrimeBits(bits));
+    }
+    let nbytes = bits.div_ceil(8) as usize;
+    let d1 = sha256(data);
+    let mut wide = d1.to_vec();
+    if nbytes > wide.len() {
+        let mut tagged = vec![0x01];
+        tagged.extend_from_slice(&d1);
+        wide.extend_from_slice(&sha256(&tagged));
+    }
+    wide.truncate(nbytes);
+    let excess = (nbytes as u32 * 8).saturating_sub(bits);
+    let mut start = &BigUint::from_bytes_be(&wide) >> excess;
+    start.set_bit(bits as u64 - 1, true);
+    start.set_bit(0, true);
+    Ok(start)
+}
+
+/// `start + 2k`, wrapped into `[2^(bits-1), 2^bits)`: the odd `bits`-bit
+/// numbers form one cycle.
+fn step(start: &BigUint, bits: u32, k: u64) -> BigUint {
+    let c = start + &(BigUint::from(k) << 1);
+    if c.bit_len() <= u64::from(bits) {
+        return c;
+    }
+    let half = BigUint::one() << (bits - 1);
+    &(&(&c - &half) % &half) + &half
+}
+
+/// [`hash_to_prime`] that also reports the walk index `k` of the prime it
+/// found: `candidate(data, bits, k)` is that prime. The cloud passes `k`
+/// to the settlement contract as the entry's hint.
 ///
 /// # Errors
 ///
 /// Returns [`AccumulatorError::UnsupportedPrimeBits`] if `bits < 16` or
 /// `bits > 512`.
 pub fn hash_to_prime_counted(data: &[u8], bits: u32) -> Result<(BigUint, u64), AccumulatorError> {
-    if !(16..=512).contains(&bits) {
-        return Err(AccumulatorError::UnsupportedPrimeBits(bits));
-    }
-    // Expand the digest to cover up to 512 bits of candidate material.
-    let d1 = sha256(data);
-    let mut wide = Vec::with_capacity(64);
-    wide.extend_from_slice(&d1);
-    let mut tagged = Vec::with_capacity(33);
-    tagged.push(0x01);
-    tagged.extend_from_slice(&d1);
-    wide.extend_from_slice(&sha256(&tagged));
-
-    let nbytes = bits.div_ceil(8) as usize;
-    wide.truncate(nbytes);
-    let mut cand = BigUint::from_bytes_be(&wide);
-    // Trim to exactly `bits` bits, force the top bit (exact width) and
-    // low bit (odd).
-    let excess = (nbytes as u32 * 8).saturating_sub(bits);
-    cand = &cand >> excess;
-    cand.set_bit(bits as u64 - 1, true);
-    cand.set_bit(0, true);
+    let start = walk_start(data, bits)?;
+    let top = &(BigUint::one() << bits) - &BigUint::one();
 
     // Windowed incremental sieve: one remainder pass against SMALL_PRIMES
     // marks every candidate in the window that a small prime divides, so
     // the expensive probable-prime test only runs on survivors. The walk
-    // visits exactly the same candidates in the same order as testing one
-    // by one — `tried` (which the blockchain gas meter charges per
-    // candidate) is unchanged by the sieve.
-    let mut tried: u64 = 0;
-    'windows: loop {
+    // visits exactly the candidates of `candidate`, in order.
+    let mut base: u64 = 0;
+    loop {
+        let cand = step(&start, bits, base);
+        // A window stops at `2^bits - 1`; the next one starts at the
+        // wrapped candidate.
+        let slots = (&top - &cand).to_u64().map_or(SIEVE_WINDOW, |gap| {
+            (gap / 2 + 1).min(SIEVE_WINDOW as u64) as usize
+        });
         let mut composite = [false; SIEVE_WINDOW];
         for sp in sieve_table() {
             // Smallest k >= 0 with cand + 2k ≡ 0 (mod p):
@@ -147,33 +181,15 @@ pub fn hash_to_prime_counted(data: &[u8], bits: u32) -> Result<(BigUint, u64), A
                 *slot = true;
             }
         }
-        // Overflow past the requested width is astronomically unlikely
-        // (needs a prime gap of ~2^(bits-1)); wrap defensively anyway, at
-        // the same candidate the one-by-one walk would have. Checked once
-        // per window so the common path never materializes skipped
-        // candidates.
-        let window_top = &cand + &BigUint::from(2 * (SIEVE_WINDOW as u64 - 1));
-        let wraps = window_top.bit_len() > bits as u64;
-        for (k, &marked) in composite.iter().enumerate() {
-            tried += 1;
-            if wraps {
-                let c = &cand + &BigUint::from(2 * k as u64);
-                if c.bit_len() > bits as u64 {
-                    cand = BigUint::one() << (bits - 1);
-                    cand.set_bit(0, true);
-                    continue 'windows;
-                }
-                if !marked && c.is_prime_bpsw_presieved() {
-                    return Ok((c, tried));
-                }
-            } else if !marked {
+        for (k, &marked) in composite.iter().enumerate().take(slots) {
+            if !marked {
                 let c = &cand + &BigUint::from(2 * k as u64);
                 if c.is_prime_bpsw_presieved() {
-                    return Ok((c, tried));
+                    return Ok((c, base + k as u64));
                 }
             }
         }
-        cand = &cand + &BigUint::from(2 * SIEVE_WINDOW as u64);
+        base += slots as u64;
     }
 }
 
@@ -226,9 +242,10 @@ mod tests {
     }
 
     /// The pre-sieve reference: test candidates one at a time with the
-    /// full Miller–Rabin sweep. The sieved walk must agree on both the
-    /// prime found and the candidate count — the chain's gas meter charges
-    /// per candidate, so a count drift would fork consensus.
+    /// full Miller–Rabin sweep, wrapping from `2^bits - 1` to
+    /// `2^(bits-1) + 1`. The sieved walk must agree on both the prime found
+    /// and its index — the contract recomputes the prime from the index, so
+    /// an index drift would fail honest entries.
     fn naive_reference(data: &[u8], bits: u32) -> (BigUint, u64) {
         let d1 = sha256(data);
         let mut wide = Vec::with_capacity(64);
@@ -246,27 +263,68 @@ mod tests {
         cand.set_bit(0, true);
 
         let two = BigUint::two();
-        let mut tried: u64 = 1;
+        let mut index: u64 = 0;
         loop {
             if cand.is_probable_prime(8) {
-                return (cand, tried);
+                return (cand, index);
             }
             cand = &cand + &two;
-            tried += 1;
+            if cand.bit_len() > bits as u64 {
+                cand = BigUint::one() << (bits - 1);
+                cand.set_bit(0, true);
+            }
+            index += 1;
         }
     }
 
     #[test]
     fn sieved_walk_matches_naive_reference() {
-        for bits in [64u32, 128] {
+        for bits in [64u32, 128, 384] {
             for i in 0..32u32 {
                 let data = [b"equiv".as_slice(), &i.to_be_bytes()].concat();
-                let (prime, count) = hash_to_prime_counted(&data, bits).expect("width ok");
-                let (want_prime, want_count) = naive_reference(&data, bits);
+                let (prime, index) = hash_to_prime_counted(&data, bits).expect("width ok");
+                let (want_prime, want_index) = naive_reference(&data, bits);
                 assert_eq!(prime, want_prime, "prime drift at {bits}/{i}");
-                assert_eq!(count, want_count, "gas-visible count drift at {bits}/{i}");
+                assert_eq!(index, want_index, "walk index drift at {bits}/{i}");
+                assert_eq!(candidate(&data, bits, index).unwrap(), prime);
             }
         }
+    }
+
+    #[test]
+    fn walks_that_wrap_past_the_width_keep_their_index() {
+        // At 16 bits, 65521 is the largest prime: a start above it walks
+        // past 2^16 - 1 and wraps to 2^15 + 1 (about 1 start in 2,300).
+        let mut wrapped = 0;
+        for i in 0..40_000u32 {
+            let data = i.to_be_bytes();
+            let (prime, index) = hash_to_prime_counted(&data, 16).expect("width ok");
+            if prime >= candidate(&data, 16, 0).unwrap() {
+                continue;
+            }
+            wrapped += 1;
+            assert_eq!((prime.clone(), index), naive_reference(&data, 16), "{i}");
+            assert_eq!(candidate(&data, 16, index).unwrap(), prime, "{i}");
+        }
+        assert!(wrapped >= 5, "only {wrapped} wrapping walks exercised");
+    }
+
+    #[test]
+    fn candidates_are_odd_and_exactly_bits_wide() {
+        for bits in [16u32, 17, 64, 128] {
+            for k in [0u64, 1, 77, 0xFFFF, 1 << 20] {
+                let c = candidate(b"width", bits, k).unwrap();
+                assert_eq!(c.bit_len(), bits as u64, "{bits}/{k}");
+                assert!(c.is_odd(), "{bits}/{k}");
+            }
+            let first = candidate(b"width", bits, 0).unwrap();
+            let next = candidate(b"width", bits, 1).unwrap();
+            assert!(next == &first + &BigUint::two() || next < first, "{bits}");
+        }
+        assert_eq!(
+            candidate(b"x", 8, 0),
+            Err(AccumulatorError::UnsupportedPrimeBits(8))
+        );
     }
 
     #[test]

@@ -54,5 +54,5 @@ pub mod witness;
 
 pub use acc::Accumulator;
 pub use error::AccumulatorError;
-pub use hprime::{hash_to_prime, hash_to_prime_counted, DEFAULT_PRIME_BITS};
+pub use hprime::{candidate, hash_to_prime, hash_to_prime_counted, DEFAULT_PRIME_BITS};
 pub use params::RsaParams;

@@ -1,7 +1,7 @@
 //! Micro-benchmark: substrate throughput — the from-scratch crypto and
 //! bignum primitives every protocol operation sits on.
 
-use slicer_accumulator::{hash_to_prime, RsaParams};
+use slicer_accumulator::{candidate, hash_to_prime, RsaParams};
 use slicer_bignum::{BigUint, MontgomeryCtx};
 use slicer_crypto::aes::Aes128;
 use slicer_crypto::{hmac_sha256, sha256};
@@ -69,6 +69,12 @@ fn main() {
     let mut next = 0;
     group.run("hash_to_prime_128", || {
         black_box(hash_to_prime(&inputs[next], 128).expect("supported width"));
+        next = (next + 1) % inputs.len();
+    });
+    // What the settlement contract computes instead: the one candidate the
+    // cloud's hint names.
+    group.run("candidate_128", || {
+        black_box(candidate(&inputs[next], 128, 44).expect("supported width"));
         next = (next + 1) % inputs.len();
     });
 

@@ -142,7 +142,7 @@ pub fn search_experiments(scale: f64, bits_list: &[u8], queries: usize) -> Vec<T
                 let t0 = clock.now_nanos();
                 let vos = cloud.prove(&results).expect("bench state is honest");
                 ord_vo += secs_since(&clock, t0);
-                ord_vo_bytes += vos.iter().map(Vec::len).sum::<usize>();
+                ord_vo_bytes += vos.iter().map(|(vo, _)| vo.len()).sum::<usize>();
             }
             let q = queries as f64;
             rows[0].push(format!("{:.4}", eq_search / q));

@@ -31,11 +31,9 @@ pub struct GasSchedule {
     /// Base cost of a wide-field (1024-bit) modular multiplication, as used
     /// by the multiset-hash precompile analogue.
     pub field_mul: u64,
-    /// Trial-division filter cost per `H_prime` candidate examined.
+    /// Cost of deriving the one `H_prime` candidate an entry's hint names
+    /// from the material digest: `+ 2k` and the width wrap.
     pub hprime_candidate: u64,
-    /// Cost of one Miller–Rabin round on a prime-representative candidate
-    /// (a small MODEXP under EIP-198).
-    pub miller_rabin_round: u64,
     /// Cost of a balance transfer performed by a contract.
     pub call_value_transfer: u64,
     /// Flat overhead of dispatching into a contract.
@@ -58,7 +56,6 @@ slicer_crypto::impl_codec!(GasSchedule {
     hash_word,
     field_mul,
     hprime_candidate,
-    miller_rabin_round,
     call_value_transfer,
     call_base,
     modexp_berlin,
@@ -79,9 +76,6 @@ impl Default for GasSchedule {
             hash_word: 6,
             field_mul: 480,
             hprime_candidate: 300,
-            // EIP-198 on a 16-byte base/modulus with a ~127-bit exponent:
-            // (16/8 words → x = 16 bytes → x^2/? ) ≈ 256 * 127 / 20.
-            miller_rabin_round: 1_625,
             call_value_transfer: 9_000,
             call_base: 700,
             modexp_berlin: false,
@@ -142,13 +136,9 @@ pub fn modexp_gas_eip2565(base_len: usize, exp_bits: u64, mod_len: usize) -> u64
 
 impl GasSchedule {
     /// A Berlin-era variant of the default schedule: EIP-2565 MODEXP
-    /// pricing for the verification exponentiation and correspondingly
-    /// cheaper Miller–Rabin rounds.
+    /// pricing for the verification exponentiation.
     pub fn eip2565() -> Self {
         GasSchedule {
-            // 16-byte base/modulus, ~127-bit exponent under EIP-2565:
-            // ceil(16/8)^2 * 126 / 3 = 168 → floored at 200.
-            miller_rabin_round: 200,
             modexp_berlin: true,
             ..GasSchedule::default()
         }
@@ -195,9 +185,11 @@ pub enum GasCategory {
     Hash,
     /// Wide-field multiplications of the multiset hash (`field_mul`).
     FieldMul,
-    /// `H_prime` trial-division walk (`hprime_candidate`).
+    /// The hinted `H_prime` candidate (`hprime_candidate`).
     HPrime,
-    /// Miller–Rabin rounds (`miller_rabin_round`).
+    /// Miller–Rabin rounds. The contract checks the one candidate the
+    /// cloud names and runs no primality test, so nothing charges this
+    /// category; `gas.miller_rabin` reads 0.
     MillerRabin,
     /// The accumulator verification MODEXP (EIP-198 / EIP-2565).
     Modexp,
@@ -421,7 +413,6 @@ mod tests {
         let berlin = GasSchedule::eip2565();
         assert_eq!(legacy.modexp_cost(64, 127, 64), 25_804);
         assert_eq!(berlin.modexp_cost(64, 127, 64), 2_688);
-        assert!(berlin.miller_rabin_round < legacy.miller_rabin_round);
     }
 
     #[test]

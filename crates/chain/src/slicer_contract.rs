@@ -8,6 +8,9 @@
 //!
 //! 1. `h ← H(er)` — the multiset hash of the returned ciphertexts,
 //! 2. `x ← H_prime(t_j ‖ j ‖ G₁ ‖ G₂ ‖ h)` — the prime representative,
+//!    as the one candidate of the `H_prime` walk that the cloud's hint
+//!    names (no walk and no primality test on chain; DESIGN.md §3 has the
+//!    soundness argument),
 //! 3. `VerifyMem(x, vo)` — one modular exponentiation against `Ac`.
 //!
 //! If every slice of the request verifies, the escrow is paid to the cloud;
@@ -19,7 +22,7 @@ use crate::contract::{CallContext, Contract};
 use crate::error::ContractError;
 use crate::gas::GasCategory;
 use crate::types::Address;
-use slicer_accumulator::{hash_to_prime_counted, RsaParams, DEFAULT_PRIME_BITS};
+use slicer_accumulator::{candidate, RsaParams, DEFAULT_PRIME_BITS};
 use slicer_bignum::BigUint;
 use slicer_crypto::sha256;
 use slicer_mshash::MsetHash;
@@ -62,6 +65,9 @@ impl TokenOnChain {
 pub struct VerifyEntry {
     /// Which registered token this entry answers.
     pub token_idx: u16,
+    /// The `H_prime` walk index of the entry's prime: the contract checks
+    /// candidate `hint` of the walk and nothing else.
+    pub hint: u16,
     /// The encrypted matched results `er` for this token.
     pub er: Vec<Vec<u8>>,
     /// The membership witness `vo`.
@@ -126,6 +132,7 @@ impl SlicerCall {
                 out.extend_from_slice(&(entries.len() as u16).to_be_bytes());
                 for e in entries {
                     out.extend_from_slice(&e.token_idx.to_be_bytes());
+                    out.extend_from_slice(&e.hint.to_be_bytes());
                     out.extend_from_slice(&(e.er.len() as u32).to_be_bytes());
                     for r in &e.er {
                         put_bytes16(&mut out, r);
@@ -171,13 +178,19 @@ impl SlicerCall {
                 let mut entries = Vec::new();
                 for _ in 0..n {
                     let token_idx = r.u16()?;
+                    let hint = r.u16()?;
                     let n_er = r.u32()?;
                     let mut er = Vec::new();
                     for _ in 0..n_er {
                         er.push(r.bytes16()?);
                     }
                     let vo = r.bytes16()?;
-                    entries.push(VerifyEntry { token_idx, er, vo });
+                    entries.push(VerifyEntry {
+                        token_idx,
+                        hint,
+                        er,
+                        vo,
+                    });
                 }
                 r.finish()?;
                 Ok(SlicerCall::SubmitResult {
@@ -351,25 +364,16 @@ impl SlicerContract {
             ctx.charge_as(GasCategory::FieldMul, ctx.schedule().field_mul)?;
             h.insert(r);
         }
-        // x ← H_prime(t_j ‖ j ‖ G1 ‖ G2 ‖ h)
+        // x ← H_prime(t_j ‖ j ‖ G1 ‖ G2 ‖ h), as the walk's candidate
+        // number `hint`: odd and exactly `prime_bits` wide by construction.
+        // A hint that names anything but an accumulated prime fails
+        // VerifyMem below (DESIGN.md §3), so no primality test runs here.
         let mut material = token.material();
         material.extend_from_slice(&h.to_bytes());
         ctx.charge_as(GasCategory::Hash, ctx.schedule().hash_cost(material.len()))?;
-        let (x, candidates) = hash_to_prime_counted(&material, self.prime_bits)
+        ctx.charge_as(GasCategory::HPrime, ctx.schedule().hprime_candidate)?;
+        let x = candidate(&material, self.prime_bits, u64::from(entry.hint))
             .map_err(|e| ContractError::Reverted(e.to_string()))?;
-        // Charge the H_prime walk: trial division on every candidate, plus
-        // Miller–Rabin only on trial-division survivors (~1 in 5 at 128
-        // bits, almost all rejected by their first round) and the full
-        // 20-round confirmation of the final prime.
-        let mr_rounds = 20 + candidates / 5;
-        ctx.charge_as(
-            GasCategory::HPrime,
-            ctx.schedule().hprime_candidate * candidates,
-        )?;
-        ctx.charge_as(
-            GasCategory::MillerRabin,
-            ctx.schedule().miller_rabin_round * mr_rounds,
-        )?;
         // VerifyMem(x, vo): one big modexp against the stored digest.
         let elem = self.params.element_bytes();
         ctx.charge_as(
@@ -531,6 +535,7 @@ mod tests {
                 }],
                 entries: vec![VerifyEntry {
                     token_idx: 0,
+                    hint: 0x1234,
                     er: vec![vec![5; 48], vec![6; 48]],
                     vo: vec![7; 64],
                 }],

@@ -1,8 +1,11 @@
 //! Structural gas invariants behind Table II's claims.
 
+use slicer_accumulator::{hash_to_prime_counted, witness, Accumulator, RsaParams};
+use slicer_bignum::BigUint;
 use slicer_chain::{
     Address, Blockchain, SlicerCall, SlicerContract, TokenOnChain, Transaction, VerifyEntry,
 };
+use slicer_mshash::MsetHash;
 
 fn setup() -> (Blockchain, Address, Address, Address) {
     let mut chain = Blockchain::new();
@@ -95,9 +98,6 @@ fn verification_gas_grows_with_result_count_via_calldata_and_hashing() {
     let (mut chain, owner, cloud, contract) = setup();
     set_ac(&mut chain, owner, contract, 1);
 
-    // H_prime's hash-and-increment walk length varies per request (prime
-    // gaps), adding ±tens-of-k gas of noise; compare far-apart result
-    // counts so the per-element calldata + hashing cost dominates.
     let mut measured = Vec::new();
     for (i, n_er) in [1usize, 256].iter().enumerate() {
         let rid = [i as u8 + 10; 32];
@@ -116,6 +116,7 @@ fn verification_gas_grows_with_result_count_via_calldata_and_hashing() {
             .unwrap();
         let entries = vec![VerifyEntry {
             token_idx: 0,
+            hint: 0,
             er: (0..*n_er).map(|k| vec![k as u8; 32]).collect(),
             vo: vec![6u8; 64],
         }];
@@ -184,6 +185,7 @@ fn request_storage_is_three_words_and_tokens_cost_only_calldata_and_hashing() {
                     tokens: tokens(n),
                     entries: vec![VerifyEntry {
                         token_idx: 0,
+                        hint: 0,
                         er: vec![vec![9u8; 32]],
                         vo: vec![6u8; 64],
                     }],
@@ -208,6 +210,136 @@ fn request_storage_is_three_words_and_tokens_cost_only_calldata_and_hashing() {
                 _ => assert_eq!(a, b, "{n} tokens: {category} must not grow"),
             }
         }
+    }
+}
+
+/// A token answered by `er`, with the prime the owner would accumulate for
+/// it and that prime's `H_prime` walk index.
+struct Answer {
+    token: TokenOnChain,
+    er: Vec<Vec<u8>>,
+    material_len: usize,
+    prime: BigUint,
+    index: u64,
+}
+
+fn answer(i: u8) -> Answer {
+    let token = TokenOnChain {
+        trapdoor: vec![i ^ 0x5A; 64],
+        j: u32::from(i % 4),
+        g1: [i; 32],
+        g2: [7; 32],
+    };
+    let er: Vec<Vec<u8>> = (0..1 + usize::from(i % 3))
+        .map(|k| vec![i.wrapping_add(k as u8); 48])
+        .collect();
+    let h = MsetHash::of_multiset(er.iter().map(Vec::as_slice));
+    let material = [token.material(), h.to_bytes()].concat();
+    let (prime, index) = hash_to_prime_counted(&material, 128).expect("width ok");
+    Answer {
+        token,
+        er,
+        material_len: material.len(),
+        prime,
+        index,
+    }
+}
+
+#[test]
+fn verified_entry_gas_is_exact_whatever_the_walk_length() {
+    // The cloud names the walk index of each entry's prime, so a verified
+    // entry costs exactly its calldata, the per-`er` hashing and field
+    // multiplications, the material hash, one H_prime candidate and one
+    // MODEXP: nothing depends on how far the walk went.
+    let mut answers: Vec<Answer> = (0..48u8).map(answer).collect();
+    answers.sort_by_key(|a| a.index);
+    let (short, long) = (&answers[0], &answers[answers.len() - 1]);
+    assert!(
+        long.index >= short.index + 40,
+        "walks of {} and {} candidates",
+        short.index,
+        long.index
+    );
+    let params = RsaParams::fixed_512();
+    let primes: Vec<BigUint> = answers.iter().map(|a| a.prime.clone()).collect();
+    let ac = Accumulator::over(&params, &primes).value().to_bytes_be();
+
+    let (mut chain, owner, cloud, contract) = setup();
+    let g = chain.schedule().clone();
+    let r = chain
+        .send_transaction(Transaction::call(
+            owner,
+            contract,
+            0,
+            SlicerCall::SetAccumulator(ac).encode(),
+        ))
+        .unwrap();
+    assert!(r.status.is_success());
+    let mut breakdowns = Vec::new();
+    for (i, a) in [(0usize, short), (answers.len() - 1, long)] {
+        let rid = [0x30 + i as u8; 32];
+        let request = SlicerCall::RequestSearch {
+            request_id: rid,
+            cloud,
+            tokens: vec![a.token.clone()],
+        };
+        let r = chain
+            .send_transaction(Transaction::call(owner, contract, 100, request.encode()))
+            .unwrap();
+        assert!(r.status.is_success());
+        let vo = witness::membership_witness(&params, &primes, i)
+            .expect("in range")
+            .to_bytes_be_padded(params.element_bytes());
+        let submit = SlicerCall::SubmitResult {
+            request_id: rid,
+            tokens: vec![a.token.clone()],
+            entries: vec![VerifyEntry {
+                token_idx: 0,
+                hint: u16::try_from(a.index).expect("short walk"),
+                er: a.er.clone(),
+                vo,
+            }],
+        }
+        .encode();
+        let r = chain
+            .send_transaction(Transaction::call(cloud, contract, 0, submit.clone()))
+            .unwrap();
+        assert_eq!(r.output, [1], "walk of {} verifies", a.index);
+        let gas = &r.gas_breakdown;
+        let walk = a.index;
+        // The token block: a 2-byte count plus 134 bytes for the token.
+        let er_hash: u64 = a.er.iter().map(|e| g.hash_cost(e.len())).sum();
+        let hash = g.hash_cost(2 + 134) + er_hash + g.hash_cost(a.material_len);
+        assert_eq!(gas.hash, hash, "walk {walk}: hash");
+        assert_eq!(
+            gas.field_mul,
+            g.field_mul * a.er.len() as u64,
+            "walk {walk}"
+        );
+        assert_eq!(gas.hprime, g.hprime_candidate, "walk {walk}: one candidate");
+        assert_eq!(gas.miller_rabin, 0, "walk {walk}: no primality test");
+        assert_eq!(
+            gas.modexp,
+            g.modexp_cost(64, 128, 64),
+            "walk {walk}: modexp"
+        );
+        assert_eq!(
+            gas.intrinsic,
+            g.tx_base + g.call_base + g.calldata_cost(&submit),
+            "walk {walk}: calldata"
+        );
+        assert_eq!(gas.total(), r.gas_used);
+        breakdowns.push(r.gas_breakdown.clone());
+    }
+    // Storage, transfer and event costs do not see the entry at all.
+    for category in ["sload", "sstore", "transfer", "event", "other"] {
+        let pick = |b: &slicer_chain::GasBreakdown| {
+            b.entries()
+                .into_iter()
+                .find(|(n, _)| *n == category)
+                .map(|(_, gas)| gas)
+        };
+        assert_eq!(pick(&breakdowns[0]), pick(&breakdowns[1]), "{category}");
     }
 }
 
@@ -266,6 +398,7 @@ fn eip2565_schedule_reduces_verification_cost() {
                     tokens: tokens(1),
                     entries: vec![VerifyEntry {
                         token_idx: 0,
+                        hint: 0,
                         er: vec![vec![9u8; 32]],
                         vo: vec![6u8; 64],
                     }],

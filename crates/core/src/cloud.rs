@@ -5,7 +5,7 @@ use crate::config::SlicerConfig;
 use crate::error::SlicerError;
 use crate::messages::{BuildOutput, CloudResponse, SearchToken, SliceResult};
 use crate::owner::state_key;
-use slicer_accumulator::{hash_to_prime, witness, AccumulatorError};
+use slicer_accumulator::{hash_to_prime_counted, witness, AccumulatorError};
 use slicer_bignum::BigUint;
 use slicer_chain::VerifyEntry;
 use slicer_crypto::{sha256, Prf};
@@ -178,15 +178,17 @@ impl CloudServer {
         tokens.iter().map(|t| self.search_one(t)).collect()
     }
 
-    /// Derives the prime representative a slice result must prove:
-    /// `x = H_prime(t_j ‖ j ‖ G1 ‖ G2 ‖ H(er))`.
+    /// Derives the prime representative a slice result must prove,
+    /// `x = H_prime(t_j ‖ j ‖ G1 ‖ G2 ‖ H(er))`, with its walk index: the
+    /// hint that lets the contract check one candidate instead of walking.
     ///
     /// # Errors
     ///
     /// Returns [`SlicerError::IndexCorruption`] if the configured prime
     /// width is outside the supported range — misconfiguration, not a
-    /// property of the result.
-    pub fn prime_for(&self, result: &SliceResult) -> Result<BigUint, SlicerError> {
+    /// property of the result — and [`SlicerError::HintOutOfRange`] if
+    /// the walk index does not fit the contract's `u16` hint.
+    pub fn prime_for(&self, result: &SliceResult) -> Result<(BigUint, u16), SlicerError> {
         let width = self.trapdoor_pk.trapdoor_bytes();
         let mut h = MsetHash::empty();
         for r in &result.er {
@@ -199,29 +201,35 @@ impl CloudServer {
             &result.token.g2,
         );
         material.extend_from_slice(&h.to_bytes());
-        hash_to_prime(&material, self.config.prime_bits)
-            .map_err(|e| SlicerError::IndexCorruption(e.to_string()))
+        let (x, index) = hash_to_prime_counted(&material, self.config.prime_bits)
+            .map_err(|e| SlicerError::IndexCorruption(e.to_string()))?;
+        let hint = u16::try_from(index).map_err(|_| SlicerError::HintOutOfRange(index))?;
+        Ok((x, hint))
     }
 
     /// Generates verification objects for a batch of slice results
-    /// (`MemWit` of Section III-B), using the configured strategy.
+    /// (`MemWit` of Section III-B), using the configured strategy, each
+    /// with the `H_prime` hint of its prime.
     ///
     /// # Errors
     ///
     /// Returns [`SlicerError::IndexCorruption`] if a result's prime is not
     /// in the stored prime list — that means the cloud's own search output
     /// is inconsistent with what the owner accumulated, i.e. local state
-    /// corruption.
-    pub fn prove(&mut self, results: &[SliceResult]) -> Result<Vec<Vec<u8>>, SlicerError> {
+    /// corruption — and [`SlicerError::HintOutOfRange`] as
+    /// [`CloudServer::prime_for`] does.
+    pub fn prove(&mut self, results: &[SliceResult]) -> Result<Vec<(Vec<u8>, u16)>, SlicerError> {
         let mut span = self.telemetry.span("cloud.prove");
         // Per-result prime derivation (set hash + H_prime) is independent:
         // fan it out over the pool. prime_for emits no telemetry, so the
         // transcript stays worker-count independent.
-        let xs: Vec<BigUint> = self
+        let (xs, hints): (Vec<BigUint>, Vec<u16>) = self
             .pool
             .run(results, |r| self.prime_for(r))
             .into_iter()
-            .collect::<Result<_, _>>()?;
+            .collect::<Result<Vec<_>, _>>()?
+            .into_iter()
+            .unzip();
         let targets: Vec<usize> = xs
             .iter()
             .map(|x| {
@@ -251,6 +259,7 @@ impl CloudServer {
         Ok(witnesses
             .into_iter()
             .map(|w| w.to_bytes_be_padded(elem))
+            .zip(hints)
             .collect())
     }
 
@@ -305,13 +314,14 @@ impl CloudServer {
         let mut span = self.telemetry.span("cloud.respond");
         span.attr("tokens", tokens.len());
         let results = self.search(tokens);
-        let vos = self.prove(&results)?;
+        let proofs = self.prove(&results)?;
         let entries = results
             .iter()
-            .zip(vos)
+            .zip(proofs)
             .enumerate()
-            .map(|(i, (r, vo))| VerifyEntry {
+            .map(|(i, (r, (vo, hint)))| VerifyEntry {
                 token_idx: i as u16,
+                hint,
                 er: r.er.clone(),
                 vo,
             })
@@ -467,7 +477,8 @@ mod tests {
         let acc = Accumulator::from_value(params, owner.accumulator().clone());
         assert!(!resp.entries.is_empty());
         for (entry, result) in resp.entries.iter().zip(&resp.results) {
-            let x = cloud.prime_for(result).unwrap();
+            let (x, hint) = cloud.prime_for(result).unwrap();
+            assert_eq!(entry.hint, hint);
             let w = BigUint::from_bytes_be(&entry.vo);
             assert!(acc.verify(&x, &w));
         }
@@ -501,12 +512,13 @@ mod tests {
         let tokens = owner.search_tokens(&Query::less_than(100));
         let params = cloud.config.accumulator.clone();
         let real: Vec<BigUint> = cloud.state.primes.as_slice().to_vec();
-        let phantom = hash_to_prime(b"phantom", cloud.config.prime_bits).unwrap();
+        let phantom =
+            slicer_accumulator::hash_to_prime(b"phantom", cloud.config.prime_bits).unwrap();
         let targets: Vec<usize> = cloud
             .search(&tokens)
             .iter()
             .map(|r| {
-                let x = cloud.prime_for(r).unwrap();
+                let (x, _) = cloud.prime_for(r).unwrap();
                 real.iter().position(|p| *p == x).unwrap()
             })
             .collect();
@@ -553,7 +565,7 @@ mod tests {
         // Find the slice whose er changed and show its prime moved.
         for (h, t) in honest.results.iter().zip(&tampered.results) {
             if h.er != t.er {
-                assert_ne!(cloud.prime_for(h).unwrap(), cloud.prime_for(t).unwrap());
+                assert_ne!(cloud.prime_for(h).unwrap().0, cloud.prime_for(t).unwrap().0);
                 return;
             }
         }

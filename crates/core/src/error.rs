@@ -27,6 +27,9 @@ pub enum SlicerError {
     Chain(ChainError),
     /// The cloud shipped an index batch with colliding labels.
     IndexCorruption(String),
+    /// A result's `H_prime` walk index does not fit the contract's `u16`
+    /// hint, so the result cannot be settled.
+    HintOutOfRange(u64),
 }
 
 impl fmt::Display for SlicerError {
@@ -47,6 +50,9 @@ impl fmt::Display for SlicerError {
             SlicerError::MalformedResult(e) => write!(f, "malformed result: {e}"),
             SlicerError::Chain(e) => write!(f, "chain error: {e}"),
             SlicerError::IndexCorruption(m) => write!(f, "index corruption: {m}"),
+            SlicerError::HintOutOfRange(k) => {
+                write!(f, "H_prime walk index {k} does not fit the u16 hint")
+            }
         }
     }
 }

@@ -282,11 +282,6 @@ impl DataOwner {
             .count("owner.primes.accumulated", primes.len() as u64);
         self.telemetry
             .count("owner.records.processed", records.len() as u64);
-        let slices: usize = records.iter().map(|r| r.attrs.len()).sum();
-        self.telemetry.count(
-            "sore.cipher_tuples",
-            slices as u64 * u64::from(self.config.value_bits),
-        );
 
         Ok(BuildOutput {
             entries,
@@ -378,7 +373,6 @@ impl DataOwner {
             &self.state.trapdoors,
             self.config.value_bits,
             query,
-            &self.telemetry,
         )
     }
 

@@ -667,6 +667,51 @@ mod tests {
     }
 
     #[test]
+    fn gas_counters_predict_search_gas_exactly() {
+        // The `gas.<category>` counters add up to what the searches paid,
+        // and an honest entry costs one H_prime candidate and no
+        // Miller–Rabin round: the contract checks the cloud's hint.
+        let telemetry = TelemetryHandle::enabled();
+        let mut chain = Blockchain::new();
+        let mut inst = SlicerInstance::try_setup_with(
+            SlicerConfig::test_8bit(),
+            9,
+            &mut chain,
+            telemetry.clone(),
+        )
+        .unwrap();
+        inst.build(&mut chain, &db(30)).unwrap();
+        let (mut paid, mut entries) = (0, 0);
+        for q in [
+            Query::equal(13),
+            Query::less_than(100),
+            Query::greater_than(200),
+        ] {
+            let tokens = inst.user.tokens_for(&q).len() as u64;
+            let out = inst.search(&mut chain, &q, 10).unwrap();
+            assert!(out.verified, "{q:?}");
+            paid += out.request_gas + out.verify_gas;
+            entries += tokens;
+        }
+        let counter = |category: &str| {
+            telemetry
+                .counter_value(&format!("gas.{category}"))
+                .unwrap_or_else(|| panic!("gas.{category} is counted"))
+        };
+        let categories = slicer_chain::GasBreakdown::default()
+            .entries()
+            .map(|(name, _)| name);
+        assert_eq!(categories.iter().map(|c| counter(c)).sum::<u64>(), paid);
+        assert_eq!(counter("miller_rabin"), 0);
+        let schedule = chain.schedule();
+        assert_eq!(counter("hprime"), entries * schedule.hprime_candidate);
+        assert_eq!(
+            counter("modexp"),
+            entries * schedule.modexp_cost(64, 128, 64)
+        );
+    }
+
+    #[test]
     fn telemetry_covers_all_six_phases() {
         use slicer_telemetry::{LogicalClock, MemorySink};
         use std::sync::Arc;

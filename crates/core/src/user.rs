@@ -73,7 +73,6 @@ impl DataUser {
             &self.states,
             self.config.value_bits,
             query,
-            &self.telemetry,
         );
         self.telemetry
             .count("user.tokens.generated", tokens.len() as u64);
@@ -117,14 +116,12 @@ impl DataUser {
 
 /// Shared token-generation core (Algorithm 3): maps a user query to the
 /// keyword set `W`, looks each keyword up in `T` and emits
-/// `(t_j, j, G1, G2)` tokens. An order query's SORE slicing records a
-/// `sore.tokens` span and the `sore.token_tuples` counter.
+/// `(t_j, j, G1, G2)` tokens.
 pub(crate) fn make_tokens(
     prf_g: &Prf,
     states: &BTreeMap<Vec<u8>, KeywordState>,
     value_bits: u8,
     query: &Query,
-    telemetry: &TelemetryHandle,
 ) -> Vec<SearchToken> {
     let keywords: Vec<Vec<u8>> = match query.op {
         QueryOp::Equal => vec![Keyword::Equality {
@@ -140,10 +137,6 @@ pub(crate) fn make_tokens(
             } else {
                 Order::Less
             };
-            let mut span = telemetry.span("sore.tokens");
-            let tuples = u64::from(value_bits);
-            span.attr("tuples", tuples);
-            telemetry.count("sore.token_tuples", tuples);
             slicer_sore::token_tuples(&query.attr, query.value, value_bits, oc)
                 .into_iter()
                 .map(|t| Keyword::Slice(t).encode())

@@ -81,7 +81,7 @@ fn honest_vos_always_verify() {
         let params = &owner.config().accumulator;
         let acc = Accumulator::from_value(params, owner.accumulator().clone());
         for (entry, result) in resp.entries.iter().zip(&resp.results) {
-            let x = cloud.prime_for(result).unwrap();
+            let (x, _) = cloud.prime_for(result).unwrap();
             let w = slicer_bignum::BigUint::from_bytes_be(&entry.vo);
             prop_assert!(acc.verify(&x, &w));
         }
@@ -108,7 +108,7 @@ fn any_single_record_drop_is_detected() {
             }
             let mut tampered = result.clone();
             tampered.er.pop();
-            let x = cloud.prime_for(&tampered).unwrap();
+            let (x, _) = cloud.prime_for(&tampered).unwrap();
             let w = slicer_bignum::BigUint::from_bytes_be(&resp.entries[i].vo);
             prop_assert!(!acc.verify(&x, &w), "slice {i} tamper undetected");
         }

@@ -50,7 +50,8 @@ echo "==> decoders under a 4 GiB address-space cap (ulimit -v)"
 # Runs the test binaries the stage above built; cargo itself stays
 # outside the cap.
 capped_bins=()
-for target in "-p slicer-repro --test chain_adversarial" "-p slicer-daemon --lib"; do
+for target in "-p slicer-repro --test chain_adversarial" "-p slicer-chain --test calldata_decode" \
+  "-p slicer-daemon --lib"; do
   # shellcheck disable=SC2086
   bin="$(cargo test -q --offline --release --no-run --message-format=json $target |
     grep -o '"executable":"[^"]*"' | cut -d'"' -f4)"

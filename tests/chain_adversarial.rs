@@ -2,11 +2,14 @@
 //! replay, and digest manipulation against the deployed verification
 //! contract.
 
+use slicer_accumulator::{candidate, hash_to_prime_counted, witness, Accumulator, RsaParams};
+use slicer_bignum::BigUint;
 use slicer_chain::{
-    Address, Blockchain, SlicerCall, SlicerContract, TokenOnChain, Transaction, TxStatus,
-    VerifyEntry,
+    Address, Blockchain, SlicerCall, SlicerContract, TokenOnChain, Transaction, TxReceipt,
+    TxStatus, VerifyEntry,
 };
 use slicer_core::{Query, RecordId, SlicerConfig, SlicerInstance};
+use slicer_mshash::MsetHash;
 use slicer_telemetry::TelemetryHandle;
 
 /// An 8-bit deployment holding records `0..30`, record `i` with value `i`.
@@ -125,6 +128,7 @@ fn settled_request_cannot_be_resubmitted() {
         tokens: vec![],
         entries: vec![VerifyEntry {
             token_idx: 0,
+            hint: 0,
             er: vec![],
             vo: vec![0u8; 64],
         }],
@@ -271,6 +275,199 @@ fn resent_tokens_must_match_the_request_commitment() {
     }
 }
 
+/// `H_prime`'s input for `entry`: the token material and the multiset
+/// hash of the entry's results.
+fn hprime_material(token: &TokenOnChain, entry: &VerifyEntry) -> Vec<u8> {
+    let h = MsetHash::of_multiset(entry.er.iter().map(Vec::as_slice));
+    [token.material(), h.to_bytes()].concat()
+}
+
+/// A settlement whose first entry failed verification: it completed with
+/// output `[0]` and `Settled` 0, and ran no MODEXP after that entry's own.
+fn assert_first_entry_failed(name: &str, r: &TxReceipt, rid: [u8; 32], modexp: u64) {
+    assert!(r.status.is_success(), "{name}: settles, never reverts");
+    assert_eq!(r.output, [0], "{name}");
+    let settled = r.logs.iter().find(|l| l.topic == "Settled").unwrap();
+    assert_eq!(settled.data, [&rid[..], &[0]].concat(), "{name}: Settled 0");
+    assert_eq!(
+        r.gas_breakdown.modexp, modexp,
+        "{name}: no MODEXP after the failing entry"
+    );
+}
+
+#[test]
+fn hints_other_than_the_walk_index_refund_the_user() {
+    // The cloud names the walk index of each entry's prime and the contract
+    // checks that one candidate. Any other index names an odd 128-bit
+    // number that is not the accumulated prime: the entry fails VerifyMem
+    // and the user is refunded.
+    let (mut inst, mut chain) = deployment(45);
+    let contract = inst.contract_address();
+    let (_, user, cloud) = inst.addresses();
+    let query = Query::less_than(20);
+    let (tokens, honest) = open_request(&mut inst, &mut chain, [0x60; 32], &query);
+    assert!(
+        honest.len() >= 2,
+        "the cases need an entry after the tampered one"
+    );
+    let material = hprime_material(&tokens[0], &honest[0]);
+    let k = u64::from(honest[0].hint);
+    let (prime, walked) = hash_to_prime_counted(&material, 128).unwrap();
+    assert_eq!((candidate(&material, 128, k).unwrap(), walked), (prime, k));
+    let index_where = |want_prime: bool, from: u64| {
+        (from..0xFFFF)
+            .find(|&i| candidate(&material, 128, i).unwrap().is_prime_bpsw() == want_prime)
+            .unwrap()
+    };
+    let next_prime = index_where(true, k + 1);
+    let composite = index_where(false, k + 2);
+    let cases = [
+        ("honest", k),
+        ("one step off", k + 1),
+        ("another prime in the window", next_prime),
+        ("a composite", composite),
+        ("the window's last candidate", 0xFFFF),
+    ];
+    let modexp = chain.schedule().modexp_cost(64, 128, 64);
+    for (i, (name, hint)) in cases.into_iter().enumerate() {
+        let rid = [0x70 + i as u8; 32];
+        let (user_before, cloud_before) = (chain.balance(&user), chain.balance(&cloud));
+        let (_, mut entries) = open_request(&mut inst, &mut chain, rid, &query);
+        entries[0].hint = u16::try_from(hint).unwrap();
+        let submit = SlicerCall::SubmitResult {
+            request_id: rid,
+            tokens: tokens.clone(),
+            entries,
+        };
+        let r = chain
+            .send_transaction(Transaction::call(cloud, contract, 0, submit.encode()))
+            .unwrap();
+        if hint == k {
+            assert_eq!(r.output, [1], "{name}");
+            assert_eq!(chain.balance(&cloud), cloud_before + 500, "{name}: paid");
+            continue;
+        }
+        assert_first_entry_failed(name, &r, rid, modexp);
+        assert_eq!(chain.balance(&user), user_before, "{name}: user refunded");
+        assert_eq!(chain.balance(&cloud), cloud_before, "{name}: cloud unpaid");
+    }
+}
+
+#[test]
+fn a_hint_past_the_top_of_the_width_wraps_and_refunds() {
+    // Only a walk that starts within 2^17 of 2^bits can be pushed past the
+    // top by a u16 hint; at 128 bits no such start can be found, so this
+    // runs a 32-bit contract over tokens ground until one starts there.
+    // Its hint wraps to the bottom of the width, names a number that is not
+    // the accumulated prime, and the entry fails like any wrong hint.
+    const BITS: u32 = 32;
+    let params = RsaParams::fixed_512();
+    let owner = Address::from_byte(1);
+    let (user, cloud) = (Address::from_byte(2), Address::from_byte(3));
+    let mut chain = Blockchain::new();
+    for a in [owner, user, cloud] {
+        chain.create_account(a, 10_000_000);
+    }
+    let contract = chain
+        .deploy_contract(
+            owner,
+            Box::new(SlicerContract::new(params.clone(), BITS, owner)),
+            0,
+        )
+        .unwrap()
+        .address;
+
+    let er = vec![vec![0xE1; 48]];
+    let h = MsetHash::of_element(&er[0]).to_bytes();
+    let material = |t: &TokenOnChain| [t.material(), h.clone()].concat();
+    let token = |g1: u32| {
+        let mut t = TokenOnChain {
+            trapdoor: vec![9; 64],
+            j: 0,
+            g1: [0; 32],
+            g2: [2; 32],
+        };
+        t.g1[..4].copy_from_slice(&g1.to_be_bytes());
+        t
+    };
+    // Ground: the walk starts (and finds its prime) less than 0xFFFF
+    // steps below 2^32, so hint 0xFFFF lies past the top.
+    let top_start = BigUint::from((1u64 << BITS) - 2 * 0xFFFF);
+    let near_top = (0u32..)
+        .map(token)
+        .find(|t| {
+            let start = candidate(&material(t), BITS, 0).unwrap();
+            start >= top_start && hash_to_prime_counted(&material(t), BITS).unwrap().0 >= start
+        })
+        .unwrap();
+    let tokens = vec![near_top, token(u32::MAX)];
+    let walks: Vec<(BigUint, u64)> = tokens
+        .iter()
+        .map(|t| hash_to_prime_counted(&material(t), BITS).unwrap())
+        .collect();
+    let primes: Vec<BigUint> = walks.iter().map(|(x, _)| x.clone()).collect();
+    let ac = Accumulator::over(&params, &primes).value().to_bytes_be();
+    let r = chain
+        .send_transaction(Transaction::call(
+            owner,
+            contract,
+            0,
+            SlicerCall::SetAccumulator(ac).encode(),
+        ))
+        .unwrap();
+    assert!(r.status.is_success());
+    let entries: Vec<VerifyEntry> = walks
+        .iter()
+        .enumerate()
+        .map(|(i, (_, k))| VerifyEntry {
+            token_idx: i as u16,
+            hint: u16::try_from(*k).unwrap(),
+            er: er.clone(),
+            vo: witness::membership_witness(&params, &primes, i)
+                .unwrap()
+                .to_bytes_be_padded(params.element_bytes()),
+        })
+        .collect();
+    let wrapped = candidate(&material(&tokens[0]), BITS, 0xFFFF).unwrap();
+    assert!(wrapped < BigUint::from(1u64 << (BITS - 1)) + BigUint::from(2u64 * 0xFFFF));
+
+    let modexp = chain.schedule().modexp_cost(64, u64::from(BITS), 64);
+    for (i, (name, hint)) in [("honest", entries[0].hint), ("past 2^bits", 0xFFFF)]
+        .into_iter()
+        .enumerate()
+    {
+        let rid = [0x80 + i as u8; 32];
+        let request = SlicerCall::RequestSearch {
+            request_id: rid,
+            cloud,
+            tokens: tokens.clone(),
+        };
+        let r = chain
+            .send_transaction(Transaction::call(user, contract, 500, request.encode()))
+            .unwrap();
+        assert!(r.status.is_success());
+        let (user_before, cloud_before) = (chain.balance(&user), chain.balance(&cloud));
+        let mut sent = entries.clone();
+        sent[0].hint = hint;
+        let submit = SlicerCall::SubmitResult {
+            request_id: rid,
+            tokens: tokens.clone(),
+            entries: sent,
+        };
+        let r = chain
+            .send_transaction(Transaction::call(cloud, contract, 0, submit.encode()))
+            .unwrap();
+        if i == 0 {
+            assert_eq!(r.output, [1], "{name}");
+            assert_eq!(chain.balance(&cloud), cloud_before + 500, "{name}: paid");
+            continue;
+        }
+        assert_first_entry_failed(name, &r, rid, modexp);
+        assert_eq!(chain.balance(&user), user_before + 500, "{name}: refunded");
+        assert_eq!(chain.balance(&cloud), cloud_before, "{name}: cloud unpaid");
+    }
+}
+
 #[test]
 fn oversized_accumulator_value_is_stored_verbatim_but_breaks_nothing() {
     // The contract stores whatever digest the owner sets; a garbage digest
@@ -317,6 +514,7 @@ fn oversized_accumulator_value_is_stored_verbatim_but_breaks_nothing() {
                 tokens: vec![token],
                 entries: vec![VerifyEntry {
                     token_idx: 0,
+                    hint: 0,
                     er: vec![],
                     vo: vec![1u8; 64],
                 }],

@@ -215,7 +215,6 @@ fn telemetry_does_not_perturb_the_transcript() {
         "\"parent\":",
         "\"token.fp\":",
         "\"name\":\"accumulator.witness\"",
-        "\"name\":\"sore.tokens\"",
         "\"name\":\"store.extend\"",
     ] {
         assert!(
@@ -299,7 +298,7 @@ fn owner_state_transcript_digest_is_pinned() {
 /// SHA-256 of `encode(owner_state) ‖ encode(block_0) ‖ …` for the
 /// `run_lifecycle(0xD5EED)` deployment above.
 const PINNED_TRANSCRIPT_DIGEST: &str =
-    "b6b96d756e41169cb4ef1374a203bfc71b6e803ec0a28322086dc42f0a73aa40";
+    "1213b4afadb5925d4c049a60bf8128d33ae8abdda43c60acacaee86f87827fcd";
 
 #[test]
 fn dual_delete_reinsert_transcript_is_seed_deterministic() {

@@ -58,7 +58,7 @@ fn restored_cloud_serves_verifiable_results() {
     let acc = slicer_accumulator::Accumulator::from_value(params, owner.accumulator().clone());
     assert!(!resp.entries.is_empty());
     for (entry, result) in resp.entries.iter().zip(&resp.results) {
-        let x = restored.prime_for(result).unwrap();
+        let (x, _) = restored.prime_for(result).unwrap();
         let w = slicer_bignum::BigUint::from_bytes_be(&entry.vo);
         assert!(acc.verify(&x, &w), "restored cloud proves correctly");
     }
