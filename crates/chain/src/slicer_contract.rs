@@ -322,7 +322,8 @@ impl SlicerContract {
     }
 
     /// Contract with explicit parameters and owner (only the owner may call
-    /// `SetAccumulator`).
+    /// `SetAccumulator`). Under a `prime_bits` that `H_prime` does not
+    /// support, every entry fails verification and every request refunds.
     pub fn new(params: RsaParams, prime_bits: u32, owner: Address) -> Self {
         SlicerContract {
             params,
@@ -368,12 +369,15 @@ impl SlicerContract {
         // number `hint`: odd and exactly `prime_bits` wide by construction.
         // A hint that names anything but an accumulated prime fails
         // VerifyMem below (DESIGN.md §3), so no primality test runs here.
+        // A deployed width `H_prime` does not support fails the entry: a
+        // revert would lock the escrow.
         let mut material = token.material();
         material.extend_from_slice(&h.to_bytes());
         ctx.charge_as(GasCategory::Hash, ctx.schedule().hash_cost(material.len()))?;
         ctx.charge_as(GasCategory::HPrime, ctx.schedule().hprime_candidate)?;
-        let x = candidate(&material, self.prime_bits, u64::from(entry.hint))
-            .map_err(|e| ContractError::Reverted(e.to_string()))?;
+        let Ok(x) = candidate(&material, self.prime_bits, u64::from(entry.hint)) else {
+            return Ok(false);
+        };
         // VerifyMem(x, vo): one big modexp against the stored digest.
         let elem = self.params.element_bytes();
         ctx.charge_as(

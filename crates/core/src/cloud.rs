@@ -7,7 +7,6 @@ use crate::messages::{BuildOutput, CloudResponse, SearchToken, SliceResult};
 use crate::owner::state_key;
 use slicer_accumulator::{hash_to_prime_counted, witness, AccumulatorError};
 use slicer_bignum::BigUint;
-use slicer_chain::VerifyEntry;
 use slicer_crypto::{sha256, Prf};
 use slicer_mshash::MsetHash;
 use slicer_par::Pool;
@@ -52,16 +51,7 @@ pub struct CloudServer {
 impl CloudServer {
     /// A fresh cloud bound to the owner's trapdoor public key.
     pub fn new(config: SlicerConfig, trapdoor_pk: TrapdoorPublic) -> Self {
-        let pool = Pool::new(config.workers);
-        CloudServer {
-            config,
-            state: CloudState::new(),
-            trapdoor_pk,
-            strategy: WitnessStrategy::default(),
-            prover: None,
-            telemetry: TelemetryHandle::disabled(),
-            pool,
-        }
+        Self::from_state(config, trapdoor_pk, CloudState::new())
     }
 
     /// Restores a cloud from persisted state (see
@@ -304,8 +294,7 @@ impl CloudServer {
         }
     }
 
-    /// Full Algorithm 4: search + VO generation, producing the
-    /// contract-ready entries.
+    /// Full Algorithm 4: search + VO generation.
     ///
     /// # Errors
     ///
@@ -315,18 +304,7 @@ impl CloudServer {
         span.attr("tokens", tokens.len());
         let results = self.search(tokens);
         let proofs = self.prove(&results)?;
-        let entries = results
-            .iter()
-            .zip(proofs)
-            .enumerate()
-            .map(|(i, (r, (vo, hint)))| VerifyEntry {
-                token_idx: i as u16,
-                hint,
-                er: r.er.clone(),
-                vo,
-            })
-            .collect();
-        Ok(CloudResponse { entries, results })
+        Ok(CloudResponse { results, proofs })
     }
 }
 
@@ -358,12 +336,8 @@ pub mod malicious {
     /// Drops one matching record from the first non-empty result
     /// (incomplete results).
     pub fn drop_record(mut resp: CloudResponse) -> CloudResponse {
-        for (entry, result) in resp.entries.iter_mut().zip(&mut resp.results) {
-            if !entry.er.is_empty() {
-                entry.er.pop();
-                result.er.pop();
-                break;
-            }
+        if let Some(result) = resp.results.iter_mut().find(|r| !r.er.is_empty()) {
+            result.er.pop();
         }
         resp
     }
@@ -371,8 +345,7 @@ pub mod malicious {
     /// Injects a forged record ciphertext into the first result
     /// (incorrect results).
     pub fn inject_record(mut resp: CloudResponse, forged: Vec<u8>) -> CloudResponse {
-        if let (Some(entry), Some(result)) = (resp.entries.first_mut(), resp.results.first_mut()) {
-            entry.er.push(forged.clone());
+        if let Some(result) = resp.results.first_mut() {
             result.er.push(forged);
         }
         resp
@@ -380,8 +353,8 @@ pub mod malicious {
 
     /// Replaces the first verification object with garbage (forged proof).
     pub fn corrupt_witness(mut resp: CloudResponse) -> CloudResponse {
-        if let Some(entry) = resp.entries.first_mut() {
-            for b in entry.vo.iter_mut() {
+        if let Some((vo, _)) = resp.proofs.first_mut() {
+            for b in vo.iter_mut() {
                 *b ^= 0x55;
             }
         }
@@ -391,7 +364,7 @@ pub mod malicious {
     /// Swaps the results of the first two slices while keeping their
     /// witnesses (mismatched result/proof binding).
     pub fn swap_results(mut resp: CloudResponse) -> CloudResponse {
-        if let [first, second, ..] = resp.entries.as_mut_slice() {
+        if let [first, second, ..] = resp.results.as_mut_slice() {
             std::mem::swap(&mut first.er, &mut second.er);
         }
         resp
@@ -475,11 +448,12 @@ mod tests {
     fn assert_verifies(owner: &DataOwner, cloud: &CloudServer, resp: &CloudResponse) {
         let params = &owner.config().accumulator;
         let acc = Accumulator::from_value(params, owner.accumulator().clone());
-        assert!(!resp.entries.is_empty());
-        for (entry, result) in resp.entries.iter().zip(&resp.results) {
-            let (x, hint) = cloud.prime_for(result).unwrap();
-            assert_eq!(entry.hint, hint);
-            let w = BigUint::from_bytes_be(&entry.vo);
+        assert!(!resp.results.is_empty());
+        assert_eq!(resp.results.len(), resp.proofs.len());
+        for (result, (vo, hint)) in resp.results.iter().zip(&resp.proofs) {
+            let (x, want) = cloud.prime_for(result).unwrap();
+            assert_eq!(*hint, want);
+            let w = BigUint::from_bytes_be(vo);
             assert!(acc.verify(&x, &w));
         }
     }

@@ -101,14 +101,34 @@ pub struct SliceResult {
 
 slicer_crypto::impl_codec!(SliceResult { token, er });
 
-/// The cloud's full response to a search request: chain-ready entries
-/// (results + verification objects) plus the raw results for the user.
+/// The cloud's full response to a search request: each token's results,
+/// held once, and the proof of each. The contract verifies and the user
+/// decrypts these same results.
 #[derive(Debug, Clone)]
 pub struct CloudResponse {
-    /// Entries submitted to the contract.
-    pub entries: Vec<VerifyEntry>,
-    /// The per-token results (same order as `entries`).
+    /// The per-token results, in token order.
     pub results: Vec<SliceResult>,
+    /// Each result's verification object and `H_prime` hint (same order
+    /// as `results`).
+    pub proofs: Vec<(Vec<u8>, u16)>,
+}
+
+impl CloudResponse {
+    /// The contract entries: result `i` with proof `i`, answering token
+    /// `i`. A result without a proof (or the reverse) yields no entry.
+    pub fn entries(&self) -> Vec<VerifyEntry> {
+        self.results
+            .iter()
+            .zip(&self.proofs)
+            .enumerate()
+            .map(|(i, (r, (vo, hint)))| VerifyEntry {
+                token_idx: i as u16,
+                hint: *hint,
+                er: r.er.clone(),
+                vo: vo.clone(),
+            })
+            .collect()
+    }
 }
 
 /// The comparison operator of a user query.

@@ -21,7 +21,7 @@ use std::time::Duration;
 #[derive(Debug, Clone)]
 pub struct SearchOutcome {
     /// Decrypted matching record IDs (with multiplicity, for the
-    /// dual-instance difference).
+    /// dual-instance difference); empty unless `verified`.
     pub records: Vec<RecordId>,
     /// Whether the on-chain verification passed.
     pub verified: bool,
@@ -353,7 +353,7 @@ impl SlicerInstance {
     ///    `payment` wei),
     /// 2. the cloud searches, generates VOs and submits,
     /// 3. the contract verifies and settles the payment,
-    /// 4. the user decrypts the results.
+    /// 4. the user decrypts the results, if they verified.
     ///
     /// # Errors
     ///
@@ -459,7 +459,7 @@ impl SlicerInstance {
         let submit = SlicerCall::SubmitResult {
             request_id: rid,
             tokens: chain_tokens,
-            entries: response.entries.clone(),
+            entries: response.entries(),
         };
         let mut tx = Transaction::call(self.cloud_addr, self.contract, 0, submit.encode());
         tx.gas_limit = 100_000_000; // verification of large result sets
@@ -479,12 +479,17 @@ impl SlicerInstance {
         }
         drop(verify_span);
 
-        // 4. Settle (seal the block carrying the payment) and decrypt
-        //    whatever the cloud returned (worthless if unverified).
+        // 4. Settle (seal the block carrying the payment) and decrypt the
+        //    results the contract verified; an unverified answer is
+        //    refunded and never read.
         let mut settle_span = self.telemetry.span("phase.settle");
         let settle_start = self.clock.now_nanos();
         chain.seal_block();
-        let records = self.user.decrypt(&response.results)?;
+        let records = if verified {
+            self.user.decrypt(&response.results)?
+        } else {
+            Vec::new()
+        };
         let settle_wall = self.elapsed(settle_start);
 
         // Gas attribution: the request transaction is the Token phase; the

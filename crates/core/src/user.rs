@@ -87,8 +87,10 @@ impl DataUser {
     ///
     /// # Errors
     ///
-    /// Returns [`SlicerError::MalformedResult`] if a ciphertext is
-    /// malformed or does not decode to a record ID.
+    /// Returns [`SlicerError::MalformedResult`] if a ciphertext is shorter
+    /// than its nonce, and [`SlicerError::IndexCorruption`] if a plaintext
+    /// is not a 16-byte record ID. Neither happens to results the contract
+    /// verified, unless the owner's own index is corrupt.
     pub fn decrypt(&self, results: &[SliceResult]) -> Result<Vec<RecordId>, SlicerError> {
         let mut span = self.telemetry.span("user.decrypt");
         let mut out = Vec::new();

@@ -80,9 +80,9 @@ fn honest_vos_always_verify() {
         let resp = cloud.respond(&tokens).unwrap();
         let params = &owner.config().accumulator;
         let acc = Accumulator::from_value(params, owner.accumulator().clone());
-        for (entry, result) in resp.entries.iter().zip(&resp.results) {
+        for (result, (vo, _)) in resp.results.iter().zip(&resp.proofs) {
             let (x, _) = cloud.prime_for(result).unwrap();
-            let w = slicer_bignum::BigUint::from_bytes_be(&entry.vo);
+            let w = slicer_bignum::BigUint::from_bytes_be(vo);
             prop_assert!(acc.verify(&x, &w));
         }
         Ok(())
@@ -109,7 +109,7 @@ fn any_single_record_drop_is_detected() {
             let mut tampered = result.clone();
             tampered.er.pop();
             let (x, _) = cloud.prime_for(&tampered).unwrap();
-            let w = slicer_bignum::BigUint::from_bytes_be(&resp.entries[i].vo);
+            let w = slicer_bignum::BigUint::from_bytes_be(&resp.proofs[i].0);
             prop_assert!(!acc.verify(&x, &w), "slice {i} tamper undetected");
         }
         Ok(())

@@ -46,15 +46,18 @@ SLICER_THREADS=4 cargo test -q --offline --workspace --release
 echo "==> decoders under a 4 GiB address-space cap (ulimit -v)"
 # Overcommit lets a huge Vec::with_capacity from a hostile length or
 # count field pass by luck. Under the cap the same allocation aborts, so
-# the calldata and wire-frame decoder tests fail here deterministically.
+# the calldata, codec and wire-frame decoder tests fail here
+# deterministically.
 # Runs the test binaries the stage above built; cargo itself stays
 # outside the cap.
 capped_bins=()
 for target in "-p slicer-repro --test chain_adversarial" "-p slicer-chain --test calldata_decode" \
-  "-p slicer-daemon --lib"; do
+  "-p slicer-daemon --test decode_props" "-p slicer-daemon --lib"; do
+  # Test binaries live under deps/; an integration test of a package with
+  # binaries (slicer-daemon) also reports those, which are not tests.
   # shellcheck disable=SC2086
   bin="$(cargo test -q --offline --release --no-run --message-format=json $target |
-    grep -o '"executable":"[^"]*"' | cut -d'"' -f4)"
+    grep -o '"executable":"[^"]*/deps/[^"]*"' | cut -d'"' -f4)"
   [ -x "$bin" ] || {
     echo "memory-cap stage FAILED: no test binary for $target" >&2
     exit 1

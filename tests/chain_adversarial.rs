@@ -27,7 +27,7 @@ fn deployment(seed: u64) -> (SlicerInstance, Blockchain) {
     (inst, chain)
 }
 
-fn funded_chain_with_contract() -> (Blockchain, Address, Address) {
+fn funded_chain_with_contract(prime_bits: u32) -> (Blockchain, Address, Address) {
     let mut chain = Blockchain::new();
     let owner = Address::from_byte(1);
     chain.create_account(owner, 10_000_000);
@@ -36,7 +36,7 @@ fn funded_chain_with_contract() -> (Blockchain, Address, Address) {
             owner,
             Box::new(SlicerContract::new(
                 slicer_accumulator::RsaParams::fixed_512(),
-                128,
+                prime_bits,
                 owner,
             )),
             0,
@@ -47,7 +47,7 @@ fn funded_chain_with_contract() -> (Blockchain, Address, Address) {
 
 #[test]
 fn malformed_calldata_reverts_cleanly() {
-    let (mut chain, owner, contract) = funded_chain_with_contract();
+    let (mut chain, owner, contract) = funded_chain_with_contract(128);
     for data in [
         vec![],              // empty
         vec![0xFF],          // unknown selector
@@ -84,7 +84,7 @@ fn malformed_calldata_reverts_cleanly() {
 
 #[test]
 fn request_id_cannot_be_reused() {
-    let (mut chain, owner, contract) = funded_chain_with_contract();
+    let (mut chain, owner, contract) = funded_chain_with_contract(128);
     let token = TokenOnChain {
         trapdoor: vec![1u8; 64],
         j: 0,
@@ -165,7 +165,7 @@ fn verification_runs_out_of_gas_gracefully() {
     let submit = SlicerCall::SubmitResult {
         request_id: [9u8; 32],
         tokens: chain_tokens,
-        entries: response.entries.clone(),
+        entries: response.entries(),
     };
     let mut tx = Transaction::call(cloud, contract, 0, submit.encode());
     tx.gas_limit = 30_000; // below the verification cost
@@ -211,7 +211,7 @@ fn open_request(
         ))
         .unwrap();
     assert!(r.status.is_success());
-    (chain_tokens, inst.cloud.respond(&tokens).unwrap().entries)
+    (chain_tokens, inst.cloud.respond(&tokens).unwrap().entries())
 }
 
 #[test]
@@ -273,6 +273,29 @@ fn resent_tokens_must_match_the_request_commitment() {
         assert_eq!(r.gas_breakdown.modexp, 0, "{name}: no entry is verified");
         assert_eq!(chain.balance(&user), user_before, "{name}: user refunded");
     }
+}
+
+#[test]
+fn a_token_answered_twice_refunds_the_user() {
+    // The cloud writes its own calldata: answering token 0 twice in place
+    // of the last token fails the exactly-once rule, not a revert.
+    let (mut inst, mut chain) = deployment(46);
+    let (contract, (_, user, cloud)) = (inst.contract_address(), inst.addresses());
+    let rid = [0x48; 32];
+    let (tokens, mut entries) = open_request(&mut inst, &mut chain, rid, &Query::less_than(20));
+    let last = entries.len() - 1;
+    entries[last] = entries[0].clone();
+    let user_before = chain.balance(&user);
+    let submit = SlicerCall::SubmitResult {
+        request_id: rid,
+        tokens,
+        entries,
+    };
+    let r = chain
+        .send_transaction(Transaction::call(cloud, contract, 0, submit.encode()))
+        .unwrap();
+    assert_eq!((r.status, r.output), (TxStatus::Succeeded, vec![0]));
+    assert_eq!(chain.balance(&user), user_before + 500, "user refunded");
 }
 
 /// `H_prime`'s input for `entry`: the token material and the multiset
@@ -468,67 +491,71 @@ fn a_hint_past_the_top_of_the_width_wraps_and_refunds() {
     }
 }
 
-#[test]
-fn oversized_accumulator_value_is_stored_verbatim_but_breaks_nothing() {
-    // The contract stores whatever digest the owner sets; a garbage digest
-    // simply makes every verification fail (no panic, no lockup).
-    let (mut chain, owner, contract) = funded_chain_with_contract();
-    let r = chain
-        .send_transaction(Transaction::call(
-            owner,
-            contract,
-            0,
-            SlicerCall::SetAccumulator(vec![0xFF; 200]).encode(),
-        ))
-        .unwrap();
-    assert!(r.status.is_success());
-
+/// A one-token request on a fresh `prime_bits` contract whose digest is
+/// `ac`: the owner escrows 500 wei and the cloud answers with an entry
+/// that cannot verify. Returns the settlement receipt and whether the
+/// owner's balance is back where it started.
+fn settle_a_bad_entry(prime_bits: u32, ac: Vec<u8>) -> (TxReceipt, bool) {
+    let (mut chain, owner, contract) = funded_chain_with_contract(prime_bits);
+    let cloud = Address::from_byte(9);
+    chain.create_account(cloud, 1_000_000);
     let token = TokenOnChain {
         trapdoor: vec![1u8; 64],
         j: 0,
         g1: [1; 32],
         g2: [2; 32],
     };
-    let cloud = Address::from_byte(9);
-    chain.create_account(cloud, 1_000_000);
-    chain
-        .send_transaction(Transaction::call(
-            owner,
-            contract,
-            0,
-            SlicerCall::RequestSearch {
-                request_id: [3u8; 32],
-                cloud,
-                tokens: vec![token.clone()],
-            }
-            .encode(),
-        ))
-        .unwrap();
-    let r = chain
-        .send_transaction(Transaction::call(
-            cloud,
-            contract,
-            0,
-            SlicerCall::SubmitResult {
-                request_id: [3u8; 32],
-                tokens: vec![token],
-                entries: vec![VerifyEntry {
-                    token_idx: 0,
-                    hint: 0,
-                    er: vec![],
-                    vo: vec![1u8; 64],
-                }],
-            }
-            .encode(),
-        ))
-        .unwrap();
+    let entry = VerifyEntry {
+        token_idx: 0,
+        hint: 0,
+        er: vec![],
+        vo: vec![1u8; 64],
+    };
+    let (rid, before) = ([3u8; 32], chain.balance(&owner));
+    let request = SlicerCall::RequestSearch {
+        request_id: rid,
+        cloud,
+        tokens: vec![token.clone()],
+    };
+    let submit = SlicerCall::SubmitResult {
+        request_id: rid,
+        tokens: vec![token],
+        entries: vec![entry],
+    };
+    let [.., settled] = [
+        (owner, 0, SlicerCall::SetAccumulator(ac)),
+        (owner, 500, request),
+        (cloud, 0, submit),
+    ]
+    .map(|(from, value, call)| {
+        let tx = Transaction::call(from, contract, value, call.encode());
+        chain.send_transaction(tx).unwrap()
+    });
+    (settled, chain.balance(&owner) == before)
+}
+
+#[test]
+fn oversized_accumulator_value_is_stored_verbatim_but_breaks_nothing() {
+    // The contract stores whatever digest the owner sets; a garbage digest
+    // simply makes every verification fail (no panic, no lockup).
+    let (r, refunded) = settle_a_bad_entry(128, vec![0xFF; 200]);
     assert!(r.status.is_success(), "call completes");
     assert_eq!(r.output, [0], "verification fails against garbage digest");
+    assert!(refunded, "escrow refunded");
+}
+
+#[test]
+fn an_unsupported_prime_width_refunds_instead_of_locking_the_escrow() {
+    // `H_prime` supports 16..=512 bits. A contract deployed at 8 bits
+    // fails every entry before its MODEXP, so each request refunds.
+    let (r, refunded) = settle_a_bad_entry(8, vec![5; 64]);
+    assert_first_entry_failed("8-bit contract", &r, [3; 32], 0);
+    assert!(refunded, "escrow refunded");
 }
 
 #[test]
 fn receipts_and_blocks_stay_consistent_under_load() {
-    let (mut chain, owner, contract) = funded_chain_with_contract();
+    let (mut chain, owner, contract) = funded_chain_with_contract(128);
     for i in 0..20u8 {
         let call = SlicerCall::SetAccumulator(vec![i; 64]);
         chain

@@ -13,6 +13,10 @@ fn system(seed: u64) -> (SlicerInstance, Blockchain) {
         .into_iter()
         .map(|(id, v)| (RecordId(id), v))
         .collect();
+    system_over(seed, &db)
+}
+
+fn system_over(seed: u64, db: &[(RecordId, u64)]) -> (SlicerInstance, Blockchain) {
     let mut chain = Blockchain::new();
     let mut inst = SlicerInstance::try_setup_with(
         SlicerConfig::test_8bit(),
@@ -21,17 +25,17 @@ fn system(seed: u64) -> (SlicerInstance, Blockchain) {
         TelemetryHandle::disabled(),
     )
     .unwrap();
-    inst.build(&mut chain, &db).expect("fits domain");
+    inst.build(&mut chain, db).expect("fits domain");
     (inst, chain)
 }
 
-/// Runs a tampered search and asserts failure + refund.
+/// Runs a tampered search and asserts failure + refund, with nothing
+/// decrypted.
 fn assert_attack_caught(
-    seed: u64,
+    (mut inst, mut chain): (SlicerInstance, Blockchain),
     query: Query,
     tamper: impl FnOnce(CloudResponse) -> CloudResponse,
 ) {
-    let (mut inst, mut chain) = system(seed);
     let (_, user, cloud) = inst.addresses();
     let u0 = chain.balance(&user);
     let c0 = chain.balance(&cloud);
@@ -40,37 +44,57 @@ fn assert_attack_caught(
         .expect("workflow runs");
     assert!(!out.verified, "attack must be detected");
     assert!(!out.paid_cloud);
+    assert!(out.records.is_empty(), "unverified results are not read");
     assert_eq!(chain.balance(&user), u0, "fee refunded to user");
     assert_eq!(chain.balance(&cloud), c0, "attacker unpaid");
 }
 
 #[test]
 fn dropped_record_fails() {
-    assert_attack_caught(1, Query::less_than(128), malicious::drop_record);
+    assert_attack_caught(system(1), Query::less_than(128), malicious::drop_record);
 }
 
 #[test]
 fn injected_record_fails() {
-    assert_attack_caught(2, Query::less_than(128), |r| {
-        malicious::inject_record(r, vec![0x42; 32])
+    // A record-sized forgery, one shorter than the 16-byte nonce and one
+    // that would decrypt to 24 bytes: none is decrypted, so none errors.
+    for forged in [vec![0x42; 32], vec![0xAA; 10], vec![0xAA; 40]] {
+        assert_attack_caught(system(2), Query::less_than(128), |r| {
+            malicious::inject_record(r, forged)
+        });
+    }
+}
+
+#[test]
+fn substituted_ciphertexts_fail_and_are_not_decrypted() {
+    // The cloud answers `= 5` with the honest ciphertexts of `= 3`: the
+    // contract and the user read the same (wrong) results, so the
+    // contract refunds and the user reads nothing.
+    let db: Vec<(RecordId, u64)> = (0..40u64).map(|i| (RecordId::from_u64(i), i % 8)).collect();
+    let (inst, chain) = system_over(5, &db);
+    let mut other = inst.cloud.search(&inst.user.tokens_for(&Query::equal(3)));
+    assert_eq!(other[0].er.len(), 5);
+    assert_attack_caught((inst, chain), Query::equal(5), move |mut r| {
+        r.results[0].er = other.remove(0).er;
+        r
     });
 }
 
 #[test]
 fn corrupt_witness_fails() {
-    assert_attack_caught(3, Query::less_than(128), malicious::corrupt_witness);
+    assert_attack_caught(system(3), Query::less_than(128), malicious::corrupt_witness);
 }
 
 #[test]
 fn swapped_slice_results_fail() {
-    assert_attack_caught(4, Query::less_than(200), malicious::swap_results);
+    assert_attack_caught(system(4), Query::less_than(200), malicious::swap_results);
 }
 
 #[test]
 fn empty_response_fails() {
-    assert_attack_caught(5, Query::less_than(128), |mut resp| {
-        for e in &mut resp.entries {
-            e.er.clear();
+    assert_attack_caught(system(5), Query::less_than(128), |mut resp| {
+        for r in &mut resp.results {
+            r.er.clear();
         }
         resp
     });
@@ -78,8 +102,8 @@ fn empty_response_fails() {
 
 #[test]
 fn missing_slice_entry_fails() {
-    assert_attack_caught(6, Query::less_than(128), |mut resp| {
-        resp.entries.pop();
+    assert_attack_caught(system(6), Query::less_than(128), |mut resp| {
+        resp.results.pop();
         resp
     });
 }
@@ -88,15 +112,12 @@ fn missing_slice_entry_fails() {
 fn duplicated_slice_entry_fails() {
     // 255 = 0b1111_1111: a `< v` query has one usable slice per set bit of
     // `v`, so this query carries 8 tokens and the duplication bites.
-    assert_attack_caught(7, Query::less_than(255), |mut resp| {
-        if resp.entries.len() >= 2 {
+    assert_attack_caught(system(7), Query::less_than(255), |mut resp| {
+        if resp.results.len() >= 2 {
             // Answer token 0 twice, never answer the last token.
-            let dup = resp.entries[0].clone();
-            let last = resp.entries.len() - 1;
-            resp.entries[last] = slicer_chain::VerifyEntry {
-                token_idx: 0,
-                ..dup
-            };
+            let last = resp.results.len() - 1;
+            resp.results[last] = resp.results[0].clone();
+            resp.proofs[last] = resp.proofs[0].clone();
         }
         resp
     });
@@ -104,9 +125,9 @@ fn duplicated_slice_entry_fails() {
 
 #[test]
 fn bitflipped_ciphertext_fails() {
-    assert_attack_caught(8, Query::less_than(128), |mut resp| {
-        for e in &mut resp.entries {
-            if let Some(er) = e.er.first_mut() {
+    assert_attack_caught(system(8), Query::less_than(128), |mut resp| {
+        for r in &mut resp.results {
+            if let Some(er) = r.er.first_mut() {
                 er[0] ^= 0x01;
                 break;
             }
@@ -139,9 +160,9 @@ fn stale_cloud_fails_freshness() {
             // Drop the results that belong to the newest generation (the
             // freshly inserted record is the last one recovered in the
             // newest-first walk... drop the first recovered result).
-            for e in &mut resp.entries {
-                if !e.er.is_empty() {
-                    e.er.remove(0);
+            for r in &mut resp.results {
+                if !r.er.is_empty() {
+                    r.er.remove(0);
                     break;
                 }
             }

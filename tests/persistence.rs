@@ -56,10 +56,10 @@ fn restored_cloud_serves_verifiable_results() {
     let resp = restored.respond(&tokens).unwrap();
     let params = &owner.config().accumulator;
     let acc = slicer_accumulator::Accumulator::from_value(params, owner.accumulator().clone());
-    assert!(!resp.entries.is_empty());
-    for (entry, result) in resp.entries.iter().zip(&resp.results) {
+    assert!(!resp.results.is_empty());
+    for (result, (vo, _)) in resp.results.iter().zip(&resp.proofs) {
         let (x, _) = restored.prime_for(result).unwrap();
-        let w = slicer_bignum::BigUint::from_bytes_be(&entry.vo);
+        let w = slicer_bignum::BigUint::from_bytes_be(vo);
         assert!(acc.verify(&x, &w), "restored cloud proves correctly");
     }
 }

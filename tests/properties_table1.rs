@@ -79,9 +79,9 @@ fn property_freshness_stale_results_rejected() {
         .unwrap();
     let stale = inst
         .search_with(&mut chain, &Query::equal(77), 100, |mut resp| {
-            for e in &mut resp.entries {
+            for r in &mut resp.results {
                 // Serve only one generation's worth of results.
-                e.er.truncate(1);
+                r.er.truncate(1);
             }
             resp
         })
