@@ -265,12 +265,9 @@ impl Blockchain {
         let mut gas_breakdown = GasBreakdown::default();
         gas_breakdown.add(GasCategory::Intrinsic, intrinsic);
 
-        // Execute against a copy of storage so reverts roll back cleanly.
-        let mut storage = self
-            .contracts
-            .get(&tx.to)
-            .map(|d| d.storage.clone())
-            .unwrap_or_default();
+        // Buffer the call's storage writes so reverts roll back cleanly:
+        // they apply only on success, like the payouts and logs.
+        let mut writes = ContractStorage::new();
         let mut payouts: Vec<(Address, u128)> = Vec::new();
         let mut logs: Vec<crate::tx::LogEvent> = Vec::new();
         let result = match self.contracts.get(&tx.to) {
@@ -279,7 +276,8 @@ impl Blockchain {
                     caller: tx.from,
                     value: tx.value,
                     this: tx.to,
-                    storage: &mut storage,
+                    storage: &deployed.storage,
+                    writes: &mut writes,
                     meter: &mut meter,
                     schedule: &self.schedule,
                     payouts: &mut payouts,
@@ -312,7 +310,7 @@ impl Blockchain {
         let (status, output) = match result {
             Ok(out) => {
                 if let Some(deployed) = self.contracts.get_mut(&tx.to) {
-                    deployed.storage = storage;
+                    deployed.storage.extend(writes);
                 }
                 // Value moves into the contract's escrow account, then
                 // queued payouts (validated against escrow above) apply.
@@ -450,6 +448,27 @@ mod tests {
             Some(1u64.to_be_bytes().to_vec()),
             "counter unchanged by reverted call"
         );
+    }
+
+    #[test]
+    fn a_slot_written_twice_in_one_call_is_set_then_reset() {
+        let (mut chain, user, addr) = setup();
+        let r = chain
+            .send_transaction(Transaction::call(user, addr, 0, vec![0x03]))
+            .unwrap();
+        assert!(r.status.is_success());
+        // The second write finds the first one buffered in the call.
+        assert_eq!(r.gas_breakdown.sstore, 20_000 + 5_000);
+        assert_eq!(r.output, 2u64.to_be_bytes(), "sload sees the call's write");
+        assert_eq!(
+            chain.storage_at(&addr, b"twice"),
+            Some(2u64.to_be_bytes().to_vec())
+        );
+        // Once committed, both writes of the next call are resets.
+        let r = chain
+            .send_transaction(Transaction::call(user, addr, 0, vec![0x03]))
+            .unwrap();
+        assert_eq!(r.gas_breakdown.sstore, 5_000 + 5_000);
     }
 
     #[test]

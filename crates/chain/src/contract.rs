@@ -12,8 +12,8 @@ pub type ContractStorage = BTreeMap<Vec<u8>, Vec<u8>>;
 /// Execution context handed to a contract call.
 ///
 /// All storage access goes through the context so it can be gas-metered;
-/// value payouts are collected and applied by the chain only if the call
-/// succeeds (reverts roll everything back).
+/// storage writes and value payouts are collected and applied by the
+/// chain only if the call succeeds (reverts roll everything back).
 #[derive(Debug)]
 pub struct CallContext<'a> {
     /// Transaction sender.
@@ -22,7 +22,10 @@ pub struct CallContext<'a> {
     pub value: u128,
     /// Address of the executing contract.
     pub this: Address,
-    pub(crate) storage: &'a mut ContractStorage,
+    /// The contract's committed storage, read-only during the call.
+    pub(crate) storage: &'a ContractStorage,
+    /// Slots this call wrote, shadowing `storage` until the call commits.
+    pub(crate) writes: &'a mut ContractStorage,
     pub(crate) meter: &'a mut GasMeter,
     pub(crate) schedule: &'a GasSchedule,
     pub(crate) payouts: &'a mut Vec<(Address, u128)>,
@@ -59,14 +62,18 @@ impl CallContext<'_> {
         self.schedule
     }
 
-    /// Metered storage read.
+    /// Metered storage read; sees this call's own earlier writes.
     ///
     /// # Errors
     ///
     /// Propagates [`ContractError::OutOfGas`].
     pub fn sload(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, ContractError> {
         self.charge_as(GasCategory::Sload, self.schedule.sload)?;
-        Ok(self.storage.get(key).cloned())
+        Ok(self
+            .writes
+            .get(key)
+            .or_else(|| self.storage.get(key))
+            .cloned())
     }
 
     /// Metered storage write. Charges the set cost for fresh slots and the
@@ -78,13 +85,13 @@ impl CallContext<'_> {
     /// Propagates [`ContractError::OutOfGas`].
     pub fn sstore(&mut self, key: &[u8], value: Vec<u8>) -> Result<(), ContractError> {
         let words = (value.len() as u64).div_ceil(32).max(1);
-        let cost = if self.storage.contains_key(key) {
+        let cost = if self.writes.contains_key(key) || self.storage.contains_key(key) {
             self.schedule.sstore_reset * words
         } else {
             self.schedule.sstore_set * words
         };
         self.charge_as(GasCategory::Sstore, cost)?;
-        self.storage.insert(key.to_vec(), value);
+        self.writes.insert(key.to_vec(), value);
         Ok(())
     }
 
@@ -166,7 +173,17 @@ pub(crate) mod testing {
                     ctx.sstore(b"count", (cur + 1).to_be_bytes().to_vec())?;
                     Ok((cur + 1).to_be_bytes().to_vec())
                 }
-                Some(0x02) => Err(ContractError::Reverted("requested revert".into())),
+                Some(0x02) => {
+                    // Writes, then reverts: the write must not land.
+                    ctx.sstore(b"count", u64::MAX.to_be_bytes().to_vec())?;
+                    Err(ContractError::Reverted("requested revert".into()))
+                }
+                Some(0x03) => {
+                    // Writes one slot twice, then reads it back.
+                    ctx.sstore(b"twice", 1u64.to_be_bytes().to_vec())?;
+                    ctx.sstore(b"twice", 2u64.to_be_bytes().to_vec())?;
+                    Ok(ctx.sload(b"twice")?.unwrap_or_default())
+                }
                 _ => Err(ContractError::BadCalldata("unknown selector".into())),
             }
         }

@@ -55,7 +55,7 @@ impl CloudServer {
     }
 
     /// Restores a cloud from persisted state (see
-    /// [`slicer_store::codec`]): a crashed or migrated cloud resumes
+    /// [`slicer_crypto::codec`]): a crashed or migrated cloud resumes
     /// serving from the deserialized index and prime list.
     pub fn from_state(
         config: SlicerConfig,

@@ -533,8 +533,10 @@ fn bench_diff(rest: &[String]) -> Result<i32, DaemonError> {
 }
 
 /// `flightrec <path>` — decode a flight-recorder segment from disk:
-/// persist reason, the recent request ring (oldest first), and the log
-/// transcript the daemon held when it wrote the segment.
+/// persist reason, the recent request ring (oldest first), and the
+/// folded wall and gas profiles the daemon held when it wrote the
+/// segment. Log lines are not in the recording: they are on `slicerd`'s
+/// stderr and behind `tail`.
 fn flightrec(rest: &[String]) -> Result<i32, DaemonError> {
     let path = rest
         .first()
@@ -556,15 +558,8 @@ fn flightrec(rest: &[String]) -> Result<i32, DaemonError> {
             r.seq, r.kind, r.trace_id, r.start_ns, r.duration_ns, r.outcome
         );
     }
-    if !rec.log.is_empty() {
-        println!("--- log transcript ---");
-        print!("{}", rec.log);
-        if !rec.log.ends_with('\n') {
-            println!();
-        }
-    }
-    // Version-2 recordings embed the daemon's final profile, so a crash
-    // dump carries its own flamegraph input.
+    // The recording embeds the daemon's final profile, so a crash dump
+    // carries its own flamegraph input.
     for (title, folded) in [
         ("wall profile (folded)", &rec.profile_wall),
         ("gas profile (folded)", &rec.profile_gas),

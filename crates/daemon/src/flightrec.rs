@@ -1,7 +1,14 @@
 //! The crash flight recorder: a bounded ring of recent requests plus
-//! the structured-log tail, persisted as a checksummed `.slc` segment
-//! so *any* death of the daemon — panic, fatal serve-loop error, clean
-//! shutdown, even `kill -9` — leaves a decodable post-mortem artifact.
+//! the daemon's folded wall and gas profiles, persisted as a
+//! checksummed `.slc` segment so *any* death of the daemon — panic,
+//! fatal serve-loop error, clean shutdown, even `kill -9` — leaves a
+//! decodable post-mortem artifact.
+//!
+//! The recording holds only what no other plane keeps once the process
+//! is dead. Log lines are not in it: they already stream to `slicerd`'s
+//! stderr, and the live log ring serves them through `slicer-cli tail`.
+//! So the recording's size is bounded by its request ring, not by how
+//! much the daemon logged.
 //!
 //! `SIGKILL` cannot be caught, so waiting for a panic hook is not
 //! enough: the recorder re-persists at every request *start* (marking
@@ -20,18 +27,17 @@
 //! ```text
 //! frame 0   FlightHeader  { version, reason, next_seq }
 //! frame 1   Vec<FlightRecord>   oldest → newest
-//! frame 2   String              log tail, JSON lines
-//! frame 3   String              folded wall profile
-//! frame 4   String              folded gas profile
+//! frame 2   String              folded wall profile
+//! frame 3   String              folded gas profile
 //! ```
 //!
 //! The profile frames hold the daemon's live [`ProfileAggregator`] fold,
 //! so a crash dump answers not just "what was running" but "where the
-//! time and gas had gone". Only version 2 loads; any other version is an
+//! time and gas had gone". Only version 3 loads; any other version is an
 //! "unsupported flightrec version" error.
 
 use crate::error::DaemonError;
-use slicer_telemetry::{MemoryLogSink, ProfileAggregator, ProfileMode};
+use slicer_telemetry::{ProfileAggregator, ProfileMode};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -40,7 +46,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 pub const FLIGHTREC_FILE: &str = "flightrec.slc";
 
 /// Recording format version (frame-0 header field).
-const FLIGHTREC_VERSION: u32 = 2;
+const FLIGHTREC_VERSION: u32 = 3;
 
 /// Outcome marker of a request entry that is still executing. A
 /// recording whose newest entry carries this outcome names the request
@@ -96,9 +102,6 @@ struct RecorderState {
 struct RecorderInner {
     path: PathBuf,
     capacity: usize,
-    /// The daemon's log ring; its tail is embedded in every persist so
-    /// the post-mortem carries the words alongside the requests.
-    logs: Arc<MemoryLogSink>,
     /// The daemon's live profile aggregator; its folded wall and gas
     /// stacks are embedded in every persist.
     profile: Arc<ProfileAggregator>,
@@ -114,19 +117,13 @@ pub struct FlightRecorder {
 
 impl FlightRecorder {
     /// A recorder persisting to `path`, retaining the last `capacity`
-    /// requests (min 1), embedding the tail of `logs` and the live
-    /// folded wall/gas profiles of `profile`.
-    pub fn new(
-        path: PathBuf,
-        capacity: usize,
-        logs: Arc<MemoryLogSink>,
-        profile: Arc<ProfileAggregator>,
-    ) -> Self {
+    /// requests (min 1) and embedding the live folded wall/gas profiles
+    /// of `profile`.
+    pub fn new(path: PathBuf, capacity: usize, profile: Arc<ProfileAggregator>) -> Self {
         FlightRecorder {
             inner: Arc::new(RecorderInner {
                 path,
                 capacity: capacity.max(1),
-                logs,
                 profile,
                 state: Mutex::new(RecorderState {
                     ring: VecDeque::new(),
@@ -214,7 +211,6 @@ impl FlightRecorder {
         let frames = vec![
             slicer_crypto::codec::to_bytes(&header)?,
             slicer_crypto::codec::to_bytes(&records)?,
-            slicer_crypto::codec::to_bytes(&self.inner.logs.transcript())?,
             slicer_crypto::codec::to_bytes(&profile.to_folded(ProfileMode::Wall))?,
             slicer_crypto::codec::to_bytes(&profile.to_folded(ProfileMode::Gas))?,
         ];
@@ -235,8 +231,6 @@ pub struct FlightRecording {
     pub next_seq: u64,
     /// Retained requests, oldest first.
     pub requests: Vec<FlightRecord>,
-    /// The embedded log tail, JSON lines.
-    pub log: String,
     /// Folded wall-weighted profile.
     pub profile_wall: String,
     /// Folded gas-weighted profile.
@@ -250,7 +244,7 @@ impl FlightRecording {
     ///
     /// [`DaemonError::Persist`] when the file is unreadable or fails
     /// frame validation, [`DaemonError::Protocol`] when a frame is
-    /// missing or does not decode, or the version is not 2.
+    /// missing or does not decode, or the version is not 3.
     pub fn load(path: &Path) -> Result<Self, DaemonError> {
         let (frames, _) = slicer_persist::read_frames(path)?;
         let mut it = frames.iter();
@@ -269,7 +263,6 @@ impl FlightRecording {
             reason: header.reason,
             next_seq: header.next_seq,
             requests: slicer_crypto::codec::from_bytes(frame("requests")?)?,
-            log: slicer_crypto::codec::from_bytes(frame("log")?)?,
             profile_wall: slicer_crypto::codec::from_bytes(frame("profile_wall")?)?,
             profile_gas: slicer_crypto::codec::from_bytes(frame("profile_gas")?)?,
         })
@@ -285,7 +278,6 @@ impl FlightRecording {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slicer_telemetry::{Level, LogRecord, LogSink};
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("slicer-fr-{name}-{}", std::process::id()));
@@ -293,22 +285,10 @@ mod tests {
         dir.join(FLIGHTREC_FILE)
     }
 
-    fn log_ring() -> Arc<MemoryLogSink> {
-        let ring = Arc::new(MemoryLogSink::with_capacity(8));
-        ring.log(&LogRecord {
-            ts_ns: 5,
-            level: Level::Info,
-            target: "test",
-            message: "booted".into(),
-            fields: vec![],
-        });
-        ring
-    }
-
     #[test]
     fn begin_persists_an_in_flight_entry_before_the_request_runs() {
         let path = tmp("begin");
-        let rec = FlightRecorder::new(path.clone(), 4, log_ring(), Arc::default());
+        let rec = FlightRecorder::new(path.clone(), 4, Arc::default());
         let (seq, err) = rec.begin(42, "search", 100);
         assert!(err.is_none(), "{err:?}");
 
@@ -319,7 +299,6 @@ mod tests {
         assert_eq!(inflight.seq, seq);
         assert_eq!(inflight.kind, "search");
         assert_eq!(inflight.trace_id, 42);
-        assert!(loaded.log.contains("booted"), "log tail embedded");
 
         assert!(rec.end(seq, 900, "ok").is_none());
         let loaded = FlightRecording::load(&path).unwrap();
@@ -332,7 +311,7 @@ mod tests {
     #[test]
     fn ring_evicts_oldest_and_seq_keeps_counting() {
         let path = tmp("evict");
-        let rec = FlightRecorder::new(path.clone(), 2, log_ring(), Arc::default());
+        let rec = FlightRecorder::new(path.clone(), 2, Arc::default());
         for i in 0..4u64 {
             let (seq, _) = rec.begin(i, "stat", i * 10);
             rec.end(seq, 1, "ok");
@@ -349,7 +328,7 @@ mod tests {
     #[test]
     fn explicit_persist_stamps_the_reason() {
         let path = tmp("reason");
-        let rec = FlightRecorder::new(path.clone(), 4, log_ring(), Arc::default());
+        let rec = FlightRecorder::new(path.clone(), 4, Arc::default());
         rec.persist("shutdown").unwrap();
         assert_eq!(FlightRecording::load(&path).unwrap().reason, "shutdown");
         // Clones (panic hook) share the same ring and path.
@@ -375,7 +354,7 @@ mod tests {
             duration_ns: 40,
             attrs: vec![("gas.used", slicer_telemetry::AttrValue::U64(9))],
         });
-        let rec = FlightRecorder::new(path.clone(), 4, log_ring(), agg);
+        let rec = FlightRecorder::new(path.clone(), 4, agg);
         rec.persist("shutdown").unwrap();
         let loaded = FlightRecording::load(&path).unwrap();
         assert_eq!(loaded.profile_wall, "daemon.request 40\n");
@@ -383,21 +362,22 @@ mod tests {
     }
 
     #[test]
-    fn only_version_2_recordings_load() {
-        // A three-frame v1 segment and an unknown future version get the
-        // same typed error.
+    fn only_version_3_recordings_load() {
+        // A three-frame v1 segment, a five-frame v2 segment (with its log
+        // tail) and an unknown future version get the same typed error.
         let path = tmp("version");
-        for version in [1, 99] {
+        let frame = |s: &str| slicer_crypto::codec::to_bytes(&String::from(s)).unwrap();
+        for (version, extra) in [(1, 1), (2, 3), (99, 2)] {
             let header = FlightHeader {
                 version,
                 reason: "shutdown".into(),
                 next_seq: 3,
             };
-            let frames = vec![
+            let mut frames = vec![
                 slicer_crypto::codec::to_bytes(&header).unwrap(),
                 slicer_crypto::codec::to_bytes(&Vec::<FlightRecord>::new()).unwrap(),
-                slicer_crypto::codec::to_bytes(&String::from("{}\n")).unwrap(),
             ];
+            frames.extend((0..extra).map(|_| frame("{}\n")));
             slicer_persist::write_frames(&path, &frames).unwrap();
             let err = FlightRecording::load(&path).unwrap_err();
             assert!(
@@ -410,7 +390,7 @@ mod tests {
     #[test]
     fn corrupted_recording_fails_validation() {
         let path = tmp("corrupt");
-        let rec = FlightRecorder::new(path.clone(), 4, log_ring(), Arc::default());
+        let rec = FlightRecorder::new(path.clone(), 4, Arc::default());
         rec.persist("shutdown").unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 40; // inside a payload, not the magic

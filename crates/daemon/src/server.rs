@@ -83,6 +83,7 @@ pub struct Daemon {
     slow_request_ns: u64,
     boot_ns: u64,
     meter: Meter,
+    /// The recent structured-log lines behind the `Tail` RPC.
     log_ring: Arc<MemoryLogSink>,
     flightrec: FlightRecorder,
     /// The live collapsed-stack fold behind the `Profile` RPC.
@@ -132,7 +133,6 @@ impl Daemon {
         let flightrec = FlightRecorder::new(
             data_dir.join(FLIGHTREC_FILE),
             FLIGHTREC_REQUESTS,
-            log_ring.clone(),
             profile.clone(),
         );
         let boot_ns = telemetry.now_nanos();
@@ -853,6 +853,51 @@ mod tests {
             .any(|r| r.kind == "stat" && r.outcome == "ok"));
         let in_flight = rec.in_flight().expect("one in-flight request");
         assert_eq!(in_flight.kind, "metrics");
+    }
+
+    #[test]
+    fn flight_recording_is_bounded_by_its_ring_not_by_log_volume() {
+        use slicer_telemetry::LogicalClock;
+        let dir = tmp("flightrec-bound");
+        // The aggregator is the handle's sink, as in slicerd, so the
+        // recording carries a real wall profile.
+        let profile = Arc::new(ProfileAggregator::new());
+        let telemetry =
+            TelemetryHandle::with(Arc::new(LogicalClock::with_step(1)), profile.clone());
+        let config = DaemonConfig {
+            slow_request_ns: 0, // every request logs a warn line
+            ..cfg()
+        };
+        let mut daemon = Daemon::open(&dir, config, telemetry, profile).unwrap();
+        for trace_id in 1..=300 {
+            daemon.handle(&Request {
+                trace_id,
+                body: RequestBody::Stat,
+            });
+        }
+        let ResponseBody::LogTail { lines, .. } = daemon.tail(300) else {
+            panic!("want LogTail");
+        };
+        assert_eq!(
+            lines.len(),
+            slicer_telemetry::DEFAULT_LOG_RING,
+            "the log ring is full"
+        );
+
+        let path = dir.join(FLIGHTREC_FILE);
+        let size = std::fs::metadata(&path).unwrap().len();
+        assert!(size < 16 * 1024, "flightrec.slc is {size} B");
+        let rec = crate::flightrec::FlightRecording::load(&path).unwrap();
+        assert_eq!(rec.requests.len(), FLIGHTREC_REQUESTS);
+        assert_eq!(rec.next_seq, 301);
+        let last = rec.requests.last().unwrap();
+        assert_eq!((last.trace_id, last.kind.as_str()), (300, "stat"));
+        assert_eq!(last.outcome, "ok");
+        assert!(
+            rec.profile_wall.contains("daemon.request"),
+            "{}",
+            rec.profile_wall
+        );
     }
 
     #[test]

@@ -7,7 +7,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod codec;
 mod index;
 mod primes;
 
@@ -66,5 +65,18 @@ mod tests {
         s.primes.push(BigUint::from(97u64));
         // 32-byte label + 32-byte value + 1-byte prime.
         assert_eq!(s.storage_bytes(), 65);
+    }
+
+    #[test]
+    fn cloud_state_roundtrips() {
+        use slicer_crypto::codec::{from_bytes, to_bytes};
+        let mut s = CloudState::new();
+        s.index.put([3u8; 32], vec![9, 9, 9]).unwrap();
+        s.primes.push(BigUint::from(101u64));
+        s.accumulator = Some(BigUint::from(0xDEADu64));
+        let back: CloudState = from_bytes(&to_bytes(&s).unwrap()).unwrap();
+        assert_eq!(back.index.get(&[3u8; 32]), Some([9, 9, 9].as_slice()));
+        assert_eq!(back.primes.as_slice(), s.primes.as_slice());
+        assert_eq!(back.accumulator, s.accumulator);
     }
 }

@@ -155,6 +155,29 @@ mod tests {
     }
 
     #[test]
+    fn restored_list_lookup_works() {
+        use slicer_crypto::codec::{from_bytes, to_bytes};
+        let list: PrimeList = (0u64..8).map(|i| p(100 + i)).collect();
+        let mut back: PrimeList = from_bytes(&to_bytes(&list).unwrap()).unwrap();
+        assert_eq!(back.position(&p(105)), list.position(&p(105)));
+        // Idempotent push still finds the existing slot after a restore.
+        assert_eq!(back.push(p(100)), 0);
+    }
+
+    #[test]
+    fn restore_rejects_a_repeated_prime() {
+        use slicer_crypto::codec::{from_bytes, to_bytes};
+        // A list that repeats a prime is corrupt: a restore would give the
+        // repeat no index of its own and shift every later one.
+        let repeated: Vec<BigUint> = [101u64, 103, 101].map(p).to_vec();
+        let err = from_bytes::<PrimeList>(&to_bytes(&repeated).unwrap()).unwrap_err();
+        assert!(
+            err.to_string().contains("repeats a prime at index 2"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn size_counts_bytes() {
         let mut list = PrimeList::new();
         list.push(p(0xFFFF)); // 2 bytes

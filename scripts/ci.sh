@@ -434,6 +434,18 @@ if [ -z "$in_flight_ok" ]; then
   echo "$rec_out" >&2
   exit 1
 fi
+# The post-mortem profile survives the kill too, and the recording is
+# bounded by its request ring (64 entries), not by how much was logged.
+grep -q -- "--- wall profile (folded) ---" <<<"$rec_out" || {
+  echo "observability smoke FAILED: wall profile missing from the flight recording" >&2
+  echo "$rec_out" >&2
+  exit 1
+}
+rec_bytes="$(wc -c <"$obs_tmp/data/flightrec.slc")"
+if [ "$rec_bytes" -ge 16384 ]; then
+  echo "observability smoke FAILED: flightrec.slc is $rec_bytes B, want < 16 KiB" >&2
+  exit 1
+fi
 echo "observability smoke OK"
 
 echo "CI OK"

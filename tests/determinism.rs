@@ -6,7 +6,7 @@
 
 use slicer_chain::Blockchain;
 use slicer_core::{DataOwner, Query, RecordId, SlicerConfig, SlicerInstance};
-use slicer_store::codec::to_bytes;
+use slicer_crypto::codec::to_bytes;
 use slicer_telemetry::TelemetryHandle;
 
 fn db(n: u64) -> Vec<(RecordId, u64)> {

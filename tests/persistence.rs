@@ -9,8 +9,8 @@ use slicer_chain::Blockchain;
 use slicer_core::{
     BuildOutput, CloudServer, DataOwner, Query, RecordId, SlicerConfig, SlicerInstance,
 };
+use slicer_crypto::codec::{from_bytes, to_bytes};
 use slicer_persist::{PersistError, SegmentStore, Snapshot};
-use slicer_store::codec::{from_bytes, to_bytes};
 use slicer_store::CloudState;
 use slicer_telemetry::TelemetryHandle;
 use std::path::PathBuf;
