@@ -13,8 +13,8 @@
 //! per-entry shape), the audit fails loudly with a typed
 //! [`LeakageViolation`].
 
-use crate::leakage::{BuildLeakage, RepeatLeakage, SearchLeakage};
-use crate::messages::SearchToken;
+use crate::leakage::{BuildLeakage, RaggedShapeError, RepeatLeakage, SearchLeakage};
+use crate::messages::{BuildOutput, SearchToken, SliceResult};
 use slicer_telemetry::{AttrValue, Event};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -72,10 +72,14 @@ pub const ALLOWED_ATTR_KEYS: &[&str] = &[
     "catchup_primes",
 ];
 
-/// The leakage a run *declares*: accumulated by
-/// [`SlicerInstance`](crate::SlicerInstance) as it executes, from
-/// protocol values (not from telemetry). [`LeakageAuditor::verify`]
-/// compares the observed transcript against this ledger.
+/// The leakage a run *declares*: filled by the auditing caller from
+/// protocol values (not from telemetry), namely each shipment that
+/// [`SlicerInstance::build`](crate::SlicerInstance::build) and
+/// [`insert`](crate::SlicerInstance::insert) return and each honest
+/// response that
+/// [`SlicerInstance::search_with`](crate::SlicerInstance::search_with)'s
+/// hook sees. [`LeakageAuditor::verify`] compares the observed transcript
+/// against this ledger.
 #[derive(Debug, Clone, Default)]
 pub struct DeclaredLeakage {
     /// One `L^build` profile per build/insert shipment, in order.
@@ -89,6 +93,27 @@ pub struct DeclaredLeakage {
 }
 
 impl DeclaredLeakage {
+    /// Declares one shipment's `L^build`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RaggedShapeError`] if the shipment's entries or primes
+    /// differ in size.
+    pub fn record_build(&mut self, shipment: &BuildOutput) -> Result<(), RaggedShapeError> {
+        self.builds.push(BuildLeakage::of(shipment)?);
+        Ok(())
+    }
+
+    /// Declares one search from the cloud's honest slice results: its
+    /// `L^search`, and its tokens (one per result, in order) appended to
+    /// the `L^repeat` history. A search that yielded no tokens passes no
+    /// results and declares an empty access pattern.
+    pub fn record_search(&mut self, results: &[SliceResult]) {
+        self.searches.push(SearchLeakage::of(results));
+        self.token_history
+            .extend(results.iter().map(|r| r.token.clone()));
+    }
+
     /// The declared repeat profile over the full token history.
     pub fn repeat(&self) -> RepeatLeakage {
         RepeatLeakage::of(&self.token_history)

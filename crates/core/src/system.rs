@@ -1,10 +1,9 @@
 //! End-to-end orchestration: the four-party workflow of Fig. 1.
 
-use crate::audit::DeclaredLeakage;
 use crate::cloud::CloudServer;
 use crate::config::SlicerConfig;
 use crate::error::SlicerError;
-use crate::leakage::{BuildLeakage, SearchLeakage};
+use crate::leakage::BuildLeakage;
 use crate::messages::{BuildOutput, Query};
 use crate::owner::DataOwner;
 use crate::profile::{PhaseStat, SearchProfile};
@@ -39,8 +38,9 @@ pub struct SearchOutcome {
     pub trace_id: u64,
 }
 
-/// What one [`SlicerInstance::insert`] did: everything a caller needs
-/// to persist the insert on its own, without re-reading the whole state.
+/// What one [`SlicerInstance::build`] or [`SlicerInstance::insert`] did:
+/// everything a caller needs to persist the shipment on its own, without
+/// re-reading the whole state.
 #[derive(Debug, Clone)]
 pub struct InsertOutcome {
     /// Receipt of the on-chain digest update (the 29 144-gas operation
@@ -85,7 +85,6 @@ pub struct SlicerInstance {
     /// monotonic fallback otherwise. Keeps `std::time` out of the
     /// protocol path.
     clock: Arc<dyn Clock>,
-    declared: DeclaredLeakage,
 }
 
 impl SlicerInstance {
@@ -209,7 +208,6 @@ impl SlicerInstance {
             request_counter: 0,
             telemetry: TelemetryHandle::disabled(),
             clock: crate::owner::timing_clock(&TelemetryHandle::disabled()),
-            declared: DeclaredLeakage::default(),
         };
         Ok((instance, deployed.receipt))
     }
@@ -228,15 +226,6 @@ impl SlicerInstance {
         self.user.set_telemetry(telemetry.clone());
         self.clock = crate::owner::timing_clock(&telemetry);
         self.telemetry = telemetry;
-    }
-
-    /// The leakage profiles this instance has declared so far: one
-    /// `L^build` per shipment, one `L^search` per search and the token
-    /// history behind `L^repeat`. Feed to
-    /// [`LeakageAuditor::verify`](crate::LeakageAuditor::verify) together
-    /// with the run's trace transcript.
-    pub fn declared_leakage(&self) -> &DeclaredLeakage {
-        &self.declared
     }
 
     /// Elapsed nanoseconds on the instance clock since `start_ns`.
@@ -270,7 +259,8 @@ impl SlicerInstance {
 
     /// Full `Build` flow over `(id, value)` pairs or multi-attribute
     /// [`Record`]s: owner builds, cloud ingests `(I, X, Ac)`, the digest
-    /// goes on chain and the user receives the fresh state.
+    /// goes on chain and the user receives the fresh state. Returns what
+    /// [`SlicerInstance::insert`] returns.
     ///
     /// # Errors
     ///
@@ -279,10 +269,10 @@ impl SlicerInstance {
         &mut self,
         chain: &mut Blockchain,
         db: &[R],
-    ) -> Result<TxReceipt, SlicerError> {
+    ) -> Result<InsertOutcome, SlicerError> {
         let mut span = self.telemetry.span("phase.build");
         let out = self.owner.build(db)?;
-        Ok(self.deploy_shipment(chain, &mut span, out)?.receipt)
+        self.deploy_shipment(chain, &mut span, out)
     }
 
     /// Full forward-secure `Insert` flow. Returns the receipt of the
@@ -305,8 +295,7 @@ impl SlicerInstance {
     /// Shared tail of every build/insert (inserts fold into the Build
     /// phase: both run Algorithm 1/2 + a digest update): ship to the
     /// cloud, refresh the user view, publish the digest, and record
-    /// exactly the `L^build` shape — sizes only — on the phase span and
-    /// in the declared-leakage ledger.
+    /// exactly the `L^build` shape — sizes only — on the phase span.
     fn deploy_shipment(
         &mut self,
         chain: &mut Blockchain,
@@ -339,7 +328,6 @@ impl SlicerInstance {
                 ("gas.used", receipt.gas_used.into()),
             ],
         );
-        self.declared.builds.push(leak);
         Ok(InsertOutcome {
             receipt,
             shipment: out,
@@ -369,7 +357,9 @@ impl SlicerInstance {
 
     /// [`SlicerInstance::search`] with a hook that lets tests and examples
     /// replace the cloud's honest response with a tampered one before it is
-    /// submitted for verification.
+    /// submitted for verification. The hook sees the honest response (what
+    /// [`DeclaredLeakage::record_search`](crate::DeclaredLeakage::record_search)
+    /// reads), and is not called when the query yields no tokens.
     ///
     /// # Errors
     ///
@@ -391,11 +381,7 @@ impl SlicerInstance {
         if tokens.is_empty() {
             // Nothing indexed can match: `T` (trusted, owner-signed state)
             // has no entry, so the result is provably empty without paying.
-            // The cloud and chain observe nothing; the declared ledger
-            // records an empty access pattern so audits stay aligned.
-            self.declared
-                .searches
-                .push(SearchLeakage { tokens: Vec::new() });
+            // The cloud and chain observe nothing.
             return Ok(SearchOutcome {
                 records: Vec::new(),
                 verified: true,
@@ -442,10 +428,6 @@ impl SlicerInstance {
         let mut search_span = self.telemetry.span("phase.search");
         let search_start = self.clock.now_nanos();
         let honest = self.cloud.respond(&tokens)?;
-        self.declared
-            .searches
-            .push(SearchLeakage::of(&honest.results));
-        self.declared.token_history.extend(tokens.iter().cloned());
         let response = tamper(honest);
         let search_wall = self.elapsed(search_start);
         search_span.attr("results", response.results.len());

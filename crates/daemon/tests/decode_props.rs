@@ -1,23 +1,37 @@
-//! The codec decoders `slicerd` runs on bytes from a peer or from disk
-//! (`Request`, `Response`, `OwnerDelta`, `PrimeList`, `Manifest`,
-//! `Delta`), fed corrupted encodings of valid values: truncation at every
-//! offset, inflated `u64` length prefixes, trailing bytes and bit flips
-//! each return a `CodecError` or another valid value, never a panic.
+//! The decoders `slicerd` runs on bytes from a peer or from disk, fed
+//! corrupted encodings of valid values: truncation at every offset,
+//! inflated length prefixes, trailing bytes and bit flips.
 //!
-//! CI runs this binary under `ulimit -v`, so an allocation sized from an
-//! inflated length aborts the stage instead of passing by luck.
+//! - The codec decoders (`Request`, `Response`, `OwnerDelta`,
+//!   `PrimeList`, `Manifest`, `Delta`) return a `CodecError` or another
+//!   valid value.
+//! - The wire-frame reader (`read_message`) returns a typed
+//!   `ReadOutcome` or `DaemonError::Io`, and consumes exactly one frame.
+//! - The segment-frame reader (`read_frames`) returns
+//!   `PersistError::Corrupt` or `UnsupportedVersion`, or, cut at a frame
+//!   boundary, the frames before the cut under another file checksum.
+//!
+//! None of them panics. CI runs this binary under `ulimit -v`, so an
+//! allocation sized from an inflated length aborts the stage instead of
+//! passing by luck.
 
 use slicer_bignum::BigUint;
 use slicer_core::{KeywordState, OwnerDelta, Query};
 use slicer_crypto::codec::{from_bytes, to_bytes, Decode, Encode};
+use slicer_daemon::proto::{read_message, write_message};
 use slicer_daemon::{
-    MetricsReply, Request, RequestBody, Response, ResponseBody, StatReply, WireHistogram,
+    DaemonError, MetricsReply, ReadOutcome, Request, RequestBody, Response, ResponseBody,
+    StatReply, WireHistogram, MAX_FRAME_LEN,
 };
 use slicer_mshash::MsetHash;
-use slicer_persist::{Delta, Manifest, SegmentEntry, SegmentRole};
+use slicer_persist::{
+    read_frames, write_frames, Delta, Manifest, PersistError, SegmentEntry, SegmentRole,
+};
 use slicer_store::{PrimeList, INDEX_LABEL_LEN};
 use slicer_testkit::{prop_assert, prop_assert_eq, prop_check, Gen, PropResult};
 use slicer_trapdoor::Trapdoor;
+use std::fmt::Debug;
+use std::path::Path;
 
 fn list<T>(g: &mut Gen, max: usize, item: impl Fn(&mut Gen) -> T) -> Vec<T> {
     (0..g.usize_in(0, max)).map(|_| item(g)).collect()
@@ -160,6 +174,20 @@ fn rejected_or_valid<T: Encode + Decode>(bytes: &[u8], what: &str) -> PropResult
     Ok(())
 }
 
+/// `bytes` with 1–3 distinct bits flipped.
+fn flip_bits(g: &mut Gen, bytes: &[u8]) -> Vec<u8> {
+    let mut bits: Vec<usize> = (0..g.usize_in(1, 3))
+        .map(|_| g.index(bytes.len() * 8))
+        .collect();
+    bits.sort_unstable();
+    bits.dedup();
+    let mut bad = bytes.to_vec();
+    for bit in bits {
+        bad[bit / 8] ^= 1 << (bit % 8);
+    }
+    bad
+}
+
 /// Runs `T`'s decoder over the four corruptions of `value`'s encoding.
 fn corruptions<T: Encode + Decode>(g: &mut Gen, value: &T) -> PropResult {
     let name = std::any::type_name::<T>();
@@ -195,12 +223,169 @@ fn corruptions<T: Encode + Decode>(g: &mut Gen, value: &T) -> PropResult {
     }
     // Random bit flips.
     for _ in 0..8 {
-        let mut bad = data.clone();
-        for _ in 0..g.usize_in(1, 3) {
-            let bit = g.index(bad.len() * 8);
-            bad[bit / 8] ^= 1 << (bit % 8);
-        }
+        let bad = flip_bits(g, &data);
         rejected_or_valid::<T>(&bad, &format!("{name}: bit flips"))?;
+    }
+    Ok(())
+}
+
+/// One `read_message` over `wire`: the outcome, and how many bytes it
+/// consumed.
+fn read_one<T: Decode>(wire: &[u8]) -> (Result<ReadOutcome<T>, DaemonError>, usize) {
+    let mut cursor = wire;
+    let got = read_message::<T>(&mut cursor);
+    (got, wire.len() - cursor.len())
+}
+
+/// Runs `read_message` over the corruptions of `value`'s wire frame (a
+/// big-endian `u32` payload length, then the payload).
+fn frame_corruptions<T: Encode + Decode + PartialEq + Debug>(g: &mut Gen, value: &T) -> PropResult {
+    let name = std::any::type_name::<T>();
+    let mut wire = Vec::new();
+    write_message(&mut wire, value).map_err(|e| e.to_string())?;
+    let payload = &wire[4..];
+    let (got, used) = read_one::<T>(&wire);
+    prop_assert!(
+        matches!(got, Ok(ReadOutcome::Msg(ref back)) if back == value) && used == wire.len(),
+        "{name}: valid frame"
+    );
+
+    // A strict prefix: a clean EOF before the first byte, an I/O error
+    // inside the frame.
+    for end in 0..wire.len() {
+        let (got, _) = read_one::<T>(&wire[..end]);
+        let typed = match got {
+            Ok(ReadOutcome::Eof) => end == 0,
+            Err(DaemonError::Io(_)) => end > 0,
+            _ => false,
+        };
+        prop_assert!(typed, "{name}: truncated at {end}: {got:?}");
+    }
+    // Inflated lengths: up to the cap the frame runs out of bytes; past
+    // it the frame is drained and reported as oversize.
+    let short = u32::try_from(g.u64_in(payload.len() as u64 + 1, u64::from(MAX_FRAME_LEN)))
+        .map_err(|e| e.to_string())?;
+    for len in [short, MAX_FRAME_LEN, MAX_FRAME_LEN + 1, u32::MAX] {
+        let mut bad = len.to_be_bytes().to_vec();
+        bad.extend_from_slice(payload);
+        let (got, used) = read_one::<T>(&bad);
+        let typed = match got {
+            Ok(ReadOutcome::Oversize { declared }) => len > MAX_FRAME_LEN && declared == len,
+            Err(DaemonError::Io(_)) => len <= MAX_FRAME_LEN,
+            _ => false,
+        };
+        prop_assert!(typed && used == bad.len(), "{name}: length {len}: {got:?}");
+    }
+    // Trailing bytes inside the frame: it stays framed, and the payload
+    // is undecodable. After the frame: they wait for the next read, which
+    // cannot find a message in at most 8 bytes.
+    let extra = g.bytes(1, 8);
+    let mut bad = u32::try_from(payload.len() + extra.len())
+        .map_err(|e| e.to_string())?
+        .to_be_bytes()
+        .to_vec();
+    bad.extend_from_slice(payload);
+    bad.extend_from_slice(&extra);
+    let (got, used) = read_one::<T>(&bad);
+    prop_assert!(
+        matches!(got, Ok(ReadOutcome::Undecodable(_))) && used == bad.len(),
+        "{name}: trailing bytes in the frame: {got:?}"
+    );
+    let mut longer = wire.clone();
+    longer.extend_from_slice(&extra);
+    let (got, used) = read_one::<T>(&longer);
+    prop_assert!(
+        matches!(got, Ok(ReadOutcome::Msg(ref back)) if back == value) && used == wire.len(),
+        "{name}: trailing bytes after the frame"
+    );
+    let (got, _) = read_one::<T>(&extra);
+    prop_assert!(
+        !matches!(got, Ok(ReadOutcome::Msg(_) | ReadOutcome::Eof)),
+        "{name}: a message in {} trailing bytes",
+        extra.len()
+    );
+    // Random bit flips: whatever the outcome, a read that found a frame
+    // consumed exactly the frame its (possibly flipped) header declares.
+    for _ in 0..8 {
+        let bad = flip_bits(g, &wire);
+        let mut len = [0u8; 4];
+        len.copy_from_slice(&bad[..4]);
+        let frame = 4 + u32::from_be_bytes(len) as usize;
+        let (got, used) = read_one::<T>(&bad);
+        let typed = match got {
+            Ok(ReadOutcome::Msg(_) | ReadOutcome::Undecodable(_)) => used == frame,
+            Ok(ReadOutcome::Oversize { .. }) | Err(DaemonError::Io(_)) => used == bad.len(),
+            _ => false,
+        };
+        prop_assert!(typed, "{name}: bit flips: {got:?} after {used} bytes");
+    }
+    Ok(())
+}
+
+/// Runs `read_frames` over the corruptions of a segment file holding
+/// `frames`: the 8-byte magic, then per frame a `u64` LE payload length,
+/// the payload and its SHA-256.
+fn segment_corruptions(g: &mut Gen, path: &Path, frames: &[Vec<u8>]) -> PropResult {
+    let sum = write_frames(path, frames).map_err(|e| e.to_string())?;
+    let data = std::fs::read(path).map_err(|e| e.to_string())?;
+    let read = |bytes: &[u8]| {
+        std::fs::write(path, bytes).map_err(|e| e.to_string())?;
+        Ok::<_, String>(read_frames(path))
+    };
+    prop_assert_eq!(read(&data)?, Ok((frames.to_vec(), sum)), "valid segment");
+    // Where each frame starts; the last entry is the end of the file.
+    let mut starts = vec![8];
+    for frame in frames {
+        starts.push(starts[starts.len() - 1] + 8 + frame.len() + 32);
+    }
+
+    // A strict prefix is corrupt, unless it ends at a frame boundary: then
+    // it holds the frames before the cut, under another file checksum.
+    for end in 0..data.len() {
+        let got = read(&data[..end])?;
+        let typed = match (starts.iter().position(|&s| s == end), &got) {
+            (Some(kept), Ok((back, cut_sum))) => back == &frames[..kept] && *cut_sum != sum,
+            (None, Err(PersistError::Corrupt { .. })) => true,
+            _ => false,
+        };
+        prop_assert!(typed, "segment truncated at {end}: {got:?}");
+    }
+    // Inflated lengths, at every frame: the file runs out of bytes.
+    for (k, &at) in starts[..frames.len()].iter().enumerate() {
+        let short = g.u64_in(frames[k].len() as u64 + 1, u64::MAX);
+        for len in [
+            short,
+            u64::from(MAX_FRAME_LEN),
+            u64::from(MAX_FRAME_LEN) + 1,
+            u64::MAX,
+        ] {
+            let mut bad = data.clone();
+            bad[at..at + 8].copy_from_slice(&len.to_le_bytes());
+            let got = read(&bad)?;
+            prop_assert!(
+                matches!(got, Err(PersistError::Corrupt { .. })),
+                "frame {k} length {len}: {got:?}"
+            );
+        }
+    }
+    // Trailing bytes too few for a frame (one needs at least 40).
+    let mut longer = data.clone();
+    longer.extend(g.bytes(1, 39));
+    let got = read(&longer)?;
+    prop_assert!(
+        matches!(got, Err(PersistError::Corrupt { .. })),
+        "segment with trailing bytes: {got:?}"
+    );
+    // Random bit flips: every byte is under the magic or a checksum.
+    for _ in 0..8 {
+        let got = read(&flip_bits(g, &data))?;
+        prop_assert!(
+            matches!(
+                got,
+                Err(PersistError::Corrupt { .. } | PersistError::UnsupportedVersion { .. })
+            ),
+            "segment bit flips: {got:?}"
+        );
     }
     Ok(())
 }
@@ -221,4 +406,26 @@ fn corrupted_encodings_are_rejected_or_another_valid_value() {
         let value = delta(g);
         corruptions(g, &value)
     });
+}
+
+#[test]
+fn corrupted_wire_frames_are_typed_outcomes() {
+    prop_check!(0xF4A3, 64, |g| {
+        let value = request(g);
+        frame_corruptions(g, &value)?;
+        let value = response(g);
+        frame_corruptions(g, &value)
+    });
+}
+
+#[test]
+fn corrupted_segment_frames_are_typed_errors() {
+    let dir = std::env::temp_dir().join(format!("slicer-decode-props-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("seg.slc");
+    prop_check!(0x5E6F, 64, |g| {
+        let frames = list(g, 3, |g| g.bytes(0, 40));
+        segment_corruptions(g, &path, &frames)
+    });
+    std::fs::remove_dir_all(&dir).expect("temp dir removed");
 }

@@ -4,24 +4,12 @@
 //!
 //! The paper evaluates on "randomly simulated key-value records" with 8-,
 //! 16- and 24-bit values over 10K–160K records. This crate reproduces that
-//! setup deterministically (same seed → same dataset) and adds two skewed
-//! distributions for robustness experiments.
-//!
-//! The [`throughput`] module turns the generators into a sustained-load
-//! benchmark: N seeded searchers with a Zipf query mix, runnable against
-//! an in-process [`slicer_core::SlicerInstance`] or a live `slicerd`.
+//! setup deterministically (same seed → same dataset) and adds a Zipf
+//! distribution for skewed workloads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod throughput;
-
-pub use throughput::{
-    ingest_into_daemon, run_against_daemon, run_in_process, ThroughputError, ThroughputReport,
-    ThroughputSpec,
-};
-
-use slicer_crypto::codec::{CodecError, Decode, Encode, Reader};
 use slicer_crypto::Rng;
 
 /// Value distribution of a synthetic dataset.
@@ -34,42 +22,6 @@ pub enum Distribution {
         /// Skew exponent (1.0 = classic Zipf).
         exponent: f64,
     },
-    /// Values clustered in a narrow band around the domain midpoint.
-    Clustered {
-        /// Band half-width as a fraction of the domain (0 < f ≤ 0.5).
-        spread: f64,
-    },
-}
-
-impl Encode for Distribution {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Distribution::Uniform => 0u32.encode(out),
-            Distribution::Zipf { exponent } => {
-                1u32.encode(out);
-                exponent.encode(out);
-            }
-            Distribution::Clustered { spread } => {
-                2u32.encode(out);
-                spread.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for Distribution {
-    fn decode(reader: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match u32::decode(reader)? {
-            0 => Ok(Distribution::Uniform),
-            1 => Ok(Distribution::Zipf {
-                exponent: f64::decode(reader)?,
-            }),
-            2 => Ok(Distribution::Clustered {
-                spread: f64::decode(reader)?,
-            }),
-            v => Err(CodecError::msg(format!("invalid Distribution variant {v}"))),
-        }
-    }
 }
 
 /// Descriptor of a synthetic dataset.
@@ -84,13 +36,6 @@ pub struct DatasetSpec {
     /// RNG seed.
     pub seed: u64,
 }
-
-slicer_crypto::impl_codec!(DatasetSpec {
-    records,
-    bits,
-    distribution,
-    seed,
-});
 
 impl DatasetSpec {
     /// The paper's uniform setting.
@@ -119,7 +64,6 @@ impl DatasetSpec {
                 let v = match self.distribution {
                     Distribution::Uniform => rng.next_u64() & max,
                     Distribution::Zipf { exponent } => zipf_sample(&mut rng, max, exponent),
-                    Distribution::Clustered { spread } => clustered_sample(&mut rng, max, spread),
                 };
                 (id, v)
             })
@@ -167,14 +111,6 @@ fn zipf_sample<R: Rng>(rng: &mut R, max: u64, exponent: f64) -> u64 {
     (rank as u64).min(max)
 }
 
-fn clustered_sample<R: Rng>(rng: &mut R, max: u64, spread: f64) -> u64 {
-    let mid = max / 2;
-    let band = ((max as f64) * spread.clamp(1e-9, 0.5)) as u64;
-    let lo = mid.saturating_sub(band);
-    let width = (2 * band + 1).max(1);
-    lo + rng.next_u64() % width
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,23 +150,6 @@ mod tests {
         let data = spec.generate();
         let small = data.iter().filter(|(_, v)| *v < 10).count();
         assert!(small > data.len() / 3, "zipf mass at the head: {small}");
-    }
-
-    #[test]
-    fn clustered_stays_in_band() {
-        let spec = DatasetSpec {
-            records: 1_000,
-            bits: 16,
-            distribution: Distribution::Clustered { spread: 0.1 },
-            seed: 4,
-        };
-        let max = (1u64 << 16) - 1;
-        let mid = max / 2;
-        let band = (max as f64 * 0.1) as u64;
-        assert!(spec
-            .generate()
-            .iter()
-            .all(|(_, v)| *v >= mid - band && *v <= mid + band + 1));
     }
 
     #[test]

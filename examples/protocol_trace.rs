@@ -12,7 +12,9 @@
 //! ```
 
 use slicer_chain::Blockchain;
-use slicer_core::{LeakageAuditor, Query, RecordId, SearchOutcome, SlicerConfig, SlicerInstance};
+use slicer_core::{
+    DeclaredLeakage, LeakageAuditor, Query, RecordId, SearchOutcome, SlicerConfig, SlicerInstance,
+};
 use slicer_telemetry::{Event, MemorySink, MonotonicClock, TelemetryHandle};
 use std::sync::Arc;
 
@@ -37,10 +39,19 @@ fn main() {
     let db: Vec<(RecordId, u64)> = (0u64..40)
         .map(|i| (RecordId::from_u64(i), (i * 13) % 256))
         .collect();
-    slicer.build(&mut chain, &db).expect("8-bit domain");
-    slicer
+    // The leakage the run declares, from the protocol values each call
+    // hands back; the audit at the end checks the trace against it.
+    let mut declared = DeclaredLeakage::default();
+    let built = slicer.build(&mut chain, &db).expect("8-bit domain");
+    declared
+        .record_build(&built.shipment)
+        .expect("even shipment");
+    let inserted = slicer
         .insert(&mut chain, &[(RecordId::from_u64(1_000), 5)])
         .expect("8-bit domain");
+    declared
+        .record_build(&inserted.shipment)
+        .expect("even shipment");
     println!(
         "built {} records (+1 insert); {} index entries on the cloud",
         db.len(),
@@ -49,9 +60,14 @@ fn main() {
 
     println!("\n── Search / Verify / Settle (Algorithms 3–5) ─────────────");
     let query = Query::less_than(60);
+    let mut results = Vec::new();
     let outcome: SearchOutcome = slicer
-        .search(&mut chain, &query, 1_000)
+        .search_with(&mut chain, &query, 1_000, |honest| {
+            results.clone_from(&honest.results);
+            honest
+        })
         .expect("honest run");
+    declared.record_search(&results);
     assert!(outcome.verified, "honest searches verify on chain");
     let mut got: Vec<u64> = outcome
         .records
@@ -170,7 +186,7 @@ fn main() {
     // ── Leakage audit: the trace reveals exactly Theorem 2's profiles ──
     let auditor = LeakageAuditor::from_events(&events).expect("transcript parses");
     let report = auditor
-        .verify(slicer.declared_leakage())
+        .verify(&declared)
         .expect("observed access pattern matches declared leakage");
     println!(
         "Leakage audit: {} build(s), {} search(es), {} token(s) ({} distinct)",

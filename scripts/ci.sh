@@ -189,6 +189,20 @@ grep -q "LEAKAGE AUDIT OK" <<<"$trace_out" || {
   echo "telemetry smoke FAILED: leakage audit did not pass" >&2
   exit 1
 }
+# README quotes this run's phase table. Gas is deterministic, so its gas
+# column must equal the run's exactly; wall times vary and are not compared.
+phase_gas() {
+  awk '/^phase +wall \(mean\) +gas$/ { on = 1; next }
+    on && NF == 4 && $1 ~ /^(setup|build|token|search|verify|settle)$/ { print $1, $NF; next }
+    on { exit }'
+}
+readme_gas="$(phase_gas <README.md)"
+trace_gas="$(phase_gas <<<"$trace_out")"
+if [ "$(wc -l <<<"$trace_gas")" -ne 6 ] || [ "$readme_gas" != "$trace_gas" ]; then
+  echo "telemetry smoke FAILED: README's protocol_trace gas column differs from this run" >&2
+  diff <(echo "$readme_gas") <(echo "$trace_gas") >&2 || true
+  exit 1
+fi
 echo "telemetry smoke OK"
 
 echo "==> slicerd smoke (kill -9 crash/restart, byte-identical digest, no rebuild)"

@@ -7,7 +7,8 @@
 
 use slicer_chain::Blockchain;
 use slicer_core::{
-    LeakageAuditor, LeakageViolation, Query, RecordId, SlicerConfig, SlicerInstance,
+    DeclaredLeakage, LeakageAuditor, LeakageViolation, Query, RecordId, SlicerConfig,
+    SlicerInstance,
 };
 use slicer_telemetry::{
     chrome_trace, json, AttrValue, Event, LogicalClock, MemorySink, SpanId, TelemetryHandle,
@@ -21,32 +22,47 @@ fn db(n: u64) -> Vec<(RecordId, u64)> {
 }
 
 /// A full instrumented lifecycle: build, insert, three searches (one a
-/// byte-identical repeat, exercising `L^repeat`).
-fn instrumented_run() -> (SlicerInstance, Vec<Event>) {
+/// byte-identical repeat, exercising `L^repeat`), with the leakage it
+/// declares, taken from the shipments and the cloud's honest responses.
+fn instrumented_run() -> (DeclaredLeakage, Vec<Event>) {
     let sink = Arc::new(MemorySink::new());
     let handle = TelemetryHandle::with(Arc::new(LogicalClock::default()), sink.clone() as _);
     let mut chain = Blockchain::new();
     let mut inst =
         SlicerInstance::try_setup_with(SlicerConfig::test_8bit(), 0xA0D17, &mut chain, handle)
             .unwrap();
-    inst.build(&mut chain, &db(24)).expect("in-domain build");
-    inst.insert(
-        &mut chain,
-        &[(RecordId::from_u64(500), 42), (RecordId::from_u64(501), 7)],
-    )
-    .expect("in-domain insert");
+    let mut declared = DeclaredLeakage::default();
+    let built = inst.build(&mut chain, &db(24)).expect("in-domain build");
+    declared
+        .record_build(&built.shipment)
+        .expect("even shipment");
+    let inserted = inst
+        .insert(
+            &mut chain,
+            &[(RecordId::from_u64(500), 42), (RecordId::from_u64(501), 7)],
+        )
+        .expect("in-domain insert");
+    declared
+        .record_build(&inserted.shipment)
+        .expect("even shipment");
     for q in [Query::less_than(100), Query::equal(42), Query::equal(42)] {
-        inst.search(&mut chain, &q, 10).expect("search runs");
+        let mut results = Vec::new();
+        inst.search_with(&mut chain, &q, 10, |honest| {
+            results.clone_from(&honest.results);
+            honest
+        })
+        .expect("search runs");
+        declared.record_search(&results);
     }
-    (inst, sink.events())
+    (declared, sink.events())
 }
 
 #[test]
 fn honest_run_passes_the_audit() {
-    let (inst, events) = instrumented_run();
+    let (declared, events) = instrumented_run();
     let auditor = LeakageAuditor::from_events(&events).expect("honest transcript parses");
     let report = auditor
-        .verify(inst.declared_leakage())
+        .verify(&declared)
         .expect("honest transcript matches declared leakage");
     assert_eq!(report.builds, 2, "one build + one insert shipment");
     assert_eq!(report.searches, 3);
@@ -82,7 +98,7 @@ fn search_outcome_carries_its_trace_id() {
 
 #[test]
 fn undeclared_attribute_is_rejected() {
-    let (_inst, mut events) = instrumented_run();
+    let (_, mut events) = instrumented_run();
     // An over-leaky instrumentation change: a token span that records a
     // per-record plaintext-derived value.
     let tampered = events.iter_mut().find_map(|e| match e {
@@ -103,7 +119,7 @@ fn undeclared_attribute_is_rejected() {
 
 #[test]
 fn value_dependent_span_count_is_rejected() {
-    let (inst, mut events) = instrumented_run();
+    let (declared, mut events) = instrumented_run();
     // A value-dependent leak: one more token span than the query shape
     // warrants (e.g. a code path that probes the store once per match).
     let idx = events
@@ -113,7 +129,7 @@ fn value_dependent_span_count_is_rejected() {
     let duplicate = events[idx].clone();
     events.insert(idx, duplicate);
     let auditor = LeakageAuditor::from_events(&events).expect("keys are all declared");
-    match auditor.verify(inst.declared_leakage()) {
+    match auditor.verify(&declared) {
         Err(LeakageViolation::SearchMismatch { index, .. }) => assert_eq!(index, 0),
         other => panic!("expected SearchMismatch, got {other:?}"),
     }
@@ -121,7 +137,7 @@ fn value_dependent_span_count_is_rejected() {
 
 #[test]
 fn token_span_outside_any_search_is_rejected() {
-    let (_inst, mut events) = instrumented_run();
+    let (_, mut events) = instrumented_run();
     let mut stray = events
         .iter()
         .find(|e| matches!(e, Event::SpanEnd { name, .. } if name == "cloud.token"))
@@ -139,14 +155,14 @@ fn token_span_outside_any_search_is_rejected() {
 
 #[test]
 fn dropped_build_span_is_rejected() {
-    let (inst, mut events) = instrumented_run();
+    let (declared, mut events) = instrumented_run();
     let idx = events
         .iter()
         .position(|e| matches!(e, Event::SpanEnd { name, .. } if name == "phase.build"))
         .expect("run contains build spans");
     events.remove(idx);
     let auditor = LeakageAuditor::from_events(&events).expect("keys are all declared");
-    match auditor.verify(inst.declared_leakage()) {
+    match auditor.verify(&declared) {
         Err(LeakageViolation::BuildCountMismatch { observed, declared }) => {
             assert_eq!((observed, declared), (1, 2));
         }
@@ -166,7 +182,7 @@ const PHASES: [&str; 6] = [
 
 #[test]
 fn chrome_trace_export_round_trips_with_all_phases() {
-    let (_inst, events) = instrumented_run();
+    let (_, events) = instrumented_run();
     let exported = chrome_trace(&events);
     json::parse(&exported).expect("chrome trace is valid RFC 8259 JSON");
     assert!(
@@ -183,7 +199,7 @@ fn chrome_trace_export_round_trips_with_all_phases() {
 
 #[test]
 fn phase_spans_are_parents_of_protocol_work() {
-    let (_inst, events) = instrumented_run();
+    let (_, events) = instrumented_run();
     let span_end = |want: &str| {
         events.iter().find_map(|e| match e {
             Event::SpanEnd {
