@@ -3,7 +3,7 @@
 
 use crate::error::AccumulatorError;
 use slicer_bignum::{BigUint, SMALL_PRIMES};
-use slicer_crypto::sha256;
+use slicer_crypto::{sha256, Sha256};
 use std::sync::OnceLock;
 
 /// Candidates sieved per window: one pass of remainders against
@@ -144,6 +144,31 @@ fn step(start: &BigUint, bits: u32, k: u64) -> BigUint {
     }
     let half = BigUint::one() << (bits - 1);
     &(&(&c - &half) % &half) + &half
+}
+
+/// The result digest of the empty list, the start of every fold.
+pub const EMPTY_RESULT_DIGEST: [u8; 32] = [0u8; 32];
+
+/// One step of the ordered result digest: `SHA-256(er ‖ h)`, prepending
+/// the ciphertext `er` to the list whose digest is `h`.
+///
+/// A list's digest is the right fold of this step from
+/// [`EMPTY_RESULT_DIGEST`]; it is the `h` in `H_prime`'s material
+/// `t_j ‖ j ‖ G₁ ‖ G₂ ‖ h`. The owner prepends each new generation, the
+/// cloud and the settlement contract fold the whole list from its end.
+pub fn result_digest_step(er: &[u8], h: &[u8; 32]) -> [u8; 32] {
+    let mut s = Sha256::new();
+    s.update(er);
+    s.update(h);
+    s.finalize()
+}
+
+/// The ordered digest of a whole result list: [`result_digest_step`]
+/// folded from the last ciphertext to the first.
+pub fn result_digest<T: AsRef<[u8]>>(er: &[T]) -> [u8; 32] {
+    er.iter().rev().fold(EMPTY_RESULT_DIGEST, |h, r| {
+        result_digest_step(r.as_ref(), &h)
+    })
 }
 
 /// [`hash_to_prime`] that also reports the walk index `k` of the prime it
@@ -307,6 +332,17 @@ mod tests {
             assert_eq!(candidate(&data, 16, index).unwrap(), prime, "{i}");
         }
         assert!(wrapped >= 5, "only {wrapped} wrapping walks exercised");
+    }
+
+    #[test]
+    fn result_digest_is_an_ordered_right_fold() {
+        let (a, b) = (b"a".as_slice(), b"b".as_slice());
+        assert_eq!(result_digest::<&[u8]>(&[]), EMPTY_RESULT_DIGEST);
+        let ab = result_digest_step(a, &result_digest_step(b, &EMPTY_RESULT_DIGEST));
+        assert_eq!(result_digest(&[a, b]), ab);
+        // Prepending to a stored digest equals folding the whole list.
+        assert_eq!(result_digest_step(a, &result_digest(&[b])), ab);
+        assert_ne!(result_digest(&[b, a]), ab, "order is bound");
     }
 
     #[test]

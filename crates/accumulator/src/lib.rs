@@ -54,5 +54,8 @@ pub mod witness;
 
 pub use acc::Accumulator;
 pub use error::AccumulatorError;
-pub use hprime::{candidate, hash_to_prime, hash_to_prime_counted, DEFAULT_PRIME_BITS};
+pub use hprime::{
+    candidate, hash_to_prime, hash_to_prime_counted, result_digest, result_digest_step,
+    DEFAULT_PRIME_BITS, EMPTY_RESULT_DIGEST,
+};
 pub use params::RsaParams;

@@ -12,7 +12,6 @@
 //!   witness of the whole leaf, `g^{∏ X / ∏ leaf}`. A query raises the
 //!   cached base of each leaf it touches by the primes appended since and
 //!   by the leaf's other primes, then splits it among the leaf's targets.
-//!   [`witness_batch`] is a fresh prover used once.
 //! * [`root_factor`] — Sander–Ta-Shma–style divide and conquer producing
 //!   witnesses for *every* group of a partitioned prime set in
 //!   `O(|X| log |X|)` exponentiations; the batch prover runs it over its
@@ -59,23 +58,6 @@ pub fn membership_witness(
         }
     }
     Ok(w)
-}
-
-/// Witnesses for a subset of members: a fresh [`BatchProver`] used once.
-///
-/// `targets` are indexes into `primes` (must be distinct). Returns one
-/// witness per target, in target order.
-///
-/// # Errors
-///
-/// Returns [`AccumulatorError::TargetOutOfRange`] or
-/// [`AccumulatorError::DuplicateTarget`] on a malformed target list.
-pub fn witness_batch(
-    params: &RsaParams,
-    primes: &[BigUint],
-    targets: &[usize],
-) -> Result<Vec<BigUint>, AccumulatorError> {
-    BatchProver::new(params).witnesses(primes, targets, &Pool::single())
 }
 
 /// Batched membership witnesses over an append-only prime list.
@@ -339,7 +321,7 @@ pub fn root_factor(
 /// concurrently, then the subtrees recurse concurrently. The split
 /// arithmetic is identical to the sequential tree and results are joined
 /// in submission order, so the output is byte-equal at any worker count.
-pub fn root_factor_pooled(
+fn root_factor_pooled(
     params: &RsaParams,
     base: &BigUint,
     primes: &[BigUint],
@@ -395,6 +377,15 @@ pub fn verify_membership(
 mod tests {
     use super::*;
     use crate::{hash_to_prime, Accumulator, AccumulatorError};
+
+    /// Witnesses for a subset of members from a fresh prover used once.
+    fn witness_batch(
+        params: &RsaParams,
+        primes: &[BigUint],
+        targets: &[usize],
+    ) -> Result<Vec<BigUint>, AccumulatorError> {
+        BatchProver::new(params).witnesses(primes, targets, &Pool::single())
+    }
 
     fn primes(n: u32) -> Vec<BigUint> {
         (0..n)

@@ -1,11 +1,10 @@
 //! Micro-benchmark: substrate throughput — the from-scratch crypto and
 //! bignum primitives every protocol operation sits on.
 
-use slicer_accumulator::{candidate, hash_to_prime, RsaParams};
+use slicer_accumulator::{candidate, hash_to_prime, result_digest_step, RsaParams};
 use slicer_bignum::{BigUint, MontgomeryCtx};
 use slicer_crypto::aes::Aes128;
 use slicer_crypto::{hmac_sha256, sha256};
-use slicer_mshash::MsetHash;
 use slicer_testkit::bench::{black_box, Bench};
 
 fn main() {
@@ -26,8 +25,7 @@ fn main() {
     });
 
     // One row per Montgomery kernel arm: 256 bits takes the runtime-length
-    // loops, 512 and 1024 bits the 8- and 16-limb specializations, and
-    // `mul_wide_1024` the 16-limb extended pass of the multiset hash.
+    // loops, 512 and 1024 bits the 8- and 16-limb specializations.
     let mut group = Bench::new("bignum");
     let base = BigUint::from(123_456_789u64);
     let exp128 = BigUint::from_hex("ffffffffffffffffffffffffffffffff").expect("hex");
@@ -44,13 +42,6 @@ fn main() {
     let n1024 = RsaParams::fixed_1024();
     group.run("modpow_1024_e128", || {
         black_box(n1024.powmod(&base, &exp128));
-    });
-    let q = BigUint::from_hex(slicer_mshash::FIELD_PRIME_HEX).expect("hex");
-    let field = MontgomeryCtx::new(&q).expect("odd modulus");
-    let acc = &q - &base;
-    let x1152 = &(&BigUint::one() << 1151) + &exp128;
-    group.run("mul_wide_1024", || {
-        black_box(field.mul_wide(&acc, &x1152));
     });
     let a = &BigUint::one() << 2048;
     let bb = &(&BigUint::one() << 2047) + &BigUint::from(12345u64);
@@ -77,10 +68,10 @@ fn main() {
         black_box(candidate(&inputs[next], 128, 44).expect("supported width"));
         next = (next + 1) % inputs.len();
     });
-
-    let mut group = Bench::new("mshash");
-    let mut h = MsetHash::empty();
-    group.run("insert", || {
-        h.insert(b"a 32-byte encrypted record id...");
+    // The per-result binding work of owner, cloud and contract alike.
+    let mut h = [0u8; 32];
+    group.run("result_digest_step", || {
+        h = result_digest_step(b"a 32-byte encrypted record id...", &h);
+        black_box(h);
     });
 }

@@ -4,8 +4,8 @@
 //! reproduction.
 //!
 //! This crate is the numeric substrate for every public-key style primitive
-//! in the workspace: the RSA accumulator, the RSA trapdoor permutation and
-//! the multiset hash field all operate on multi-thousand-bit integers. It is
+//! in the workspace: the RSA accumulator and the RSA trapdoor permutation
+//! both operate on multi-thousand-bit integers. It is
 //! implemented from scratch (no external bignum crates) and provides:
 //!
 //! * [`BigUint`] — a normalized little-endian limb vector with the full set

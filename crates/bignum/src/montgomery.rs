@@ -7,11 +7,10 @@
 //! scanning), after Koç, Acar and Kaliski, "Analyzing and Comparing
 //! Montgomery Multiplication Algorithms" (IEEE Micro, 1996).
 //!
-//! One body per kernel: [`cios`] (which also runs the extended pass of
-//! [`MontgomeryCtx::mul_wide`]) and [`sos_sqr`], both ending in
+//! One body per kernel: [`cios`] and [`sos_sqr`], both ending in
 //! [`reduce_once`]. They are `#[inline(always)]`, and the dispatchers
 //! specialize the hot widths (8 limbs for the 512-bit accumulator, 16 for
-//! the 1024-bit multiset-hash field) by passing constant-length reborrows
+//! 1024-bit parameters) by passing constant-length reborrows
 //! such as `&n[..8]`, so the compiler unrolls the limb loops and drops the
 //! index checks. A width is specialized at the dispatch site, never by a
 //! second copy of a kernel. Only two-limb moduli (the 128-bit
@@ -51,10 +50,6 @@ pub struct MontgomeryCtx {
     n0_inv: Limb,
     /// `R^2 mod n` where `R = 2^(64 * len)`.
     rr: Vec<Limb>,
-    /// `2^(64 (2 len + 2)) mod n`, for folding above-width operands in one
-    /// extended CIOS pass ([`MontgomeryCtx::mul_wide`]). Built on first use
-    /// — contexts on the prime-walk fast path never pay for it.
-    r_wide: std::sync::OnceLock<Vec<Limb>>,
     /// `R mod n` (Montgomery form of one).
     r1: Vec<Limb>,
     modulus: BigUint,
@@ -82,7 +77,6 @@ impl MontgomeryCtx {
             n,
             n0_inv,
             rr: Vec::new(),
-            r_wide: std::sync::OnceLock::new(),
             r1: Vec::new(),
             modulus: modulus.clone(),
         };
@@ -396,81 +390,6 @@ impl MontgomeryCtx {
         self.from_mont(&out)
     }
 
-    /// `acc * x mod n` where `x` may exceed the modulus width by up to two
-    /// limbs — CIOS passes instead of a long division followed by a
-    /// modular multiply. The multiset hash folds 1152-bit digest
-    /// expansions into its 1024-bit field element this way on every
-    /// insert.
-    ///
-    /// For an above-width `x`, one ordinary pass forms
-    /// `b = acc · 2^(64 (len+2)) · R mod n` from the baked `r_wide`
-    /// constant, and one extended pass over all `len + 2` limbs of `x`
-    /// computes `x · b · 2^(-64 (len+2)) = acc · x mod n` — two passes
-    /// total, never materializing a reduced `x`.
-    ///
-    /// Falls back to plain reduction when `x` is wider than `len + 2`
-    /// limbs.
-    pub fn mul_wide(&self, acc: &BigUint, x: &BigUint) -> BigUint {
-        let len = self.n.len();
-        if x.limbs.len() > len + 2 {
-            let xr = x % &self.modulus;
-            return self.mul(acc, &xr);
-        }
-        let am = if acc < &self.modulus {
-            pad(&acc.limbs, len)
-        } else {
-            pad(&(acc % &self.modulus).limbs, len)
-        };
-        let mut t = vec![0 as Limb; len + 2];
-        let mut out = vec![0 as Limb; len];
-        if x.limbs.len() <= len {
-            // x already fits: lift it (x R), then drop the R against acc.
-            let lo = pad(&x.limbs, len);
-            let mut a = vec![0 as Limb; len];
-            self.mont_mul_into(&lo, &self.rr, &mut t, &mut a);
-            self.mont_mul_into(&am, &a, &mut t, &mut out);
-        } else {
-            let xp = pad(&x.limbs, len + 2);
-            let mut b = vec![0 as Limb; len];
-            self.mont_mul_into(&am, self.r_wide(), &mut t, &mut b);
-            self.mont_mul_wide_into(&xp, &b, &mut t, &mut out);
-        }
-        BigUint::from_limbs(out)
-    }
-
-    /// The `2^(64 (2 len + 2)) mod n` constant backing [`Self::mul_wide`],
-    /// built on first use: `R^2` (already reduced) doubled 128 times.
-    fn r_wide(&self) -> &[Limb] {
-        self.r_wide.get_or_init(|| {
-            let len = self.n.len();
-            let mut cur = self.rr.clone();
-            let mut next = vec![0 as Limb; len];
-            for _ in 0..128 {
-                self.add_mod_into(&cur, &cur, &mut next);
-                std::mem::swap(&mut cur, &mut next);
-            }
-            cur
-        })
-    }
-
-    /// One CIOS pass over an extended operand: `x * b * 2^(-64 x.len())
-    /// mod n` for `b < n` and `x` of any limb count at least `len`. The
-    /// per-iteration invariant `t < 2n` holds for arbitrary `x` limbs, so
-    /// `x` needs no prior reduction.
-    fn mont_mul_wide_into(&self, x: &[Limb], b: &[Limb], t: &mut [Limb], out: &mut [Limb]) {
-        let (n, k) = (&self.n[..], self.n0_inv);
-        let len = n.len();
-        debug_assert!(x.len() >= len);
-        debug_assert_eq!(b.len(), len);
-        debug_assert_eq!(out.len(), len);
-        debug_assert_eq!(t.len(), len + 2);
-        match len {
-            8 => cios(&n[..8], k, x, &b[..8], &mut t[..10], &mut out[..8]),
-            16 => cios(&n[..16], k, x, &b[..16], &mut t[..18], &mut out[..16]),
-            _ => cios(n, k, x, b, t, out),
-        }
-    }
-
     /// `base^(e_1 * e_2 * ... * e_k) mod n` without materializing the full
     /// exponent product: the factors are folded in chunks of at most
     /// `Powmod::MAX_CHUNK_BITS` bits, each chunk exponentiated with one
@@ -710,11 +629,9 @@ fn ge(a: &[Limb], b: &[Limb]) -> bool {
     true
 }
 
-/// CIOS Montgomery multiplication: `x * b * 2^(-64 x.len()) mod n` into
-/// `out`, for `b < n` and `x` of at least `len = n.len()` limbs. With
-/// `x.len() == len` this is the ordinary product `x * b * R^-1`; the
-/// extended pass of [`MontgomeryCtx::mul_wide`] runs it over `len + 2`
-/// limbs. `t` is a `len + 2`-limb scratch; `out` must not alias it.
+/// CIOS Montgomery multiplication: `x * b * R^-1 mod n` into `out`, for
+/// `x, b < n` of `len = n.len()` limbs. `t` is a `len + 2`-limb scratch;
+/// `out` must not alias it.
 ///
 /// Always inlined, so a caller passing constant-length slices gets a copy
 /// with fully unrolled limb loops and no index checks.
@@ -1036,35 +953,6 @@ mod tests {
             want = ctx.modpow(&want, e);
         }
         assert_eq!(ctx.modpow_product(&base, &many), want);
-    }
-
-    #[test]
-    fn mul_wide_matches_reduce_then_mul() {
-        // At every kernel width, x spans below, at and up to two limbs
-        // above the modulus width (the extended pass) plus the fallback
-        // beyond; reference is plain reduce-then-multiply.
-        prop_check!(0x1018, 32, |g| {
-            for len in [3, 8, 16] {
-                for all_ones in [false, true] {
-                    let m = kernel_modulus(g, len, all_ones);
-                    let ctx = MontgomeryCtx::new(&m).unwrap();
-                    for width in [1, len, len + 1, len + 2, len + 3] {
-                        let x = limbs(g, width);
-                        let acc = &limbs(g, len) % &m;
-                        let want = &(&acc * &(&x % &m)) % &m;
-                        prop_assert_eq!(ctx.mul_wide(&acc, &x), want);
-                    }
-                    // Unreduced acc takes the reduction branch.
-                    let big_acc = limbs(g, len + 1);
-                    let x = limbs(g, 2);
-                    prop_assert_eq!(
-                        ctx.mul_wide(&big_acc, &x),
-                        &(&(&big_acc % &m) * &(&x % &m)) % &m
-                    );
-                }
-            }
-            Ok(())
-        });
     }
 
     #[test]

@@ -28,9 +28,6 @@ pub struct GasSchedule {
     pub hash_base: u64,
     /// Per 32-byte word hashed.
     pub hash_word: u64,
-    /// Base cost of a wide-field (1024-bit) modular multiplication, as used
-    /// by the multiset-hash precompile analogue.
-    pub field_mul: u64,
     /// Cost of deriving the one `H_prime` candidate an entry's hint names
     /// from the material digest: `+ 2k` and the width wrap.
     pub hprime_candidate: u64,
@@ -54,7 +51,6 @@ slicer_crypto::impl_codec!(GasSchedule {
     sload,
     hash_base,
     hash_word,
-    field_mul,
     hprime_candidate,
     call_value_transfer,
     call_base,
@@ -74,7 +70,6 @@ impl Default for GasSchedule {
             sload: 800,
             hash_base: 30,
             hash_word: 6,
-            field_mul: 480,
             hprime_candidate: 300,
             call_value_transfer: 9_000,
             call_base: 700,
@@ -183,7 +178,10 @@ pub enum GasCategory {
     Sstore,
     /// Hash invocations (`hash_base` + `hash_word`).
     Hash,
-    /// Wide-field multiplications of the multiset hash (`field_mul`).
+    /// Wide-field multiplications of the multiset hash the paper binds
+    /// results with. The contract binds them with an ordered SHA-256
+    /// digest (charged as [`GasCategory::Hash`]), so nothing charges this
+    /// category; `gas.field_mul` reads 0.
     FieldMul,
     /// The hinted `H_prime` candidate (`hprime_candidate`).
     HPrime,

@@ -6,7 +6,8 @@
 //! it re-sends the tokens, the contract checks them against the commitment
 //! and recomputes, *on chain*:
 //!
-//! 1. `h ← H(er)` — the multiset hash of the returned ciphertexts,
+//! 1. `h ← H(er)` — the ordered SHA-256 digest of the returned
+//!    ciphertexts ([`slicer_accumulator::result_digest`]),
 //! 2. `x ← H_prime(t_j ‖ j ‖ G₁ ‖ G₂ ‖ h)` — the prime representative,
 //!    as the one candidate of the `H_prime` walk that the cloud's hint
 //!    names (no walk and no primality test on chain; DESIGN.md §3 has the
@@ -22,10 +23,11 @@ use crate::contract::{CallContext, Contract};
 use crate::error::ContractError;
 use crate::gas::GasCategory;
 use crate::types::Address;
-use slicer_accumulator::{candidate, RsaParams, DEFAULT_PRIME_BITS};
+use slicer_accumulator::{
+    candidate, result_digest_step, RsaParams, DEFAULT_PRIME_BITS, EMPTY_RESULT_DIGEST,
+};
 use slicer_bignum::BigUint;
 use slicer_crypto::sha256;
-use slicer_mshash::MsetHash;
 
 /// Selector byte: owner updates the accumulator digest.
 pub const SELECTOR_SET_AC: u8 = 0x01;
@@ -49,7 +51,7 @@ pub struct TokenOnChain {
 
 impl TokenOnChain {
     /// The byte string `t_j ‖ j ‖ G₁ ‖ G₂` fed to `H_prime` (together with
-    /// the multiset hash).
+    /// the result digest).
     pub fn material(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.trapdoor.len() + 4 + 64);
         out.extend_from_slice(&self.trapdoor);
@@ -358,12 +360,12 @@ impl SlicerContract {
         entry: &VerifyEntry,
         ac: &BigUint,
     ) -> Result<bool, ContractError> {
-        // h ← H(er): hash every encrypted result into the multiset hash.
-        let mut h = MsetHash::empty();
-        for r in &entry.er {
-            ctx.charge_as(GasCategory::Hash, ctx.schedule().hash_cost(r.len()))?;
-            ctx.charge_as(GasCategory::FieldMul, ctx.schedule().field_mul)?;
-            h.insert(r);
+        // h ← H(er): the ordered digest, folded from the list's end, one
+        // `SHA-256(r ‖ h)` per ciphertext.
+        let mut h = EMPTY_RESULT_DIGEST;
+        for r in entry.er.iter().rev() {
+            ctx.charge_as(GasCategory::Hash, ctx.schedule().hash_cost(r.len() + 32))?;
+            h = result_digest_step(r, &h);
         }
         // x ← H_prime(t_j ‖ j ‖ G1 ‖ G2 ‖ h), as the walk's candidate
         // number `hint`: odd and exactly `prime_bits` wide by construction.
@@ -372,7 +374,7 @@ impl SlicerContract {
         // A deployed width `H_prime` does not support fails the entry: a
         // revert would lock the escrow.
         let mut material = token.material();
-        material.extend_from_slice(&h.to_bytes());
+        material.extend_from_slice(&h);
         ctx.charge_as(GasCategory::Hash, ctx.schedule().hash_cost(material.len()))?;
         ctx.charge_as(GasCategory::HPrime, ctx.schedule().hprime_candidate)?;
         let Ok(x) = candidate(&material, self.prime_bits, u64::from(entry.hint)) else {

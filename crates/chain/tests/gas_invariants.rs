@@ -1,11 +1,10 @@
 //! Structural gas invariants behind Table II's claims.
 
-use slicer_accumulator::{hash_to_prime_counted, witness, Accumulator, RsaParams};
+use slicer_accumulator::{hash_to_prime_counted, result_digest, witness, Accumulator, RsaParams};
 use slicer_bignum::BigUint;
 use slicer_chain::{
     Address, Blockchain, SlicerCall, SlicerContract, TokenOnChain, Transaction, VerifyEntry,
 };
-use slicer_mshash::MsetHash;
 
 fn setup() -> (Blockchain, Address, Address, Address) {
     let mut chain = Blockchain::new();
@@ -94,7 +93,7 @@ fn deployment_gas_is_deterministic() {
 #[test]
 fn verification_gas_grows_with_result_count_via_calldata_and_hashing() {
     // The contract hashes every returned ciphertext: more results → more
-    // gas, monotonically (calldata + multiset hashing are per-element).
+    // gas, monotonically (calldata + one digest step are per-element).
     let (mut chain, owner, cloud, contract) = setup();
     set_ac(&mut chain, owner, contract, 1);
 
@@ -233,8 +232,7 @@ fn answer(i: u8) -> Answer {
     let er: Vec<Vec<u8>> = (0..1 + usize::from(i % 3))
         .map(|k| vec![i.wrapping_add(k as u8); 48])
         .collect();
-    let h = MsetHash::of_multiset(er.iter().map(Vec::as_slice));
-    let material = [token.material(), h.to_bytes()].concat();
+    let material = [token.material(), result_digest(&er).to_vec()].concat();
     let (prime, index) = hash_to_prime_counted(&material, 128).expect("width ok");
     Answer {
         token,
@@ -248,9 +246,9 @@ fn answer(i: u8) -> Answer {
 #[test]
 fn verified_entry_gas_is_exact_whatever_the_walk_length() {
     // The cloud names the walk index of each entry's prime, so a verified
-    // entry costs exactly its calldata, the per-`er` hashing and field
-    // multiplications, the material hash, one H_prime candidate and one
-    // MODEXP: nothing depends on how far the walk went.
+    // entry costs exactly its calldata, one `SHA-256(er ‖ h)` digest step
+    // per result, the material hash, one H_prime candidate and one MODEXP:
+    // nothing depends on how far the walk went.
     let mut answers: Vec<Answer> = (0..48u8).map(answer).collect();
     answers.sort_by_key(|a| a.index);
     let (short, long) = (&answers[0], &answers[answers.len() - 1]);
@@ -308,14 +306,10 @@ fn verified_entry_gas_is_exact_whatever_the_walk_length() {
         let gas = &r.gas_breakdown;
         let walk = a.index;
         // The token block: a 2-byte count plus 134 bytes for the token.
-        let er_hash: u64 = a.er.iter().map(|e| g.hash_cost(e.len())).sum();
+        let er_hash: u64 = a.er.iter().map(|e| g.hash_cost(e.len() + 32)).sum();
         let hash = g.hash_cost(2 + 134) + er_hash + g.hash_cost(a.material_len);
         assert_eq!(gas.hash, hash, "walk {walk}: hash");
-        assert_eq!(
-            gas.field_mul,
-            g.field_mul * a.er.len() as u64,
-            "walk {walk}"
-        );
+        assert_eq!(gas.field_mul, 0, "walk {walk}: no field multiply");
         assert_eq!(gas.hprime, g.hprime_candidate, "walk {walk}: one candidate");
         assert_eq!(gas.miller_rabin, 0, "walk {walk}: no primality test");
         assert_eq!(
@@ -341,6 +335,63 @@ fn verified_entry_gas_is_exact_whatever_the_walk_length() {
         };
         assert_eq!(pick(&breakdowns[0]), pick(&breakdowns[1]), "{category}");
     }
+}
+
+#[test]
+fn one_more_result_costs_its_calldata_and_one_digest_step() {
+    // Two submissions for the same token whose `er` lists are one record
+    // apart, with the same hint and VO: the longer one pays exactly that
+    // record's calldata (its 2-byte length prefix and bytes) and one more
+    // `hash_cost(|r| + 32)`, and every other category is unchanged.
+    let (mut chain, owner, cloud, contract) = setup();
+    set_ac(&mut chain, owner, contract, 1);
+    let g = chain.schedule().clone();
+    let extra: Vec<u8> = (0..34u8).map(|b| b % 3).collect();
+    let mut breakdowns = Vec::new();
+    for (i, with_extra) in [false, true].into_iter().enumerate() {
+        let rid = [0x40 + i as u8; 32];
+        let request = SlicerCall::RequestSearch {
+            request_id: rid,
+            cloud,
+            tokens: tokens(1),
+        };
+        let r = chain
+            .send_transaction(Transaction::call(owner, contract, 100, request.encode()))
+            .unwrap();
+        assert!(r.status.is_success());
+        let mut er: Vec<Vec<u8>> = (0..3u8).map(|k| vec![k + 1; 34]).collect();
+        if with_extra {
+            er.push(extra.clone());
+        }
+        let submit = SlicerCall::SubmitResult {
+            request_id: rid,
+            tokens: tokens(1),
+            entries: vec![VerifyEntry {
+                token_idx: 0,
+                hint: 7,
+                er,
+                vo: vec![6u8; 64],
+            }],
+        };
+        let r = chain
+            .send_transaction(Transaction::call(cloud, contract, 0, submit.encode()))
+            .unwrap();
+        assert_eq!(r.output, [0], "garbage vo never verifies");
+        breakdowns.push(r.gas_breakdown);
+    }
+    let record = [(extra.len() as u16).to_be_bytes().to_vec(), extra.clone()].concat();
+    let (calldata, step) = (g.calldata_cost(&record), g.hash_cost(extra.len() + 32));
+    let (short, long) = (&breakdowns[0], &breakdowns[1]);
+    for ((category, a), (_, b)) in short.entries().into_iter().zip(long.entries()) {
+        let want = match category {
+            "intrinsic" => a + calldata,
+            "hash" => a + step,
+            _ => a,
+        };
+        assert_eq!(b, want, "{category}");
+    }
+    assert_eq!(long.total() - short.total(), calldata + step);
+    assert_eq!(long.field_mul, 0);
 }
 
 #[test]

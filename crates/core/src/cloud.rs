@@ -5,10 +5,9 @@ use crate::config::SlicerConfig;
 use crate::error::SlicerError;
 use crate::messages::{BuildOutput, CloudResponse, SearchToken, SliceResult};
 use crate::owner::state_key;
-use slicer_accumulator::{hash_to_prime_counted, witness, AccumulatorError};
+use slicer_accumulator::{hash_to_prime_counted, result_digest, witness, AccumulatorError};
 use slicer_bignum::BigUint;
 use slicer_crypto::{sha256, Prf};
-use slicer_mshash::MsetHash;
 use slicer_par::Pool;
 use slicer_store::CloudState;
 use slicer_telemetry::TelemetryHandle;
@@ -169,7 +168,8 @@ impl CloudServer {
     }
 
     /// Derives the prime representative a slice result must prove,
-    /// `x = H_prime(t_j ‖ j ‖ G1 ‖ G2 ‖ H(er))`, with its walk index: the
+    /// `x = H_prime(t_j ‖ j ‖ G1 ‖ G2 ‖ h)` with `h` the ordered digest of
+    /// `er` ([`result_digest`]), and its walk index: the
     /// hint that lets the contract check one candidate instead of walking.
     ///
     /// # Errors
@@ -180,17 +180,13 @@ impl CloudServer {
     /// the walk index does not fit the contract's `u16` hint.
     pub fn prime_for(&self, result: &SliceResult) -> Result<(BigUint, u16), SlicerError> {
         let width = self.trapdoor_pk.trapdoor_bytes();
-        let mut h = MsetHash::empty();
-        for r in &result.er {
-            h.insert(r);
-        }
         let mut material = state_key(
             &result.token.trapdoor.to_bytes(width),
             result.token.updates,
             &result.token.g1,
             &result.token.g2,
         );
-        material.extend_from_slice(&h.to_bytes());
+        material.extend_from_slice(&result_digest(&result.er));
         let (x, index) = hash_to_prime_counted(&material, self.config.prime_bits)
             .map_err(|e| SlicerError::IndexCorruption(e.to_string()))?;
         let hint = u16::try_from(index).map_err(|_| SlicerError::HintOutOfRange(index))?;
@@ -210,7 +206,7 @@ impl CloudServer {
     /// [`CloudServer::prime_for`] does.
     pub fn prove(&mut self, results: &[SliceResult]) -> Result<Vec<(Vec<u8>, u16)>, SlicerError> {
         let mut span = self.telemetry.span("cloud.prove");
-        // Per-result prime derivation (set hash + H_prime) is independent:
+        // Per-result prime derivation (digest + H_prime) is independent:
         // fan it out over the pool. prime_for emits no telemetry, so the
         // transcript stays worker-count independent.
         let (xs, hints): (Vec<BigUint>, Vec<u16>) = self
@@ -357,6 +353,15 @@ pub mod malicious {
             for b in vo.iter_mut() {
                 *b ^= 0x55;
             }
+        }
+        resp
+    }
+
+    /// Reverses the records of the first result holding at least two:
+    /// the same set of ciphertexts in another order than the walk's.
+    pub fn reorder_records(mut resp: CloudResponse) -> CloudResponse {
+        if let Some(result) = resp.results.iter_mut().find(|r| r.er.len() >= 2) {
+            result.er.reverse();
         }
         resp
     }

@@ -3,7 +3,7 @@
 //! The Slicer protocol: verifiable, secure and fair search over encrypted
 //! numerical data using blockchain (Wu, Song, Lei, Xiao — ICDCS 2022).
 //!
-//! This crate wires the substrates ([`slicer_sore`], [`slicer_mshash`],
+//! This crate wires the substrates ([`slicer_sore`],
 //! [`slicer_accumulator`], [`slicer_trapdoor`], [`slicer_store`],
 //! [`slicer_chain`]) into the four-party protocol of Section IV:
 //!

@@ -13,7 +13,7 @@ pub struct BuildTiming {
     /// Time spent producing encrypted index entries (tuples, trapdoors,
     /// PRF labels, record encryption).
     pub index: std::time::Duration,
-    /// Time spent on the ADS (multiset hashes, `H_prime`, accumulation).
+    /// Time spent on the ADS (result digests, `H_prime`, accumulation).
     pub ads: std::time::Duration,
 }
 

@@ -8,10 +8,9 @@ use crate::messages::{BuildOutput, Query, SearchToken};
 use crate::record::{Record, RecordId};
 use crate::state::{KeywordState, OwnerDelta, OwnerState};
 use crate::user::DataUser;
-use slicer_accumulator::hash_to_prime;
+use slicer_accumulator::{hash_to_prime, result_digest_step, EMPTY_RESULT_DIGEST};
 use slicer_bignum::BigUint;
 use slicer_crypto::Prf;
-use slicer_mshash::MsetHash;
 use slicer_par::Pool;
 use slicer_store::IndexLabel;
 use slicer_telemetry::{Clock, MonotonicClock, TelemetryHandle};
@@ -228,21 +227,23 @@ impl DataOwner {
         let ads_start = self.clock.now_nanos();
 
         // Merge, stage 1 (parallel, read-only on the owner state): per
-        // keyword, absorb the ciphertext delta into the set hash and derive
-        // the prime representative.
-        let hashed: Vec<Result<(MsetHash, BigUint), SlicerError>> =
+        // keyword, prepend the new generation to the result digest and
+        // derive the prime representative. The cloud returns the newest
+        // generation first, counters ascending, so the generation folds in
+        // from its last counter to its first.
+        let hashed: Vec<Result<([u8; 32], BigUint), SlicerError>> =
             self.pool.par_map(&outputs, |out| {
                 let mut h = match &out.old_state_key {
-                    Some(old) => self.state.set_hashes.get(old).cloned().ok_or_else(|| {
+                    Some(old) => *self.state.set_hashes.get(old).ok_or_else(|| {
                         SlicerError::IndexCorruption("old state key missing from S".into())
                     })?,
-                    None => MsetHash::empty(),
+                    None => EMPTY_RESULT_DIGEST,
                 };
-                for enc in &out.hash_delta {
-                    h.insert(enc);
+                for enc in out.hash_delta.iter().rev() {
+                    h = result_digest_step(enc, &h);
                 }
                 let mut material = out.state_key.clone();
-                material.extend_from_slice(&h.to_bytes());
+                material.extend_from_slice(&h);
                 let x = hash_to_prime(&material, self.config.prime_bits)
                     .map_err(|e| SlicerError::IndexCorruption(e.to_string()))?;
                 Ok((h, x))

@@ -2,7 +2,6 @@
 //! dictionary `S` of Algorithms 1–2.
 
 use crate::error::SlicerError;
-use slicer_mshash::MsetHash;
 use slicer_trapdoor::Trapdoor;
 use std::collections::BTreeMap;
 
@@ -26,7 +25,7 @@ slicer_crypto::impl_codec!(KeywordState {
 });
 
 /// Owner state: `T` (trapdoor states, also delegated to users) and `S`
-/// (set hashes, owner-only).
+/// (result digests, owner-only).
 ///
 /// Both dictionaries are ordered maps so that iteration — and everything
 /// derived from it: codec bytes, snapshot checksums, merge transcripts — is
@@ -35,9 +34,10 @@ slicer_crypto::impl_codec!(KeywordState {
 pub struct OwnerState {
     /// `T`: keyword encoding → trapdoor state.
     pub trapdoors: BTreeMap<Vec<u8>, KeywordState>,
-    /// `S`: keyword state key (`t‖j‖G1‖G2`) → multiset hash of the
-    /// keyword's full result set.
-    pub set_hashes: BTreeMap<Vec<u8>, MsetHash>,
+    /// `S`: keyword state key (`t‖j‖G1‖G2`) → ordered digest of the
+    /// keyword's full result list
+    /// ([`slicer_accumulator::result_digest`]).
+    pub set_hashes: BTreeMap<Vec<u8>, [u8; 32]>,
 }
 
 slicer_crypto::impl_codec!(OwnerState {
@@ -72,7 +72,7 @@ impl OwnerState {
             }
         }
         self.set_hashes
-            .extend(delta.set_hashes.iter().map(|(k, h)| (k.clone(), h.clone())));
+            .extend(delta.set_hashes.iter().map(|(k, h)| (k.clone(), *h)));
         self.trapdoors.extend(
             delta
                 .trapdoors
@@ -92,8 +92,8 @@ impl OwnerState {
 pub struct OwnerDelta {
     /// `T` entries set: keyword encoding → newest state.
     pub trapdoors: BTreeMap<Vec<u8>, KeywordState>,
-    /// `S` entries set: state key → set hash.
-    pub set_hashes: BTreeMap<Vec<u8>, MsetHash>,
+    /// `S` entries set: state key → result digest.
+    pub set_hashes: BTreeMap<Vec<u8>, [u8; 32]>,
     /// `S` keys removed, each present before the delta applies.
     pub retired: Vec<Vec<u8>>,
 }
@@ -115,14 +115,14 @@ impl OwnerDelta {
         state: &KeywordState,
         old_key: Option<&[u8]>,
         state_key: &[u8],
-        hash: &MsetHash,
+        hash: &[u8; 32],
     ) {
         if let Some(old) = old_key {
             if self.set_hashes.remove(old).is_none() {
                 self.retired.push(old.to_vec());
             }
         }
-        self.set_hashes.insert(state_key.to_vec(), hash.clone());
+        self.set_hashes.insert(state_key.to_vec(), *hash);
         self.trapdoors.insert(keyword.to_vec(), state.clone());
     }
 }
@@ -143,7 +143,7 @@ mod tests {
                 counter: 1,
             },
         );
-        s.set_hashes.insert(b"k".to_vec(), MsetHash::empty());
+        s.set_hashes.insert(b"k".to_vec(), [0u8; 32]);
         let view = s.user_view();
         assert_eq!(view.len(), 1);
         assert!(view.contains_key(b"w".as_slice()));
@@ -159,11 +159,7 @@ mod tests {
 
     #[test]
     fn recorded_deltas_replay_onto_the_starting_state() {
-        let h = |b: u8| {
-            let mut h = MsetHash::empty();
-            h.insert(&[b]);
-            h
-        };
+        let h = |b: u8| [b; 32];
         let mut live = OwnerState::new();
         live.trapdoors.insert(b"w".to_vec(), kw_state(1, 0));
         live.set_hashes.insert(b"k0".to_vec(), h(0));

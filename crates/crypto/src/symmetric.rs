@@ -12,7 +12,7 @@ pub const NONCE_LEN: usize = 16;
 /// Ciphertext layout: `nonce (16 bytes) ‖ body (plaintext length)`.
 /// Encryption with an explicit nonce keeps the scheme deterministic for a
 /// fixed `(key, nonce, plaintext)` triple — the Build protocol stores the
-/// same ciphertext bytes in the index and in the multiset hash, so both
+/// same ciphertext bytes in the index and in the result digest, so both
 /// sides must observe identical bytes.
 ///
 /// # Examples

@@ -22,7 +22,7 @@
 //! recording fails checksum validation on read instead of decoding
 //! garbage.
 //!
-//! Segment layout (frames behind the standard `SLCSEG2\0` magic):
+//! Segment layout (frames behind the standard `SLCSEG3\0` magic):
 //!
 //! ```text
 //! frame 0   FlightHeader  { version, reason, next_seq }

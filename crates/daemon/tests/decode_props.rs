@@ -18,12 +18,12 @@
 use slicer_bignum::BigUint;
 use slicer_core::{KeywordState, OwnerDelta, Query};
 use slicer_crypto::codec::{from_bytes, to_bytes, Decode, Encode};
+use slicer_crypto::sha256;
 use slicer_daemon::proto::{read_message, write_message};
 use slicer_daemon::{
     DaemonError, MetricsReply, ReadOutcome, Request, RequestBody, Response, ResponseBody,
     StatReply, WireHistogram, MAX_FRAME_LEN,
 };
-use slicer_mshash::MsetHash;
 use slicer_persist::{
     read_frames, write_frames, Delta, Manifest, PersistError, SegmentEntry, SegmentRole,
 };
@@ -117,7 +117,7 @@ fn owner_delta(g: &mut Gen) -> OwnerDelta {
     };
     OwnerDelta {
         trapdoors: list(g, 3, |g| (key(g), state(g))).into_iter().collect(),
-        set_hashes: list(g, 3, |g| (key(g), MsetHash::of_element(&key(g))))
+        set_hashes: list(g, 3, |g| (key(g), sha256(&key(g))))
             .into_iter()
             .collect(),
         retired: list(g, 3, key),

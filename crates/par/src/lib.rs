@@ -10,11 +10,11 @@
 //! allowlisted *by construction* in `slicer-lint` because its API cannot
 //! express a nondeterministic result:
 //!
-//! * **Ordered join.** [`Pool::par_map`] and [`Pool::par_chunks`] return
-//!   results in submission order regardless of completion order. Workers
-//!   pull task indexes from a shared atomic counter (steal-free: a task is
-//!   executed exactly once, by whichever worker pulls it) and tag each
-//!   result with its index; the caller reassembles by index.
+//! * **Ordered join.** [`Pool::par_map`] and [`Pool::run`] return results
+//!   in submission order regardless of completion order. Workers pull task
+//!   indexes from a shared atomic counter (steal-free: a task is executed
+//!   exactly once, by whichever worker pulls it) and tag each result with
+//!   its index; the caller reassembles by index.
 //! * **Caller-thread telemetry.** All `par.*` counters and spans are
 //!   emitted from the submitting thread, before and after the fan-out.
 //!   Workers never touch the telemetry handle, so sink transcripts carry
@@ -124,28 +124,6 @@ impl Pool {
         self.telemetry.count("par.maps", 1);
         self.telemetry.count("par.tasks", items.len() as u64);
         self.run(items, f)
-    }
-
-    /// [`Pool::par_map`] over contiguous chunks of `chunk` elements: `f`
-    /// maps each chunk to a vector, and the per-chunk outputs are
-    /// concatenated in chunk order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` is zero.
-    pub fn par_chunks<T, R, F>(&self, items: &[T], chunk: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&[T]) -> Vec<R> + Sync,
-    {
-        assert!(chunk > 0, "chunk size must be positive");
-        let chunks: Vec<&[T]> = items.chunks(chunk).collect();
-        let mut span = self.telemetry.span("par.map");
-        span.attr("tasks", chunks.len());
-        self.telemetry.count("par.maps", 1);
-        self.telemetry.count("par.tasks", chunks.len() as u64);
-        self.run(&chunks, |c| f(c)).into_iter().flatten().collect()
     }
 
     /// The telemetry-silent fan-out shared by the public entry points:
@@ -261,21 +239,6 @@ mod tests {
         let pool = Pool::new(4);
         assert!(pool.par_map(&[] as &[u8], |&b| b).is_empty());
         assert_eq!(pool.par_map(&[7u8], |&b| b + 1), vec![8]);
-    }
-
-    #[test]
-    fn par_chunks_concatenates_in_chunk_order() {
-        let pool = Pool::new(4);
-        let items: Vec<u32> = (0..103).collect();
-        let out = pool.par_chunks(&items, 10, |c| c.iter().map(|&x| x * 2).collect());
-        let want: Vec<u32> = items.iter().map(|&x| x * 2).collect();
-        assert_eq!(out, want);
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk size must be positive")]
-    fn zero_chunk_rejected() {
-        Pool::new(2).par_chunks(&[1u8], 0, |c| c.to_vec());
     }
 
     #[test]

@@ -68,7 +68,7 @@ impl fmt::Display for PersistError {
             PersistError::Corrupt { path, detail } => write!(f, "corrupt file {path}: {detail}"),
             PersistError::UnsupportedVersion { path, magic } => write!(
                 f,
-                "unsupported segment version in {path}: found {magic}, this build reads SLCSEG2"
+                "unsupported segment version in {path}: found {magic}, this build reads SLCSEG3"
             ),
             PersistError::NoSealedGeneration { dir, attempts } => {
                 write!(f, "no sealed generation in {dir}")?;

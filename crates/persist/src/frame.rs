@@ -19,8 +19,9 @@ use std::fs;
 use std::io::Write;
 use std::path::Path;
 
-/// File magic: identifies a Slicer segment file, version 2.
-pub(crate) const SEGMENT_MAGIC: &[u8; 8] = b"SLCSEG2\0";
+/// File magic: identifies a Slicer segment file, version 3 (owner
+/// result digests are 32 bytes).
+pub(crate) const SEGMENT_MAGIC: &[u8; 8] = b"SLCSEG3\0";
 
 /// The magic without its version byte and terminator.
 const MAGIC_PREFIX: &[u8; 6] = b"SLCSEG";
@@ -218,16 +219,19 @@ mod tests {
 
     #[test]
     fn version_one_file_is_an_unsupported_version() {
-        let path = tmp("v1");
-        let mut bytes = b"SLCSEG1\0".to_vec();
-        bytes.extend_from_slice(&encode_frames(&[vec![1u8; 8]]).bytes[SEGMENT_MAGIC.len()..]);
-        std::fs::write(&path, &bytes).unwrap();
-        let err = read_frames(&path).unwrap_err();
-        assert!(
-            matches!(&err, PersistError::UnsupportedVersion { magic, .. } if magic == "SLCSEG1"),
-            "{err}"
-        );
-        assert!(err.to_string().contains("unsupported segment version"));
+        // Version 2 files frame the same way but hold 1024-bit set hashes.
+        for version in ["SLCSEG1", "SLCSEG2"] {
+            let path = tmp(version);
+            let mut bytes = format!("{version}\0").into_bytes();
+            bytes.extend_from_slice(&encode_frames(&[vec![1u8; 8]]).bytes[SEGMENT_MAGIC.len()..]);
+            std::fs::write(&path, &bytes).unwrap();
+            let err = read_frames(&path).unwrap_err();
+            assert!(
+                matches!(&err, PersistError::UnsupportedVersion { magic, .. } if magic == version),
+                "{err}"
+            );
+            assert!(err.to_string().contains("unsupported segment version"));
+        }
     }
 
     #[test]

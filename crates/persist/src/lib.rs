@@ -31,7 +31,7 @@
 //!   seg-<g>-0000.slc        the delta of generation g
 //! ```
 //!
-//! Every `.slc` file is the magic `SLCSEG2\0` followed by frames of
+//! Every `.slc` file is the magic `SLCSEG3\0` followed by frames of
 //! `[u64 LE length ‖ payload ‖ SHA-256(payload)]`.
 //!
 //! # Examples

@@ -327,7 +327,7 @@ impl SegmentStore {
     /// The generation `CURRENT` points at, if the pointer exists and
     /// parses. A missing or garbled pointer is not an error — recovery
     /// falls back to scanning manifests.
-    pub fn current_generation(&self) -> Option<u64> {
+    fn current_generation(&self) -> Option<u64> {
         let content = fs::read_to_string(self.dir.join(CURRENT)).ok()?;
         content.trim().strip_prefix("gen ")?.parse().ok()
     }
@@ -594,7 +594,8 @@ impl SegmentStore {
     /// Returns [`PersistError::Corrupt`] on any checksum, framing or
     /// decoding failure, [`PersistError::UnsupportedVersion`] on a file of
     /// another format version and [`PersistError::Io`] on missing files.
-    pub fn load_generation(&self, generation: u64) -> Result<Snapshot, PersistError> {
+    #[cfg(test)]
+    fn load_generation(&self, generation: u64) -> Result<Snapshot, PersistError> {
         self.load_chain(generation).map(|(_, snapshot)| snapshot)
     }
 

@@ -149,6 +149,20 @@ if ./target/release/slicer-cli bench-diff BENCH_search.json \
 fi
 echo "bench-diff gate OK (clean inputs pass, injected regression fails)"
 
+echo "==> Table II (committed results/table2.csv equals a fresh run)"
+# Table II is gas only, and gas is deterministic: the committed CSV must
+# match a fresh run byte for byte. To regenerate it on purpose, run the
+# same command with --csv results.
+mkdir -p "$bench_tmp/table2"
+cargo run -q --release --offline -p slicer-bench --bin repro -- \
+  --experiment table2 --csv "$bench_tmp/table2" >/dev/null
+if ! cmp -s results/table2.csv "$bench_tmp/table2/table2.csv"; then
+  echo "Table II FAILED: results/table2.csv differs from a fresh run" >&2
+  diff -u results/table2.csv "$bench_tmp/table2/table2.csv" >&2 || true
+  exit 1
+fi
+echo "Table II OK"
+
 echo "==> examples (every examples/*.rs runs to a zero exit)"
 # Each example asserts its own scenario (oracle matches, attacks caught,
 # fees refunded); those asserts only fire when the binary runs. With no

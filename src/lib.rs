@@ -16,7 +16,6 @@ pub use slicer_bignum as bignum;
 pub use slicer_chain as chain;
 pub use slicer_core as core;
 pub use slicer_crypto as crypto;
-pub use slicer_mshash as mshash;
 pub use slicer_sore as sore;
 pub use slicer_store as store;
 pub use slicer_trapdoor as trapdoor;

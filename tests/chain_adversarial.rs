@@ -2,14 +2,15 @@
 //! replay, and digest manipulation against the deployed verification
 //! contract.
 
-use slicer_accumulator::{candidate, hash_to_prime_counted, witness, Accumulator, RsaParams};
+use slicer_accumulator::{
+    candidate, hash_to_prime_counted, result_digest, witness, Accumulator, RsaParams,
+};
 use slicer_bignum::BigUint;
 use slicer_chain::{
     Address, Blockchain, SlicerCall, SlicerContract, TokenOnChain, Transaction, TxReceipt,
     TxStatus, VerifyEntry,
 };
 use slicer_core::{Query, RecordId, SlicerConfig, SlicerInstance};
-use slicer_mshash::MsetHash;
 use slicer_telemetry::TelemetryHandle;
 
 /// An 8-bit deployment holding records `0..30`, record `i` with value `i`.
@@ -298,11 +299,10 @@ fn a_token_answered_twice_refunds_the_user() {
     assert_eq!(chain.balance(&user), user_before + 500, "user refunded");
 }
 
-/// `H_prime`'s input for `entry`: the token material and the multiset
-/// hash of the entry's results.
+/// `H_prime`'s input for `entry`: the token material and the ordered
+/// digest of the entry's results.
 fn hprime_material(token: &TokenOnChain, entry: &VerifyEntry) -> Vec<u8> {
-    let h = MsetHash::of_multiset(entry.er.iter().map(Vec::as_slice));
-    [token.material(), h.to_bytes()].concat()
+    [token.material(), result_digest(&entry.er).to_vec()].concat()
 }
 
 /// A settlement whose first entry failed verification: it completed with
@@ -401,8 +401,8 @@ fn a_hint_past_the_top_of_the_width_wraps_and_refunds() {
         .address;
 
     let er = vec![vec![0xE1; 48]];
-    let h = MsetHash::of_element(&er[0]).to_bytes();
-    let material = |t: &TokenOnChain| [t.material(), h.clone()].concat();
+    let h = result_digest(&er);
+    let material = |t: &TokenOnChain| [t.material(), h.to_vec()].concat();
     let token = |g1: u32| {
         let mut t = TokenOnChain {
             trapdoor: vec![9; 64],

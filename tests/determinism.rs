@@ -298,7 +298,7 @@ fn owner_state_transcript_digest_is_pinned() {
 /// SHA-256 of `encode(owner_state) ‖ encode(block_0) ‖ …` for the
 /// `run_lifecycle(0xD5EED)` deployment above.
 const PINNED_TRANSCRIPT_DIGEST: &str =
-    "1213b4afadb5925d4c049a60bf8128d33ae8abdda43c60acacaee86f87827fcd";
+    "9b88b943c4a0f7aae059ec69e62ad96a61ea5c379f66b0942109863b318c1ec5";
 
 #[test]
 fn dual_delete_reinsert_transcript_is_seed_deterministic() {

@@ -81,6 +81,12 @@ fn substituted_ciphertexts_fail_and_are_not_decrypted() {
 }
 
 #[test]
+fn reordered_records_fail() {
+    // The result digest binds the walk's order, not just the set.
+    assert_attack_caught(system(9), Query::less_than(128), malicious::reorder_records);
+}
+
+#[test]
 fn corrupt_witness_fails() {
     assert_attack_caught(system(3), Query::less_than(128), malicious::corrupt_witness);
 }
