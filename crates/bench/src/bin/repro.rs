@@ -6,8 +6,10 @@
 //!
 //! * `--experiment` — `all` (default), `fig3`, `fig4` (runs with fig3),
 //!   `fig5`, `fig6` (runs with fig5), `fig7`, `table2`, `bench`
-//!   (telemetry phase profile; writes `BENCH_build.json` /
-//!   `BENCH_search.json` into the `--csv` directory).
+//!   (telemetry phase profile, written as `bench.csv`) and `telemetry`
+//!   (the same profile; writes the `BENCH_build.json` /
+//!   `BENCH_search.json` baselines, and no CSV, into the `--csv`
+//!   directory).
 //! * `--scale` — multiplier on the paper's 10K–160K record sweep
 //!   (default 0.05; use 1.0 for the full-size runs).
 //! * `--queries` — queries averaged per search data point (default 3).
@@ -56,7 +58,7 @@ fn parse_args() -> Args {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: repro [--experiment all|fig3|fig5|fig7|table2|bench] [--scale F] [--queries N] [--csv DIR]"
+                    "usage: repro [--experiment all|fig3|fig5|fig7|table2|bench|telemetry] [--scale F] [--queries N] [--csv DIR]"
                 );
                 std::process::exit(0);
             }
@@ -89,8 +91,13 @@ fn main() {
         | "fig6d" => experiments::search_experiments(args.scale, &[8, 16], args.queries),
         "fig7" => experiments::insert_experiment(args.scale, &[8, 16, 24]),
         "table2" => experiments::gas_experiment(),
-        "bench" | "telemetry" => {
-            experiments::telemetry_experiment(args.scale, args.queries, args.csv.as_deref())
+        "bench" => experiments::telemetry_experiment(args.scale, args.queries, None),
+        "telemetry" => {
+            // Writes the baselines, and no CSV, into the `--csv` directory.
+            let tables =
+                experiments::telemetry_experiment(args.scale, args.queries, args.csv.as_deref());
+            tables.iter().for_each(|t| print!("{t}"));
+            return;
         }
         other => {
             eprintln!("unknown experiment {other}; try --help");

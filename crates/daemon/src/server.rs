@@ -234,8 +234,9 @@ impl Daemon {
     /// `rpc.<kind>.ns` histogram, `rpc.error.internal` on a domain
     /// failure, a flight-recorder entry persisted in-flight *before*
     /// dispatch (so `kill -9` mid-request names the request on disk) and
-    /// finalized after, and a warn-level log line above the configured
-    /// slow-request threshold.
+    /// finalized after, each persist timed into `flightrec.persist.ns`,
+    /// and a warn-level log line above the configured slow-request
+    /// threshold.
     pub fn handle(&mut self, request: &Request) -> Response {
         let kind = request.body.kind();
         self.telemetry.count("rpc.requests", 1);
@@ -245,9 +246,7 @@ impl Daemon {
         self.telemetry.gauge("rpc.inflight", 1);
         let start_ns = self.telemetry.now_nanos();
         let (seq, persist_err) = self.flightrec.begin(request.trace_id, kind, start_ns);
-        if let Some(e) = persist_err {
-            self.warn_persist(&e);
-        }
+        self.account_persist(start_ns, persist_err);
         let mut span = self
             .telemetry
             .span_in_trace("daemon.request", TraceId(request.trace_id));
@@ -291,11 +290,24 @@ impl Daemon {
                 ],
             );
         }
-        if let Some(e) = self.flightrec.end(seq, duration_ns, &outcome) {
-            self.warn_persist(&e);
-        }
+        let end_ns = self.telemetry.now_nanos();
+        let persist_err = self.flightrec.end(seq, duration_ns, &outcome);
+        self.account_persist(end_ns, persist_err);
         self.telemetry.gauge("rpc.inflight", 0);
         Response { trace_id, body }
+    }
+
+    /// Accounts one request-boundary persist begun at `since_ns`: its
+    /// latency goes to `flightrec.persist.ns`, a failure to
+    /// [`Daemon::warn_persist`].
+    fn account_persist(&self, since_ns: u64, err: Option<DaemonError>) {
+        self.telemetry.observe_ns(
+            "flightrec.persist.ns",
+            self.telemetry.now_nanos().saturating_sub(since_ns),
+        );
+        if let Some(e) = err {
+            self.warn_persist(&e);
+        }
     }
 
     /// Logs a flight-recorder persist failure — the one fault the
@@ -809,6 +821,11 @@ mod tests {
         assert_eq!(snap.counter("rpc.error.internal"), Some(1));
         let ingest = snap.histogram("rpc.ingest.ns").expect("ingest histogram");
         assert_eq!(ingest.count, 2);
+        // One flight-recorder persist at each request boundary.
+        let persists = snap
+            .histogram("flightrec.persist.ns")
+            .expect("flight-recorder persist histogram");
+        assert_eq!(persists.count, 2 * 3);
     }
 
     #[test]
@@ -898,6 +915,33 @@ mod tests {
             "{}",
             rec.profile_wall
         );
+    }
+
+    #[test]
+    fn request_boundaries_write_the_recording_in_place() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = tmp("flightrec-inplace");
+        let mut daemon =
+            Daemon::open(&dir, cfg(), TelemetryHandle::enabled(), Arc::default()).unwrap();
+        let stat = Request {
+            trace_id: 0,
+            body: RequestBody::Stat,
+        };
+        daemon.handle(&stat);
+        let path = dir.join(FLIGHTREC_FILE);
+        let inode = std::fs::metadata(&path).unwrap().ino();
+        for _ in 1..200 {
+            daemon.handle(&stat);
+        }
+        // No file was created, renamed or replaced after the first
+        // persist: the same inode holds all 400 boundary writes.
+        let meta = std::fs::metadata(&path).unwrap();
+        assert_eq!(meta.ino(), inode);
+        assert!(meta.len() < 16 * 1024, "flightrec.slc is {} B", meta.len());
+        assert!(!dir.join("flightrec.slc.tmp").exists());
+        let rec = crate::flightrec::FlightRecording::load(&path).unwrap();
+        assert_eq!(rec.next_seq, 201);
+        assert_eq!(rec.reason, "request-end");
     }
 
     #[test]

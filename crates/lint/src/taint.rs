@@ -89,7 +89,7 @@ const DEBUG_MACROS: &[&str] = &[
 ];
 
 /// Durable-storage entry points in `slicer_persist`.
-const PERSIST_SINKS: &[&str] = &["write_frames", "commit", "commit_delta"];
+const PERSIST_SINKS: &[&str] = &["write_frames", "write_frames_at", "commit", "commit_delta"];
 
 /// Wire-protocol encoder in `crates/daemon`.
 const WIRE_SINKS: &[&str] = &["write_message"];

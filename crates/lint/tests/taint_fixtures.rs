@@ -56,6 +56,20 @@ fn secret_to_persist_frames() {
 }
 
 #[test]
+fn secret_to_positioned_frame_write() {
+    let found = scan_at(&[(
+        "crates/daemon/src/leak_persist_at.rs",
+        include_str!("../fixtures/taint/leak_persist_at.rs"),
+    )]);
+    assert_eq!(taint_rules(&found), vec!["taint.secret_to_persist"]);
+    assert!(
+        found[0].detail.contains("write_frames_at"),
+        "{}",
+        found[0].detail
+    );
+}
+
+#[test]
 fn secret_to_wire_encoder() {
     let found = scan_at(&[(
         "crates/daemon/src/leak_wire.rs",

@@ -17,6 +17,7 @@ use crate::error::PersistError;
 use slicer_crypto::sha256;
 use std::fs;
 use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 /// File magic: identifies a Slicer segment file, version 3 (owner
@@ -77,7 +78,7 @@ pub(crate) fn write_synced(path: &Path, bytes: &[u8]) -> Result<(), PersistError
 /// the value the manifest records for the segment.
 ///
 /// Public so sibling crates can persist their own checksummed artifacts
-/// in the same `.slc` format (the daemon's crash flight recorder does).
+/// in the same `.slc` format.
 ///
 /// # Errors
 ///
@@ -86,6 +87,33 @@ pub fn write_frames(path: &Path, frames: &[Vec<u8>]) -> Result<[u8; 32], Persist
     let image = encode_frames(frames);
     write_synced(path, &image.bytes)?;
     Ok(image.checksum)
+}
+
+/// Length in bytes of the image [`write_frames_at`] writes for `frames`.
+pub fn image_len(frames: &[Vec<u8>]) -> u64 {
+    let total: usize = frames.iter().map(|f| f.len() + FRAME_OVERHEAD).sum();
+    (SEGMENT_MAGIC.len() + total) as u64
+}
+
+/// Writes the image of `frames` into the already open `file` at
+/// `offset` with one positioned write: no temp file, no rename, no
+/// fsync. The bytes survive the death of the writing process, not a
+/// power loss. `path` names the file in errors.
+///
+/// A reader locates an image written this way with [`parse_frames`]
+/// over the bytes from `offset` on.
+///
+/// # Errors
+///
+/// Returns [`PersistError::Io`] when the write fails.
+pub fn write_frames_at(
+    file: &fs::File,
+    path: &Path,
+    offset: u64,
+    frames: &[Vec<u8>],
+) -> Result<(), PersistError> {
+    file.write_all_at(&encode_frames(frames).bytes, offset)
+        .map_err(|e| PersistError::io(path, &e))
 }
 
 /// Splits `bytes` at `n` without panicking on short input.
@@ -99,12 +127,29 @@ fn split_checked(bytes: &[u8], n: usize) -> Option<(&[u8], &[u8])> {
 ///
 /// # Errors
 ///
-/// Returns [`PersistError::Io`] when the file cannot be read,
-/// [`PersistError::UnsupportedVersion`] for a segment file of another
-/// format version and [`PersistError::Corrupt`] on any validation
-/// failure.
+/// Returns [`PersistError::Io`] when the file cannot be read and
+/// otherwise what [`parse_frames`] returns.
 pub fn read_frames(path: &Path) -> Result<(Vec<Vec<u8>>, [u8; 32]), PersistError> {
     let bytes = fs::read(path).map_err(|e| PersistError::io(path, &e))?;
+    parse_frames(path, &bytes, usize::MAX)
+}
+
+/// Validates the frame image at the start of `bytes`: magic, frame
+/// structure and every per-frame checksum. Parsing stops at the end of
+/// `bytes` or after `max_frames` frames, whichever comes first; bytes
+/// after the last parsed frame are ignored. Returns the frames plus the
+/// checksum of the parsed image. `path` names the source in errors.
+///
+/// # Errors
+///
+/// Returns [`PersistError::UnsupportedVersion`] for a segment image of
+/// another format version and [`PersistError::Corrupt`] on any
+/// validation failure.
+pub fn parse_frames(
+    path: &Path,
+    bytes: &[u8],
+    max_frames: usize,
+) -> Result<(Vec<Vec<u8>>, [u8; 32]), PersistError> {
     let Some(mut cursor) = bytes.strip_prefix(SEGMENT_MAGIC.as_slice()) else {
         if let Some(magic) = bytes.get(..SEGMENT_MAGIC.len()) {
             if magic.starts_with(MAGIC_PREFIX) {
@@ -120,7 +165,7 @@ pub fn read_frames(path: &Path) -> Result<(Vec<Vec<u8>>, [u8; 32]), PersistError
     };
     let mut digests = SEGMENT_MAGIC.to_vec();
     let mut frames = Vec::new();
-    while !cursor.is_empty() {
+    while !cursor.is_empty() && frames.len() < max_frames {
         let Some((len_bytes, tail)) = split_checked(cursor, 8) else {
             return Err(PersistError::corrupt(path, "truncated frame length"));
         };
@@ -215,6 +260,32 @@ mod tests {
         bytes.extend_from_slice(&encode_frames(&[Vec::new()]).bytes[SEGMENT_MAGIC.len()..]);
         std::fs::write(&path, &bytes).unwrap();
         assert_ne!(read_frames(&path).unwrap().1, sum);
+    }
+
+    #[test]
+    fn positioned_image_parses_in_place_and_ignores_what_follows() {
+        let path = tmp("at");
+        let file = std::fs::File::create(&path).unwrap();
+        let frames = vec![vec![3u8; 20], vec![4u8; 5]];
+        // A longer image first, then a shorter one over it: the tail of
+        // the first is left behind the second.
+        write_frames_at(&file, &path, 100, &[vec![9u8; 200], vec![8u8; 50]]).unwrap();
+        write_frames_at(&file, &path, 100, &frames).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let at = &bytes[100..];
+        assert!(at.len() as u64 > image_len(&frames));
+        let (back, sum) = parse_frames(&path, at, frames.len()).unwrap();
+        assert_eq!(back, frames);
+        assert_eq!(sum, encode_frames(&frames).checksum);
+        // Without the frame limit the stale tail is a torn frame.
+        assert!(matches!(
+            parse_frames(&path, at, usize::MAX),
+            Err(PersistError::Corrupt { .. })
+        ));
+        assert_eq!(
+            image_len(&frames),
+            encode_frames(&frames).bytes.len() as u64
+        );
     }
 
     #[test]

@@ -418,8 +418,8 @@ ocli profile --gas | grep -q "daemon.request" || {
 }
 
 # kill -9 mid-ingest. The recorder persists an in-flight entry at request
-# start (atomic tmp+rename, so concurrent reads always see a whole
-# segment), so the script polls the on-disk recording and pulls the
+# start (into the older of two slots, so a concurrent read always finds
+# the other slot whole), so the script polls the on-disk recording and pulls the
 # trigger the moment the ingest shows up mid-dispatch. A large batch
 # keeps the request in flight for hundreds of milliseconds — far wider
 # than the poll interval — but retry with a bigger one just in case.
