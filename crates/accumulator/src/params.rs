@@ -57,7 +57,7 @@ impl RsaParams {
     ///
     /// Returns [`AccumulatorError::BadModulus`] if the modulus is even or
     /// ≤ 1 (RSA moduli are odd by construction).
-    pub fn try_from_parts(modulus: BigUint, generator: BigUint) -> Result<Self, AccumulatorError> {
+    fn try_from_parts(modulus: BigUint, generator: BigUint) -> Result<Self, AccumulatorError> {
         let ctx = MontgomeryCtx::new(&modulus).ok_or(AccumulatorError::BadModulus)?;
         Ok(RsaParams {
             modulus,

@@ -105,25 +105,5 @@ fn main() {
         group.run(&format!("verify/{q}"), || {
             assert!(witness::verify_membership(&params, &ps[0], &w, acc.value()));
         });
-
-        // Merkle-tree baseline (Section III-B's point of comparison):
-        // cheaper to build and verify off-chain, but O(log n) proof size
-        // and position leakage.
-        let leaves: Vec<Vec<u8>> = ps.iter().map(|p| p.to_bytes_be()).collect();
-        group.run(&format!("merkle_build/{q}"), || {
-            black_box(slicer_bench::merkle::MerkleTree::build(&leaves).expect("non-empty"));
-        });
-        let tree = slicer_bench::merkle::MerkleTree::build(&leaves).expect("non-empty");
-        group.run(&format!("merkle_prove/{q}"), || {
-            black_box(tree.prove(0).expect("in range"));
-        });
-        let proof = tree.prove(0).expect("in range");
-        group.run(&format!("merkle_verify/{q}"), || {
-            assert!(slicer_bench::merkle::MerkleTree::verify(
-                &tree.root(),
-                &leaves[0],
-                &proof
-            ));
-        });
     }
 }

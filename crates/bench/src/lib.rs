@@ -1,16 +1,17 @@
 //! # slicer-bench
 //!
 //! The benchmark harness regenerating every table and figure of the
-//! paper's evaluation (Section VII), plus ablations.
+//! paper's evaluation (Section VII).
 //!
 //! Run `cargo run -p slicer-bench --release --bin repro -- --help` for the
-//! experiment driver; Criterion micro-benchmarks live in `benches/`.
+//! experiment driver; micro-benchmarks on the testkit `Bench` runner live
+//! in `benches/` (`ads_ablation` compares the accumulator's witness
+//! strategies).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod merkle;
 pub mod table;
 
 pub use table::Table;

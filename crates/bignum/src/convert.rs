@@ -22,19 +22,6 @@ impl BigUint {
         BigUint::from_limbs(limbs)
     }
 
-    /// Constructs a value from little-endian bytes.
-    pub fn from_bytes_le(bytes: &[u8]) -> Self {
-        let mut limbs = Vec::with_capacity(bytes.len() / 8 + 1);
-        for chunk in bytes.chunks(8) {
-            let mut limb: Limb = 0;
-            for (i, &b) in chunk.iter().enumerate() {
-                limb |= (b as Limb) << (8 * i);
-            }
-            limbs.push(limb);
-        }
-        BigUint::from_limbs(limbs)
-    }
-
     /// Minimal big-endian byte representation (empty for zero).
     pub fn to_bytes_be(&self) -> Vec<u8> {
         if self.is_zero() {
@@ -89,11 +76,6 @@ impl BigUint {
         }
         Ok(acc)
     }
-
-    /// Lowercase hex string without prefix (`"0"` for zero).
-    pub fn to_hex(&self) -> String {
-        format!("{self:x}")
-    }
 }
 
 #[cfg(test)]
@@ -136,20 +118,7 @@ mod tests {
     #[test]
     fn hex_roundtrip() {
         let v = BigUint::from_hex("DeadBeefCafeBabe1234").unwrap();
-        assert_eq!(BigUint::from_hex(&v.to_hex()).unwrap(), v);
-    }
-
-    #[test]
-    fn be_le_agree() {
-        prop_check!(0xC11, 64, |g| {
-            let bytes = g.bytes(0, 39);
-            let be = BigUint::from_bytes_be(&bytes);
-            let mut rev = bytes.clone();
-            rev.reverse();
-            let le = BigUint::from_bytes_le(&rev);
-            prop_assert_eq!(be, le);
-            Ok(())
-        });
+        assert_eq!(BigUint::from_hex(&format!("{v:x}")).unwrap(), v);
     }
 
     #[test]

@@ -5,15 +5,14 @@ use crate::uint::BigUint;
 /// Result of the extended Euclidean algorithm on `(a, b)`.
 ///
 /// Satisfies `a*x - b*y = gcd` or `b*y - a*x = gcd` depending on
-/// `x_negative`; use [`BigUint::modinv`] for the common inverse case.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExtendedGcd {
+/// `x_negative`.
+struct ExtendedGcd {
     /// `gcd(a, b)`.
-    pub gcd: BigUint,
+    gcd: BigUint,
     /// Magnitude of the Bézout coefficient for `a`.
-    pub x: BigUint,
+    x: BigUint,
     /// Whether the `a` coefficient is negative.
-    pub x_negative: bool,
+    x_negative: bool,
 }
 
 impl BigUint {
@@ -46,7 +45,7 @@ impl BigUint {
 
     /// Extended Euclidean algorithm: finds the Bézout coefficient of `self`
     /// modulo `m`.
-    pub fn extended_gcd(&self, m: &BigUint) -> ExtendedGcd {
+    fn extended_gcd(&self, m: &BigUint) -> ExtendedGcd {
         // Iterative extended Euclid tracking only the `x` coefficient with an
         // explicit sign, since BigUint is unsigned.
         let mut r0 = self.clone();

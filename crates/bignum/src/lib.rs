@@ -51,7 +51,6 @@ mod prime;
 mod random;
 mod uint;
 
-pub use gcd::ExtendedGcd;
 pub use montgomery::MontgomeryCtx;
 pub use prime::{gen_prime, gen_safe_prime, next_prime, SMALL_PRIMES};
 pub use random::{random_below, random_bits, random_odd_bits};

@@ -4,15 +4,6 @@ use crate::montgomery::MontgomeryCtx;
 use crate::uint::BigUint;
 
 impl BigUint {
-    /// Modular addition `(self + rhs) mod m`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is zero.
-    pub fn addmod(&self, rhs: &BigUint, m: &BigUint) -> BigUint {
-        &(&(self % m) + &(rhs % m)) % m
-    }
-
     /// Modular multiplication `(self * rhs) mod m`.
     ///
     /// # Panics
@@ -20,21 +11,6 @@ impl BigUint {
     /// Panics if `m` is zero.
     pub fn mulmod(&self, rhs: &BigUint, m: &BigUint) -> BigUint {
         &(self * rhs) % m
-    }
-
-    /// Modular subtraction `(self - rhs) mod m` (wrapping into the field).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is zero.
-    pub fn submod(&self, rhs: &BigUint, m: &BigUint) -> BigUint {
-        let a = self % m;
-        let b = rhs % m;
-        if a >= b {
-            &a - &b
-        } else {
-            &(&a + m) - &b
-        }
     }
 
     /// Modular exponentiation `self^exp mod m`.
@@ -94,12 +70,6 @@ mod tests {
     }
 
     #[test]
-    fn submod_wraps() {
-        assert_eq!(big(2).submod(&big(5), &big(7)), big(4));
-        assert_eq!(big(5).submod(&big(2), &big(7)), big(3));
-    }
-
-    #[test]
     fn rsa_style_roundtrip() {
         // Tiny RSA: n = 3233 = 61*53, e = 17, d = 413.
         let n = big(3233);
@@ -131,20 +101,6 @@ mod tests {
             let got = big(base as u128).modpow(&big(exp as u128), &big(m as u128));
             let want = naive_modpow(base as u128, exp as u128, m as u128);
             prop_assert_eq!(got, big(want));
-            Ok(())
-        });
-    }
-
-    #[test]
-    fn addmod_submod_inverse() {
-        prop_check!(0xF12, 64, |g| {
-            let (a, b) = (g.u64(), g.u64());
-            let m = g.u64_in(2, u64::MAX);
-            let am = big(a as u128);
-            let bm = big(b as u128);
-            let mm = big(m as u128);
-            let s = am.addmod(&bm, &mm);
-            prop_assert_eq!(s.submod(&bm, &mm), &am % &mm);
             Ok(())
         });
     }

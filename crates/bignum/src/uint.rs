@@ -115,11 +115,6 @@ impl BigUint {
         }
     }
 
-    /// Low 64 bits of the value (zero-extended).
-    pub fn low_u64(&self) -> u64 {
-        self.limbs.first().copied().unwrap_or(0)
-    }
-
     pub(crate) fn normalize(&mut self) {
         while self.limbs.last() == Some(&0) {
             self.limbs.pop();
@@ -295,6 +290,5 @@ mod tests {
         let v = BigUint::from(u128::MAX);
         assert_eq!(v.to_u128(), Some(u128::MAX));
         assert_eq!(v.to_u64(), None);
-        assert_eq!(v.low_u64(), u64::MAX);
     }
 }

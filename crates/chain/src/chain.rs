@@ -121,7 +121,8 @@ impl Blockchain {
 
     /// Reads a raw storage slot of a deployed contract (a public-state
     /// query, like `eth_getStorageAt`).
-    pub fn storage_at(&self, contract: &Address, key: &[u8]) -> Option<Vec<u8>> {
+    #[cfg(test)]
+    fn storage_at(&self, contract: &Address, key: &[u8]) -> Option<Vec<u8>> {
         self.contracts
             .get(contract)
             .and_then(|d| d.storage.get(key).cloned())

@@ -111,7 +111,7 @@ impl CloudServer {
     /// Algorithm 4's index walk for one token: from the newest trapdoor
     /// `t_j` down to `t_0`, scanning counters until the first miss in each
     /// generation.
-    pub fn search_one(&self, token: &SearchToken) -> SliceResult {
+    fn search_one(&self, token: &SearchToken) -> SliceResult {
         let mut span = self.telemetry.span("cloud.token");
         let width = self.trapdoor_pk.trapdoor_bytes();
         let f1 = Prf::new(&token.g1);

@@ -146,7 +146,7 @@ impl DataOwner {
 
     /// Derives all SSE keywords of a record: the equality keyword per
     /// attribute plus the `b` SORE slices per attribute.
-    pub fn keywords_for(&self, attr: &[u8], value: u64) -> Vec<Keyword> {
+    fn keywords_for(&self, attr: &[u8], value: u64) -> Vec<Keyword> {
         let mut out = Vec::with_capacity(1 + self.config.value_bits as usize);
         out.push(Keyword::Equality {
             attr: attr.to_vec(),

@@ -102,7 +102,7 @@ impl Aes128 {
 
     /// Produces `len` bytes of CTR keystream for a 16-byte nonce: blocks
     /// `AES(nonce ⊕ counter)` with the counter in the low 64 bits.
-    pub fn ctr_keystream(&self, nonce: &[u8; 16], len: usize) -> Vec<u8> {
+    fn ctr_keystream(&self, nonce: &[u8; 16], len: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(len);
         let mut counter: u64 = 0;
         while out.len() < len {

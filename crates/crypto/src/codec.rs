@@ -127,7 +127,7 @@ impl<'a> Reader<'a> {
     ///
     /// Returns [`CodecError`] on truncation or a length that overflows
     /// `usize`.
-    pub fn read_len(&mut self) -> Result<usize, CodecError> {
+    fn read_len(&mut self) -> Result<usize, CodecError> {
         let b = self.take(8)?;
         let len = u64::from_le_bytes(b.try_into().expect("len 8"));
         usize::try_from(len).map_err(|_| CodecError::msg("length overflow"))
@@ -145,7 +145,7 @@ impl<'a> Reader<'a> {
 }
 
 /// Appends a `u64` little-endian length prefix.
-pub fn write_len(out: &mut Vec<u8>, len: usize) {
+fn write_len(out: &mut Vec<u8>, len: usize) {
     out.extend_from_slice(&(len as u64).to_le_bytes());
 }
 

@@ -65,15 +65,6 @@ impl Prf {
         mac.finalize()
     }
 
-    /// Evaluates the PRF on the concatenation of two parts, mirroring the
-    /// `F(G1, t ‖ c)` pattern without intermediate allocation at call sites.
-    pub fn eval2(&self, a: &[u8], b: &[u8]) -> [u8; 32] {
-        let mut mac = self.proto.clone();
-        mac.update(a);
-        mac.update(b);
-        mac.finalize()
-    }
-
     /// Pins a fixed input prefix: `F(K, prefix ‖ ·)`. The returned stream
     /// has the prefix absorbed once, so evaluating many suffixes (the
     /// `F(G1, t ‖ c)` loops over counters in Algorithms 1–4) skips
@@ -86,7 +77,7 @@ impl Prf {
 }
 
 /// A [`Prf`] evaluation midstate with a fixed prefix already absorbed; see
-/// [`Prf::stream`]. Output is identical to `prf.eval2(prefix, suffix)`.
+/// [`Prf::stream`]. Output is identical to `prf.eval(prefix ‖ suffix)`.
 #[derive(Clone)]
 pub struct PrfStream {
     mid: Hmac,
@@ -134,12 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn eval2_matches_concat() {
-        let p = Prf::new(b"k");
-        assert_eq!(p.eval2(b"foo", b"bar"), p.eval(b"foobar"));
-    }
-
-    #[test]
     fn eval128_is_prefix() {
         let p = Prf::new(b"k");
         assert_eq!(p.eval128(b"x"), p.eval(b"x")[..16]);
@@ -152,7 +137,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_matches_eval2() {
+    fn stream_matches_concat() {
         let p = Prf::new(b"k");
         // Prefix lengths straddling the 64-byte block boundary exercise
         // every midstate-buffering case.
@@ -160,8 +145,9 @@ mod tests {
             let prefix = vec![0xA7u8; plen];
             let s = p.stream(&prefix);
             for suffix in [b"".as_slice(), b"c", b"counter-0001"] {
-                assert_eq!(s.eval(suffix), p.eval2(&prefix, suffix), "plen {plen}");
-                assert_eq!(s.eval128(suffix), p.eval2(&prefix, suffix)[..16]);
+                let whole = p.eval(&[prefix.as_slice(), suffix].concat());
+                assert_eq!(s.eval(suffix), whole, "plen {plen}");
+                assert_eq!(s.eval128(suffix), whole[..16]);
             }
         }
     }

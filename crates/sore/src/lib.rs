@@ -1,7 +1,7 @@
 //! # slicer-sore
 //!
 //! The **Succinct Order-Revealing Encryption** scheme at the heart of
-//! Slicer (Section V-B), plus two classic ORE baselines used for ablation.
+//! Slicer (Section V-B).
 //!
 //! SORE "slices" an order condition over a `b`-bit value into `b` prefix
 //! tuples. A query token for `x` under order condition `oc` carries, per
@@ -33,7 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baselines;
 mod order;
 mod scheme;
 mod tuple;

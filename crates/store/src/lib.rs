@@ -46,26 +46,11 @@ impl CloudState {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Total storage footprint in bytes (index entries + prime list),
-    /// the quantity plotted in Fig. 4.
-    pub fn storage_bytes(&self) -> usize {
-        self.index.size_bytes() + self.primes.size_bytes()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn storage_accounts_both_components() {
-        let mut s = CloudState::new();
-        s.index.put([1u8; 32], vec![0u8; 32]).unwrap();
-        s.primes.push(BigUint::from(97u64));
-        // 32-byte label + 32-byte value + 1-byte prime.
-        assert_eq!(s.storage_bytes(), 65);
-    }
 
     #[test]
     fn cloud_state_roundtrips() {

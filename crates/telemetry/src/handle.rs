@@ -82,11 +82,6 @@ impl TelemetryHandle {
         }
     }
 
-    /// Whether recordings reach a registry.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Adds `delta` to counter `name` and emits a
     /// [`Event::Counter`] to the sink.
     pub fn count(&self, name: &str, delta: u64) {
@@ -209,7 +204,8 @@ impl TelemetryHandle {
     }
 
     /// The innermost open span's context, if any.
-    pub fn current_span(&self) -> Option<SpanContext> {
+    #[cfg(test)]
+    fn current_span(&self) -> Option<SpanContext> {
         let inner = self.inner.as_ref()?;
         let stack = inner.stack.lock().expect("span stack poisoned");
         stack.last().copied()
@@ -263,7 +259,8 @@ impl TelemetryHandle {
 
     /// Whether a record at `level` would reach at least one sink. Guard
     /// expensive message/field construction on this.
-    pub fn log_enabled(&self, level: Level) -> bool {
+    #[cfg(test)]
+    fn log_enabled(&self, level: Level) -> bool {
         let Some(inner) = &self.inner else {
             return false;
         };
@@ -395,7 +392,6 @@ mod tests {
     #[test]
     fn disabled_handle_is_inert() {
         let t = TelemetryHandle::disabled();
-        assert!(!t.is_enabled());
         t.count("a", 1);
         t.gauge("b", 2);
         t.observe_ns("c", 3);

@@ -12,7 +12,7 @@
 //!
 //! Two encoders ship with the record: [`LogRecord::to_json_line`]
 //! (RFC 8259-valid JSON lines, validated by [`crate::json::parse`] in
-//! tests) for machines, and [`LogRecord::to_text`] for humans. Sinks are
+//! tests) for machines, and a one-line text form for humans. Sinks are
 //! pluggable: [`MemoryLogSink`] is a fixed-capacity ring for tests and
 //! for the daemon's `Tail` endpoint / crash flight recorder;
 //! [`WriterLogSink`] streams to stderr (or any writer) in either
@@ -110,7 +110,7 @@ impl LogRecord {
 
     /// The record as one human-readable line (no trailing newline):
     /// `[         123ns] WARN  slicerd.rpc: slow request rpc.kind=search`.
-    pub fn to_text(&self) -> String {
+    fn to_text(&self) -> String {
         let mut s = format!(
             "[{:>12}ns] {:<5} {}: {}",
             self.ts_ns,
@@ -237,7 +237,8 @@ impl LogSink for MemoryLogSink {
 /// How a [`WriterLogSink`] encodes records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LogFormat {
-    /// One [`LogRecord::to_text`] line per record.
+    /// One human-readable line per record:
+    /// `[         123ns] WARN  slicerd.rpc: slow request rpc.kind=search`.
     Text,
     /// One [`LogRecord::to_json_line`] object per record.
     JsonLines,

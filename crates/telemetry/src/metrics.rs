@@ -195,15 +195,6 @@ impl Metrics {
             .map(|c| c.load(Ordering::Relaxed))
     }
 
-    /// Current value of a gauge, if registered.
-    pub fn gauge_value(&self, name: &str) -> Option<u64> {
-        self.gauges
-            .read()
-            .expect("metrics lock poisoned")
-            .get(name)
-            .map(|g| g.load(Ordering::Relaxed))
-    }
-
     /// A handle to the histogram `name`, if registered.
     pub fn histogram(&self, name: &str) -> Option<Arc<Histogram>> {
         self.histograms
@@ -384,7 +375,7 @@ mod tests {
         m.observe("h", 100);
         assert_eq!(m.counter_value("a.b"), Some(5));
         assert_eq!(m.counter_value("missing"), None);
-        assert_eq!(m.gauge_value("g"), Some(9));
+        assert_eq!(m.gauges(), vec![("g".to_string(), 9)]);
         assert_eq!(m.histogram("h").unwrap().count(), 1);
     }
 

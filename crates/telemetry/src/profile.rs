@@ -94,7 +94,8 @@ impl Profile {
 
     /// Inclusive weight of one root frame: the sum over every stack
     /// whose first frame is `root`.
-    pub fn root_total(&self, root: &str, mode: ProfileMode) -> u64 {
+    #[cfg(test)]
+    fn root_total(&self, root: &str, mode: ProfileMode) -> u64 {
         self.entries
             .iter()
             .filter(|e| e.stack.split(';').next() == Some(root))

@@ -164,9 +164,18 @@ fi
 echo "Table II OK"
 
 echo "==> examples (every examples/*.rs runs to a zero exit)"
-# Each example asserts its own scenario (oracle matches, attacks caught,
-# fees refunded); those asserts only fire when the binary runs. With no
-# arguments no example writes a file.
+# Each example asserts its own flow (oracle matches, verified results);
+# those asserts only fire when the binary runs. With no arguments no
+# example writes a file.
+# Every `--example X` the docs name must exist as examples/X.rs, so a
+# deleted or renamed example cannot leave a dead command behind.
+for name in $(grep -oh -- '--example [A-Za-z0-9_]*' README.md DESIGN.md EXPERIMENTS.md |
+  cut -d' ' -f2 | sort -u); do
+  [ -f "examples/$name.rs" ] || {
+    echo "examples FAILED: the docs name --example $name but examples/$name.rs does not exist" >&2
+    exit 1
+  }
+done
 cargo build -q --release --offline --examples
 for src in examples/*.rs; do
   name="$(basename "$src" .rs)"

@@ -65,6 +65,7 @@ fn randomized_lifecycle_matches_model() {
         }
     }
     assert_eq!(dual.live_count(), model.len());
+    assert!(dual.chain().verify_chain());
 }
 
 #[test]
@@ -110,6 +111,7 @@ fn equality_queries_respect_deletions() {
     ])
     .unwrap();
     dual.delete(RecordId::from_u64(2)).unwrap();
+    assert!(dual.delete(RecordId::from_u64(2)).is_err(), "deleted once");
     let out = dual.search(&Query::equal(42), 10).unwrap();
     assert!(out.verified);
     assert_eq!(ids(&out.records), vec![1, 3]);

@@ -4,7 +4,7 @@
 //! property end to end.
 
 use slicer_chain::Blockchain;
-use slicer_core::{Query, RecordId, SlicerConfig, SlicerInstance};
+use slicer_core::{malicious, CloudResponse, Query, RecordId, SlicerConfig, SlicerInstance};
 use slicer_crypto::Prf;
 use slicer_telemetry::TelemetryHandle;
 use std::collections::HashSet;
@@ -187,15 +187,29 @@ fn property_fairness_payment_follows_verification() {
     assert_eq!(chain.balance(&user), u0 - 999);
     assert_eq!(chain.balance(&cloud), c0 + 999);
 
-    let cheat = inst
-        .search_with(
-            &mut chain,
-            &Query::less_than(25),
-            999,
-            slicer_core::malicious::drop_record,
-        )
-        .unwrap();
-    assert!(!cheat.verified && !cheat.paid_cloud);
-    assert_eq!(chain.balance(&user), u0 - 999, "second fee refunded");
-    assert_eq!(chain.balance(&cloud), c0 + 999, "no second payment");
+    let cheats: [fn(CloudResponse) -> CloudResponse; 4] = [
+        malicious::drop_record,
+        |r| malicious::inject_record(r, vec![0xAA; 32]),
+        malicious::swap_results,
+        malicious::corrupt_witness,
+    ];
+    for (i, cheat) in cheats.into_iter().enumerate() {
+        let out = inst
+            .search_with(&mut chain, &Query::less_than(25), 999, cheat)
+            .unwrap();
+        assert!(!out.verified && !out.paid_cloud, "cheat {i}");
+        assert_eq!(chain.balance(&user), u0 - 999, "cheat {i}: fee refunded");
+        assert_eq!(chain.balance(&cloud), c0 + 999, "cheat {i}: no payment");
+    }
+
+    // The same outcome read back from public chain events alone, with no
+    // key: one accumulator update for the one build, one settlement per
+    // request, and the paid/refunded split in each `Settled` event's last
+    // byte.
+    assert!(chain.verify_chain());
+    assert_eq!(chain.logs_by_topic("AccumulatorUpdated").len(), 1);
+    let settled = chain.logs_by_topic("Settled");
+    let outcomes: Vec<u8> = settled.iter().map(|l| *l.data.last().unwrap()).collect();
+    assert_eq!(outcomes, vec![1, 0, 0, 0, 0]);
+    assert_eq!(chain.logs_by_topic("SearchRequested").len(), settled.len());
 }
