@@ -12,6 +12,8 @@
 //!   witness of the whole leaf, `g^{∏ X / ∏ leaf}`. A query raises the
 //!   cached base of each leaf it touches by the primes appended since and
 //!   by the leaf's other primes, then splits it among the leaf's targets.
+//!   The prover also keeps every witness it hands out, so a target proven
+//!   before costs a lookup, or a catch-up by the primes appended since.
 //! * [`root_factor`] — Sander–Ta-Shma–style divide and conquer producing
 //!   witnesses for *every* group of a partitioned prime set in
 //!   `O(|X| log |X|)` exponentiations; the batch prover runs it over its
@@ -72,15 +74,21 @@ pub fn membership_witness(
 ///   their bases from `A`, then `A` advances by one new leaf's primes.
 ///   The first call is this step from `A = g`, about `log2(|X| / LEAF)`
 ///   folds of the list;
-/// * for each leaf holding a target, raises the base by the primes
-///   appended since `as_of` (so only leaves a query touches catch up),
-///   then by the leaf's non-target primes, and splits the result among
-///   the leaf's targets.
+/// * serves each target from the witnesses it handed out before: one
+///   proven at the current list length is returned as is; one proven at
+///   an older length `as_of` is raised by `∏ primes[as_of..]` when those
+///   are no more primes than the leaf route below would fold for it;
+/// * for each leaf holding any other target, raises the base by the
+///   primes appended since the leaf's `as_of` (so only leaves a query
+///   touches catch up), then by the leaf's non-target primes, and splits
+///   the result among the leaf's targets.
 ///
-/// A warm query thus pays at most `LEAF - 1` prime exponents per target
-/// plus the catch-up, whatever `|X|`. Ingest costs the prover nothing.
-/// It holds one group element per leaf and the primes it folded, which
-/// every call compares with the list it is handed.
+/// Every witness returned is kept at the current list length. A warm
+/// query thus pays at most `LEAF - 1` prime exponents per new target
+/// plus the catch-up, whatever `|X|`, and a repeated target pays a
+/// lookup. Ingest costs the prover nothing. It holds one group element
+/// per leaf, at most one witness per folded prime, and the primes it
+/// folded, which every call compares with the list it is handed.
 #[derive(Debug, Clone)]
 pub struct BatchProver {
     params: RsaParams,
@@ -90,6 +98,9 @@ pub struct BatchProver {
     acc: BigUint,
     /// Consecutive leaves covering `folded`.
     leaves: Vec<Leaf>,
+    /// Witnesses handed out, by prime index: `(w, as_of)` with
+    /// `w = g^{∏ primes[..as_of] / primes[index]}`.
+    proven: BTreeMap<usize, (BigUint, usize)>,
 }
 
 /// One leaf of a [`BatchProver`].
@@ -111,12 +122,18 @@ impl BatchProver {
             folded: Vec::new(),
             acc: params.generator().clone(),
             leaves: Vec::new(),
+            proven: BTreeMap::new(),
         }
     }
 
     /// How many primes of the list the prover has folded into leaves.
     pub fn folded(&self) -> usize {
         self.folded.len()
+    }
+
+    /// How many witnesses the prover keeps: at most one per folded prime.
+    pub fn cached(&self) -> usize {
+        self.proven.len()
     }
 
     /// Witnesses for `targets` (distinct indexes into `primes`), one per
@@ -159,38 +176,71 @@ impl BatchProver {
         self.check_list(primes)?;
         self.grow(primes, pool);
 
-        // The touched leaves in list order, each with the target slots
-        // inside it.
-        let mut by_leaf: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        // Each target's route: a witness kept at this length as is, one
+        // kept at an older length caught up when that folds no more primes
+        // than its leaf would, any other through its leaf. The touched
+        // leaves go in list order, each with the target slots inside it.
+        let mut out = vec![BigUint::zero(); targets.len()];
+        let mut catchups = Vec::new();
+        let mut by_leaf: BTreeMap<usize, (Leaf, Vec<usize>)> = BTreeMap::new();
+        let mut cached = 0usize;
         for (slot, &t) in targets.iter().enumerate() {
-            let leaf = self.leaves.partition_point(|l| l.range.end <= t);
-            by_leaf.entry(leaf).or_default().push(slot);
-        }
-        let mut jobs = Vec::with_capacity(by_leaf.len());
-        for (i, slots) in by_leaf {
+            let i = self.leaves.partition_point(|l| l.range.end <= t);
             let leaf = self.leaves.get(i).ok_or(AccumulatorError::ProverAhead {
                 folded: self.folded.len(),
                 len,
             })?;
-            let members: Vec<usize> = slots
-                .iter()
-                .filter_map(|&s| targets.get(s).copied())
-                .collect();
-            jobs.push((i, slots, leaf.clone(), members));
+            let leaf_route = len - leaf.as_of + leaf.range.len() - 1;
+            match self.proven.get(&t) {
+                Some((w, as_of)) if *as_of == len => {
+                    if let Some(o) = out.get_mut(slot) {
+                        *o = w.clone();
+                    }
+                    cached += 1;
+                }
+                Some((w, as_of)) if len - as_of <= leaf_route => {
+                    catchups.push((slot, w, *as_of));
+                    cached += 1;
+                }
+                _ => by_leaf
+                    .entry(i)
+                    .or_insert_with(|| (leaf.clone(), Vec::new()))
+                    .1
+                    .push(slot),
+            }
         }
+        let jobs: Vec<_> = by_leaf
+            .into_iter()
+            .map(|(i, (leaf, slots))| {
+                let members: Vec<usize> = slots
+                    .iter()
+                    .filter_map(|&s| targets.get(s).copied())
+                    .collect();
+                (i, slots, leaf, members)
+            })
+            .collect();
         span.attr("leaves", jobs.len());
+        span.attr("cached", cached);
         span.attr(
             "catchup_primes",
             jobs.iter()
                 .map(|(_, _, leaf, _)| len - leaf.as_of)
+                .chain(catchups.iter().map(|(_, _, as_of)| len - as_of))
                 .sum::<usize>(),
         );
         let params = &self.params;
+        let caught = pool.run(&catchups, |(_, w, as_of)| {
+            params.powmod_product(w, primes.get(*as_of..).unwrap_or_default())
+        });
+        for ((slot, ..), w) in catchups.iter().zip(caught) {
+            if let Some(o) = out.get_mut(*slot) {
+                *o = w;
+            }
+        }
         let done = pool.run(&jobs, |(_, _, leaf, members)| {
             prove_leaf(params, primes, leaf, members)
         });
 
-        let mut out = vec![BigUint::zero(); targets.len()];
         for ((i, slots, ..), (base, ws)) in jobs.into_iter().zip(done) {
             if let Some(leaf) = self.leaves.get_mut(i) {
                 leaf.base = base;
@@ -201,6 +251,9 @@ impl BatchProver {
                     *o = w;
                 }
             }
+        }
+        for (&t, w) in targets.iter().zip(&out) {
+            self.proven.insert(t, (w.clone(), len));
         }
         Ok(out)
     }
@@ -552,6 +605,62 @@ mod tests {
                         "round {round} target {t}"
                     );
                 }
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn kept_witnesses_match_direct_as_targets_recur() {
+        // One prover across rounds whose targets recur: some rounds append
+        // nothing, so a repeat is a lookup; others append up to 3·LEAF + 1
+        // primes across leaf boundaries, so a repeat catches up, or goes
+        // back through its leaf when that folds fewer primes. Every
+        // witness must stay byte-equal to the direct fold over the list as
+        // it stands, and the prover keeps at most one per folded prime.
+        use slicer_testkit::{prop_assert, prop_assert_eq, prop_check};
+        prop_check!(0x2013, 32, |g| {
+            let params = RsaParams::fixed_512();
+            let mut prover = BatchProver::new(&params);
+            let mut ps: Vec<BigUint> = Vec::new();
+            let mut proven: Vec<usize> = Vec::new();
+            for round in 0..6u8 {
+                let grow = match round {
+                    0 => g.usize_in(LEAF + 1, 3 * LEAF),
+                    _ if g.u8() & 1 == 0 => 0,
+                    _ => g.usize_in(1, 3 * LEAF + 1),
+                };
+                for i in 0..grow {
+                    ps.push(hash_to_prime(&[g.u8(), round, i as u8, 0x79], 64).expect("width ok"));
+                }
+                // Most targets proven before, plus one or two anywhere.
+                let mut targets: Vec<usize> = proven
+                    .iter()
+                    .copied()
+                    .filter(|_| g.u8() % 4 != 0)
+                    .take(8)
+                    .collect();
+                for _ in 0..g.usize_in(1, 2) {
+                    let t = g.index(ps.len());
+                    if !targets.contains(&t) {
+                        targets.push(t);
+                    }
+                }
+                let batch = prover
+                    .witnesses(&ps, &targets, &Pool::single())
+                    .expect("consistent prover");
+                for (w, &t) in batch.iter().zip(&targets) {
+                    prop_assert_eq!(
+                        w.clone(),
+                        membership_witness(&params, &ps, t).expect("in range"),
+                        "round {round} target {t}"
+                    );
+                    if !proven.contains(&t) {
+                        proven.push(t);
+                    }
+                }
+                prop_assert!(prover.cached() <= prover.folded());
+                prop_assert_eq!(prover.cached(), proven.len());
             }
             Ok(())
         });

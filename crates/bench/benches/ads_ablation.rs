@@ -1,7 +1,8 @@
 //! Ablation: accumulator witness strategies (direct vs batched vs
 //! root-factor) and accumulation itself — the design choice behind
 //! Fig. 5b/5d's VO-generation curves — plus the states of the batch
-//! prover: cold (leaf build), warm, and after one ingest.
+//! prover: cold (leaf build), warm, a repeated query, and after one
+//! ingest.
 //!
 //! Sizes: 200 and 800 primes for the Fig. 5 comparisons, and 4,549 — the
 //! prime count of the `search_uniform` benchmark workload — for the
@@ -59,14 +60,26 @@ fn main() {
                     .expect("valid targets"),
             );
         });
-        // The cloud's steady state: a long-lived prover answering a query
-        // with nothing ingested since the last one ...
+        // The cloud's steady state: a long-lived prover, its leaves built,
+        // answering a query with nothing ingested since the last one. A
+        // new query: 16 targets it has not proven yet (the last query's
+        // neighbours), on a fresh copy of the prover per iteration ...
         let mut warm = witness::BatchProver::new(&params);
         warm.witnesses(&ps, &targets, &pool).expect("valid targets");
-        group.run(&format!("prover_warm_x16/{q}"), || {
+        let unproven: Vec<usize> = targets.iter().map(|t| t + 1).collect();
+        group.run_batched(
+            &format!("prover_warm_x16/{q}"),
+            || warm.clone(),
+            |mut p| {
+                black_box(p.witnesses(&ps, &unproven, &pool).expect("valid targets"));
+            },
+        );
+        // ... the same 16 targets as the last query: lookups ...
+        group.run(&format!("prover_repeat_x16/{q}"), || {
             black_box(warm.witnesses(&ps, &targets, &pool).expect("valid targets"));
         });
-        // ... and after one single-record ingest (17 new primes at 16-bit).
+        // ... and after one single-record ingest (17 new primes at 16-bit),
+        // the kept witnesses catching up with them.
         let fresh = primes(100_000..100_017);
         let mut grown = ps.clone();
         grown.extend(fresh.iter().cloned());

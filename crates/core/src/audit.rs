@@ -70,6 +70,10 @@ pub const ALLOWED_ATTR_KEYS: &[&str] = &[
     // and the prime count the cloud already holds.
     "leaves",
     "catchup_primes",
+    // How many targets the batch prover served from witnesses it handed
+    // out before: whether a target repeats is `L^repeat`, already
+    // declared leakage.
+    "cached",
 ];
 
 /// The leakage a run *declares*: filled by the auditing caller from

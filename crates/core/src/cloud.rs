@@ -20,7 +20,8 @@ pub enum WitnessStrategy {
     /// does; its cost grows with the record count (Fig. 5b/5d).
     Direct,
     /// All of a query's tokens from a long-lived [`witness::BatchProver`]:
-    /// the cached base of each leaf a target falls in (at most
+    /// a target proven before is served from the prover's kept witness;
+    /// for any other, the cached base of the leaf it falls in (at most
     /// [`witness::LEAF`] primes) is raised by the leaf's other primes,
     /// then split among the leaf's targets.
     #[default]
@@ -41,7 +42,9 @@ pub struct CloudServer {
     /// Built on the first batched `prove`, never at ingest or restore and
     /// never persisted: its leaves cost about `log2(|X| / LEAF)` full
     /// witness folds to build, which set-up and restore should not pay
-    /// for a cloud that may never search.
+    /// for a cloud that may never search. It keeps every witness it
+    /// handed out, so a repeated target costs a lookup, or a catch-up
+    /// with the primes ingested since; a rebuild drops them with it.
     prover: Option<witness::BatchProver>,
     telemetry: TelemetryHandle,
     pool: Pool,
@@ -383,6 +386,8 @@ mod tests {
     use crate::owner::DataOwner;
     use crate::record::RecordId;
     use slicer_accumulator::Accumulator;
+    use slicer_telemetry::{AttrValue, Event, LogicalClock, MemorySink};
+    use std::sync::Arc;
 
     fn setup(n: u64) -> (DataOwner, CloudServer) {
         let mut owner = DataOwner::new(SlicerConfig::test_8bit(), 11);
@@ -463,6 +468,43 @@ mod tests {
         }
     }
 
+    /// The `cached` attribute of every `accumulator.witness` span in
+    /// `sink`, in order.
+    fn witness_cached(sink: &MemorySink) -> Vec<u64> {
+        sink.events()
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::SpanEnd { name, attrs, .. } if name == "accumulator.witness" => {
+                    attrs.into_iter().find_map(|(k, v)| match (k, v) {
+                        ("cached", AttrValue::U64(n)) => Some(n),
+                        _ => None,
+                    })
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// An enabled telemetry handle recording into a fresh memory sink.
+    fn recording() -> (TelemetryHandle, Arc<MemorySink>) {
+        let sink = Arc::new(MemorySink::new());
+        let handle = TelemetryHandle::with(Arc::new(LogicalClock::default()), sink.clone() as _);
+        (handle, sink)
+    }
+
+    #[test]
+    fn repeated_query_is_served_from_kept_witnesses() {
+        let (owner, mut cloud) = setup(25);
+        let (telemetry, sink) = recording();
+        cloud.set_telemetry(telemetry);
+        let tokens = owner.search_tokens(&Query::less_than(100));
+        let first = cloud.respond(&tokens).unwrap();
+        let again = cloud.respond(&tokens).unwrap();
+        assert_verifies(&owner, &cloud, &again);
+        assert_eq!(first.proofs, again.proofs);
+        assert_eq!(witness_cached(&sink), vec![0, tokens.len() as u64]);
+    }
+
     #[test]
     fn prover_catches_up_across_interleaved_inserts() {
         // One cloud, one long-lived prover: each insert appends primes
@@ -516,10 +558,13 @@ mod tests {
             ("swapped", swapped),
             ("missing", missing),
         ] {
+            // The poisoned prover keeps a witness for a non-target.
             let mut prover = witness::BatchProver::new(&params);
-            prover.witnesses(&list, &[0], &Pool::single()).unwrap();
+            prover
+                .witnesses(&list, &[bystander], &Pool::single())
+                .unwrap();
             cloud.prover = Some(prover);
-            let telemetry = TelemetryHandle::enabled();
+            let (telemetry, sink) = recording();
             cloud.set_telemetry(telemetry.clone());
             let resp = cloud.respond(&tokens).unwrap();
             assert_verifies(&owner, &cloud, &resp);
@@ -529,9 +574,21 @@ mod tests {
                 "{name}"
             );
             assert_eq!(cloud.prover.as_ref().map(|p| p.folded()), Some(real.len()));
+            // The rebuilt prover started with no kept witnesses: it holds
+            // only this query's.
+            assert_eq!(
+                cloud.prover.as_ref().map(|p| p.cached()),
+                Some(targets.len()),
+                "{name}"
+            );
             // The rebuilt prover is trusted from then on.
             cloud.respond(&tokens).unwrap();
             assert_eq!(telemetry.counter_value("cloud.prover.rebuilds"), Some(1));
+            assert_eq!(
+                witness_cached(&sink),
+                vec![0, targets.len() as u64],
+                "{name}"
+            );
         }
     }
 
