@@ -33,13 +33,6 @@ pub enum AccumulatorError {
         /// Length of the prime list presented.
         len: usize,
     },
-    /// A [`BatchProver`](crate::witness::BatchProver) folded a different
-    /// prime at `index` than the list it was handed holds — it was built
-    /// over another list.
-    ProverDiverged {
-        /// First position where the folded primes and the list differ.
-        index: usize,
-    },
 }
 
 impl fmt::Display for AccumulatorError {
@@ -62,12 +55,6 @@ impl fmt::Display for AccumulatorError {
             }
             AccumulatorError::ProverAhead { folded, len } => {
                 write!(f, "prover folded {folded} primes but the list holds {len}")
-            }
-            AccumulatorError::ProverDiverged { index } => {
-                write!(
-                    f,
-                    "prover folded a different prime at index {index} than the list holds"
-                )
             }
         }
     }

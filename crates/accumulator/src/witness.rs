@@ -23,7 +23,7 @@ use crate::error::AccumulatorError;
 use crate::params::RsaParams;
 use slicer_bignum::BigUint;
 use slicer_par::Pool;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 /// Subtrees covering fewer primes than this are not worth fanning out to
@@ -87,16 +87,16 @@ pub fn membership_witness(
 /// query thus pays at most `LEAF - 1` prime exponents per new target
 /// plus the catch-up, whatever `|X|`, and a repeated target pays a
 /// lookup. Ingest costs the prover nothing. It holds one group element
-/// per leaf, at most one witness per folded prime, and the primes it
-/// folded, which every call compares with the list it is handed.
+/// per leaf and at most one witness per folded prime, not the primes it
+/// folded: [`BatchProver::accumulator`] checks it against a list's digest.
 #[derive(Debug, Clone)]
 pub struct BatchProver {
     params: RsaParams,
-    /// The primes folded so far: a prefix of every list a call accepts.
-    folded: Vec<BigUint>,
-    /// `A = g^{∏ folded}`.
+    /// How many primes of the list are folded into leaves.
+    folded: usize,
+    /// `A = g^{∏ primes[..folded]}`.
     acc: BigUint,
-    /// Consecutive leaves covering `folded`.
+    /// Consecutive leaves covering `primes[..folded]`.
     leaves: Vec<Leaf>,
     /// Witnesses handed out, by prime index: `(w, as_of)` with
     /// `w = g^{∏ primes[..as_of] / primes[index]}`.
@@ -119,7 +119,7 @@ impl BatchProver {
     pub fn new(params: &RsaParams) -> Self {
         BatchProver {
             params: params.clone(),
-            folded: Vec::new(),
+            folded: 0,
             acc: params.generator().clone(),
             leaves: Vec::new(),
             proven: BTreeMap::new(),
@@ -128,7 +128,16 @@ impl BatchProver {
 
     /// How many primes of the list the prover has folded into leaves.
     pub fn folded(&self) -> usize {
-        self.folded.len()
+        self.folded
+    }
+
+    /// `A = g^{∏ primes[..folded()]}`, each prime taken from the call
+    /// that folded it. After a call over a list `X` it equals `g^{∏ X}`
+    /// when every earlier call was handed a prefix of `X`; a prover that
+    /// folded a truncated, extended or substituted list holds another
+    /// value. One compare with the list's digest thus checks the prover.
+    pub fn accumulator(&self) -> &BigUint {
+        &self.acc
     }
 
     /// How many witnesses the prover keeps: at most one per folded prime.
@@ -139,18 +148,18 @@ impl BatchProver {
     /// Witnesses for `targets` (distinct indexes into `primes`), one per
     /// target in target order, after folding any primes appended to
     /// `primes` since the last call. `primes[..self.folded()]` must be the
-    /// list this prover saw before: the list is append-only. Records an
-    /// `accumulator.witness` span, and one `accumulator.leaves` span per
-    /// fold, through the pool's telemetry handle.
+    /// list this prover saw before: the list is append-only; see
+    /// [`BatchProver::accumulator`]. Records an `accumulator.witness`
+    /// span, and one `accumulator.leaves` span per fold, through the
+    /// pool's telemetry handle.
     ///
     /// # Errors
     ///
     /// Returns [`AccumulatorError::TargetOutOfRange`] or
     /// [`AccumulatorError::DuplicateTarget`] on a malformed target list,
-    /// and [`AccumulatorError::ProverAhead`] or
-    /// [`AccumulatorError::ProverDiverged`] when this prover was built
-    /// over another list — never a wrong witness for those. The prover
-    /// is then unusable for this list; build a fresh one.
+    /// and [`AccumulatorError::ProverAhead`] when this prover folded more
+    /// primes than `primes` holds. The prover is then unusable for this
+    /// list; build a fresh one.
     pub fn witnesses(
         &mut self,
         primes: &[BigUint],
@@ -163,17 +172,21 @@ impl BatchProver {
         let mut span = pool.telemetry().span("accumulator.witness");
         span.attr("targets", targets.len());
         let len = primes.len();
-        let mut seen = vec![false; len];
+        let mut seen = BTreeSet::new();
         for &t in targets {
-            let slot = seen
-                .get_mut(t)
-                .ok_or(AccumulatorError::TargetOutOfRange { index: t, len })?;
-            if *slot {
+            if t >= len {
+                return Err(AccumulatorError::TargetOutOfRange { index: t, len });
+            }
+            if !seen.insert(t) {
                 return Err(AccumulatorError::DuplicateTarget(t));
             }
-            *slot = true;
         }
-        self.check_list(primes)?;
+        if self.folded > len {
+            return Err(AccumulatorError::ProverAhead {
+                folded: self.folded,
+                len,
+            });
+        }
         self.grow(primes, pool);
 
         // Each target's route: a witness kept at this length as is, one
@@ -187,7 +200,7 @@ impl BatchProver {
         for (slot, &t) in targets.iter().enumerate() {
             let i = self.leaves.partition_point(|l| l.range.end <= t);
             let leaf = self.leaves.get(i).ok_or(AccumulatorError::ProverAhead {
-                folded: self.folded.len(),
+                folded: self.folded,
                 len,
             })?;
             let leaf_route = len - leaf.as_of + leaf.range.len() - 1;
@@ -258,28 +271,14 @@ impl BatchProver {
         Ok(out)
     }
 
-    /// Checks that `primes` extends the list this prover folded.
-    fn check_list(&self, primes: &[BigUint]) -> Result<(), AccumulatorError> {
-        let folded = self.folded.len();
-        let prefix = primes.get(..folded).ok_or(AccumulatorError::ProverAhead {
-            folded,
-            len: primes.len(),
-        })?;
-        match prefix.iter().zip(&self.folded).position(|(a, b)| a != b) {
-            Some(index) => Err(AccumulatorError::ProverDiverged { index }),
-            None => Ok(()),
-        }
-    }
-
     /// Folds `primes[self.folded()..]` into new leaves and advances `A`
     /// past them.
     fn grow(&mut self, primes: &[BigUint], pool: &Pool) {
-        let start = self.folded.len();
-        let fresh = primes.get(start..).unwrap_or_default();
-        if fresh.is_empty() {
+        let start = self.folded;
+        let k = primes.len().saturating_sub(start);
+        if k == 0 {
             return;
         }
-        let k = fresh.len();
         let m = k.div_ceil(LEAF);
         let mut span = pool.telemetry().span("accumulator.leaves");
         span.attr("primes", k);
@@ -299,7 +298,7 @@ impl BatchProver {
                 base,
                 as_of: primes.len(),
             }));
-        self.folded.extend_from_slice(fresh);
+        self.folded = primes.len();
     }
 }
 
@@ -414,16 +413,6 @@ fn root_factor_pooled(
         .into_iter()
         .flatten()
         .collect()
-}
-
-/// Verifies `witness^x ≡ ac (mod n)` — the smart contract's `VerifyMem`.
-pub fn verify_membership(
-    params: &RsaParams,
-    prime: &BigUint,
-    witness: &BigUint,
-    ac: &BigUint,
-) -> bool {
-    &params.powmod(witness, prime) == ac
 }
 
 #[cfg(test)]
@@ -598,6 +587,8 @@ mod tests {
                     .witnesses(&ps, &targets, &Pool::single())
                     .expect("consistent prover");
                 prop_assert_eq!(prover.folded(), ps.len());
+                let digest = Accumulator::over(&params, &ps);
+                prop_assert_eq!(prover.accumulator(), digest.value());
                 for (w, &t) in batch.iter().zip(&targets) {
                     prop_assert_eq!(
                         w.clone(),
@@ -667,36 +658,49 @@ mod tests {
     }
 
     #[test]
-    fn prover_over_another_list_is_a_typed_error() {
-        let params = RsaParams::fixed_512();
-        let ps = primes(6);
-        let pool = Pool::single();
-        // Folded a longer list (a since-truncated one).
-        let mut ahead = BatchProver::new(&params);
-        ahead.witnesses(&ps, &[0], &pool).expect("consistent");
-        assert_eq!(
-            ahead.witnesses(&ps[..4], &[1], &pool).unwrap_err(),
-            AccumulatorError::ProverAhead { folded: 6, len: 4 }
-        );
-        // Folded a same-length list with one prime swapped, whether a
-        // target or a bystander.
-        let mut other = ps.clone();
-        other[2] = hash_to_prime(b"phantom", 64).expect("width ok");
-        for target in [2, 4] {
-            let mut stale = BatchProver::new(&params);
-            stale.witnesses(&other, &[0], &pool).expect("consistent");
-            assert_eq!(
-                stale.witnesses(&ps, &[target], &pool).unwrap_err(),
-                AccumulatorError::ProverDiverged { index: 2 }
-            );
-            // A longer list with the swapped prime in its prefix, too.
-            let mut longer = ps.clone();
-            longer.push(hash_to_prime(b"appended", 64).expect("width ok"));
-            assert_eq!(
-                stale.witnesses(&longer, &[target], &pool).unwrap_err(),
-                AccumulatorError::ProverDiverged { index: 2 }
-            );
-        }
+    fn prover_over_another_list_reports_another_accumulator() {
+        // A prover that folded a faulty list in two calls is handed the
+        // true one. A longer faulty list is `ProverAhead`; one with a
+        // prime inserted, or substituted at the target, in another leaf
+        // or among the second call's primes, leaves an accumulator other
+        // than the true list's digest.
+        use slicer_testkit::{prop_assert, prop_assert_eq, prop_check};
+        prop_check!(0x2014, 32, |g| {
+            let params = RsaParams::fixed_512();
+            let pool = Pool::single();
+            let n = g.usize_in(3 * LEAF, 5 * LEAF);
+            let truth: Vec<BigUint> = (0..n)
+                .map(|i| hash_to_prime(&[g.u8(), i as u8, 0x7a], 64).expect("width ok"))
+                .collect();
+            let phantom = hash_to_prime(b"phantom", 64).expect("width ok");
+            let (target, first) = (g.index(n), g.usize_in(LEAF, n - 1));
+            let mut faulty = truth.clone();
+            let case = g.usize_in(0, 4);
+            match case {
+                0 => faulty.push(phantom),
+                1 => {
+                    faulty.insert(g.index(n), phantom);
+                    faulty.pop();
+                }
+                2 => faulty[target] = phantom,
+                3 => faulty[(target + LEAF) % n] = phantom, // another leaf
+                _ => faulty[g.usize_in(first, n - 1)] = phantom,
+            }
+            let mut prover = BatchProver::new(&params);
+            for list in [&faulty[..first], &faulty[..]] {
+                prover.witnesses(list, &[0], &pool).expect("consistent");
+            }
+            let digest = Accumulator::over(&params, &truth);
+            let ahead = AccumulatorError::ProverAhead {
+                folded: n + 1,
+                len: n,
+            };
+            match prover.witnesses(&truth, &[target], &pool) {
+                Err(e) => prop_assert_eq!((case, e), (0, ahead)),
+                Ok(_) => prop_assert!(case != 0 && prover.accumulator() != digest.value()),
+            }
+            Ok(())
+        });
     }
 
     #[test]

@@ -116,7 +116,7 @@ fn main() {
             .expect("valid target")
             .remove(0);
         group.run(&format!("verify/{q}"), || {
-            assert!(witness::verify_membership(&params, &ps[0], &w, acc.value()));
+            assert!(acc.verify(&ps[0], &w));
         });
     }
 }

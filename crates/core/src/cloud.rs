@@ -12,6 +12,7 @@ use slicer_par::Pool;
 use slicer_store::CloudState;
 use slicer_telemetry::TelemetryHandle;
 use slicer_trapdoor::{Trapdoor, TrapdoorPublic};
+use std::collections::BTreeSet;
 
 /// How the cloud generates membership witnesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -97,16 +98,32 @@ impl CloudServer {
     ///
     /// # Errors
     ///
-    /// Returns [`SlicerError::IndexCorruption`] if the shipment collides
-    /// with existing index labels.
+    /// Returns [`SlicerError::IndexCorruption`] if the shipment repeats a
+    /// prime of `X` or one of its own, checked before `I` or `X` changes,
+    /// or collides with existing index labels.
     pub fn ingest(&mut self, output: &BuildOutput) -> Result<(), SlicerError> {
         let mut span = self.telemetry.span("store.extend");
         span.attr("entries", output.entries.len());
+        // `X` holds each accumulated prime once: the prover's accumulator
+        // equals `Ac` only then.
+        let mut shipped = BTreeSet::new();
+        let primes = &self.state.primes;
+        if !output
+            .primes
+            .iter()
+            .all(|x| primes.position(x).is_none() && shipped.insert(x))
+        {
+            return Err(SlicerError::IndexCorruption(
+                "shipment repeats a prime".into(),
+            ));
+        }
         self.state
             .index
             .extend(output.entries.iter().cloned())
             .map_err(|e| SlicerError::IndexCorruption(e.to_string()))?;
-        self.state.primes.extend(output.primes.iter().cloned());
+        for x in &output.primes {
+            self.state.primes.push(x.clone());
+        }
         self.state.accumulator = Some(output.accumulator.clone());
         Ok(())
     }
@@ -240,7 +257,7 @@ impl CloudServer {
             // Duplicate targets (same keyword twice in a query) are
             // impossible: tokens within one query address distinct
             // keywords.
-            WitnessStrategy::Batched => self.batched_witnesses(&xs, &targets)?,
+            WitnessStrategy::Batched => self.batched_witnesses(&targets)?,
         };
         self.telemetry
             .count("cloud.witnesses.generated", witnesses.len() as u64);
@@ -256,19 +273,21 @@ impl CloudServer {
     /// primes ingested since the last call.
     ///
     /// A prover that disagrees with the stored list — it folded more
-    /// primes than the list holds or a different prime, or its first
-    /// witness fails against the stored digest (e.g. state swapped under
-    /// it by a truncated restore) — is rebuilt from the list once, never
-    /// trusted.
-    fn batched_witnesses(
-        &mut self,
-        xs: &[BigUint],
-        targets: &[usize],
-    ) -> Result<Vec<BigUint>, SlicerError> {
+    /// primes than the list holds, or its accumulator differs from the
+    /// stored digest `Ac` (one compare: it folded another list, e.g. state
+    /// swapped under it by a truncated restore) — is rebuilt from the
+    /// list once, never trusted. The rebuilt prover's witnesses are
+    /// returned unchecked: if `X` disagrees with `Ac`, the chain refunds.
+    fn batched_witnesses(&mut self, targets: &[usize]) -> Result<Vec<BigUint>, SlicerError> {
+        if targets.is_empty() {
+            return Ok(Vec::new());
+        }
         let primes = self.state.primes.as_slice();
+        let ac = self.state.accumulator.as_ref();
         if let Some(prover) = self.prover.as_mut() {
             match prover.witnesses(primes, targets, &self.pool) {
-                Ok(ws) if self.matches_digest(xs, &ws) => return Ok(ws),
+                // A cloud with no digest has nothing to compare with.
+                Ok(ws) if ac.is_none_or(|ac| prover.accumulator() == ac) => return Ok(ws),
                 _ => self.telemetry.count("cloud.prover.rebuilds", 1),
             }
         }
@@ -279,18 +298,6 @@ impl CloudServer {
             .map_err(corrupt)?;
         self.prover = Some(prover);
         Ok(ws)
-    }
-
-    /// Whether the first witness verifies against the stored digest (one
-    /// short exponentiation). A cloud with no digest has nothing to
-    /// check against.
-    fn matches_digest(&self, xs: &[BigUint], ws: &[BigUint]) -> bool {
-        match (&self.state.accumulator, xs.first(), ws.first()) {
-            (Some(ac), Some(x), Some(w)) => {
-                witness::verify_membership(&self.config.accumulator, x, w, ac)
-            }
-            _ => true,
-        }
     }
 
     /// Full Algorithm 4: search + VO generation.
@@ -508,8 +515,10 @@ mod tests {
     #[test]
     fn prover_catches_up_across_interleaved_inserts() {
         // One cloud, one long-lived prover: each insert appends primes
-        // that the next prove must fold in before answering.
+        // that the next prove must fold in before answering, never rebuilt.
         let (mut owner, mut cloud) = setup(15);
+        let (telemetry, _sink) = recording();
+        cloud.set_telemetry(telemetry.clone());
         for round in 0..6u64 {
             let value = (round * 37) % 256;
             let out = owner
@@ -523,12 +532,39 @@ mod tests {
             let folded = cloud.prover.as_ref().map(|p| p.folded());
             assert_eq!(folded, Some(cloud.state.primes.len()), "round {round}");
         }
+        assert_eq!(telemetry.counter_value("cloud.prover.rebuilds"), None);
+    }
+
+    #[test]
+    fn shipment_repeating_a_prime_is_refused_untouched() {
+        // A shipment whose primes repeat one of `X`, or one of its own,
+        // is refused before the index, `X` or `Ac` changes.
+        use slicer_crypto::codec::to_bytes;
+        let (mut owner, mut cloud) = setup(15);
+        let out = owner.insert(&[(RecordId::from_u64(500), 9)]).unwrap();
+        let before = to_bytes(&cloud.state).unwrap();
+        let held = cloud.state.primes.as_slice()[3].clone();
+        for repeat in [held, out.primes[0].clone()] {
+            let mut bad = out.clone();
+            bad.primes.push(repeat);
+            match cloud.ingest(&bad) {
+                Err(SlicerError::IndexCorruption(m)) => assert!(m.contains("repeats a prime")),
+                other => panic!("{other:?}"),
+            }
+            assert_eq!(to_bytes(&cloud.state).unwrap(), before);
+        }
+        cloud.ingest(&out).unwrap();
+        let resp = cloud
+            .respond(&owner.search_tokens(&Query::equal(9)))
+            .unwrap();
+        assert_verifies(&owner, &cloud, &resp);
     }
 
     #[test]
     fn poisoned_prover_is_rebuilt_once() {
         // Provers that a truncated or swapped restore could leave behind,
-        // each built through the public API over the wrong list.
+        // each built through the public API over the wrong list: one is
+        // `ProverAhead`, the others hold an accumulator other than `Ac`.
         let (owner, mut cloud) = setup(15);
         let tokens = owner.search_tokens(&Query::less_than(100));
         let params = cloud.config.accumulator.clone();
@@ -544,13 +580,13 @@ mod tests {
             })
             .collect();
         let bystander = (0..real.len()).find(|i| !targets.contains(i)).unwrap();
-        // Product over a phantom extra prime: folded count ahead of X.
+        // A phantom extra prime: folded count ahead of X.
         let mut longer = real.clone();
         longer.push(phantom.clone());
-        // Same length, a non-target prime swapped: the list check finds it.
+        // Same length, a non-target prime swapped.
         let mut swapped = real.clone();
         swapped[bystander] = phantom.clone();
-        // Same length, a target prime swapped: the list check finds it.
+        // Same length, a target prime swapped.
         let mut missing = real.clone();
         missing[targets[0]] = phantom;
         for (name, list) in [
@@ -581,13 +617,14 @@ mod tests {
                 Some(targets.len()),
                 "{name}"
             );
-            // The rebuilt prover is trusted from then on.
+            // The rebuilt prover is trusted from then on, and its first
+            // call served no target from kept witnesses.
             cloud.respond(&tokens).unwrap();
             assert_eq!(telemetry.counter_value("cloud.prover.rebuilds"), Some(1));
-            assert_eq!(
-                witness_cached(&sink),
-                vec![0, targets.len() as u64],
-                "{name}"
+            let cached = witness_cached(&sink);
+            assert!(
+                cached.ends_with(&[0, targets.len() as u64]),
+                "{name}: {cached:?}"
             );
         }
     }

@@ -464,7 +464,8 @@ mod tests {
                 slicer_crypto::codec::to_bytes(&Vec::<FlightRecord>::new()).unwrap(),
             ];
             frames.extend((0..extra).map(|_| frame("{}\n")));
-            slicer_persist::write_frames(&path, &frames).unwrap();
+            let file = File::create(&path).unwrap();
+            slicer_persist::write_frames_at(&file, &path, 0, &frames).unwrap();
             let err = FlightRecording::load(&path).unwrap_err();
             assert!(
                 matches!(&err, DaemonError::Protocol(m) if m.contains("unsupported flightrec version")),

@@ -25,7 +25,7 @@ use slicer_daemon::{
     StatReply, WireHistogram, MAX_FRAME_LEN,
 };
 use slicer_persist::{
-    read_frames, write_frames, Delta, Manifest, PersistError, SegmentEntry, SegmentRole,
+    read_frames, write_frames_at, Delta, Manifest, PersistError, SegmentEntry, SegmentRole,
 };
 use slicer_store::{PrimeList, INDEX_LABEL_LEN};
 use slicer_testkit::{prop_assert, prop_assert_eq, prop_check, Gen, PropResult};
@@ -326,7 +326,8 @@ fn frame_corruptions<T: Encode + Decode + PartialEq + Debug>(g: &mut Gen, value:
 /// `frames`: the 8-byte magic, then per frame a `u64` LE payload length,
 /// the payload and its SHA-256.
 fn segment_corruptions(g: &mut Gen, path: &Path, frames: &[Vec<u8>]) -> PropResult {
-    let sum = write_frames(path, frames).map_err(|e| e.to_string())?;
+    let file = std::fs::File::create(path).map_err(|e| e.to_string())?;
+    let sum = write_frames_at(&file, path, 0, frames).map_err(|e| e.to_string())?;
     let data = std::fs::read(path).map_err(|e| e.to_string())?;
     let read = |bytes: &[u8]| {
         std::fs::write(path, bytes).map_err(|e| e.to_string())?;

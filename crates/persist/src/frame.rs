@@ -74,21 +74,6 @@ pub(crate) fn write_synced(path: &Path, bytes: &[u8]) -> Result<(), PersistError
     file.sync_all().map_err(|e| PersistError::io(path, &e))
 }
 
-/// Writes `frames` to `path` (fsynced) and returns the file checksum —
-/// the value the manifest records for the segment.
-///
-/// Public so sibling crates can persist their own checksummed artifacts
-/// in the same `.slc` format.
-///
-/// # Errors
-///
-/// Returns [`PersistError::Io`] on any filesystem failure.
-pub fn write_frames(path: &Path, frames: &[Vec<u8>]) -> Result<[u8; 32], PersistError> {
-    let image = encode_frames(frames);
-    write_synced(path, &image.bytes)?;
-    Ok(image.checksum)
-}
-
 /// Length in bytes of the image [`write_frames_at`] writes for `frames`.
 pub fn image_len(frames: &[Vec<u8>]) -> u64 {
     let total: usize = frames.iter().map(|f| f.len() + FRAME_OVERHEAD).sum();
@@ -98,10 +83,14 @@ pub fn image_len(frames: &[Vec<u8>]) -> u64 {
 /// Writes the image of `frames` into the already open `file` at
 /// `offset` with one positioned write: no temp file, no rename, no
 /// fsync. The bytes survive the death of the writing process, not a
-/// power loss. `path` names the file in errors.
+/// power loss. `path` names the file in errors. Returns the image
+/// checksum, the value [`parse_frames`] reports for it.
 ///
 /// A reader locates an image written this way with [`parse_frames`]
 /// over the bytes from `offset` on.
+///
+/// Public so sibling crates can persist their own checksummed artifacts
+/// in the same `.slc` format.
 ///
 /// # Errors
 ///
@@ -111,9 +100,11 @@ pub fn write_frames_at(
     path: &Path,
     offset: u64,
     frames: &[Vec<u8>],
-) -> Result<(), PersistError> {
-    file.write_all_at(&encode_frames(frames).bytes, offset)
-        .map_err(|e| PersistError::io(path, &e))
+) -> Result<[u8; 32], PersistError> {
+    let image = encode_frames(frames);
+    file.write_all_at(&image.bytes, offset)
+        .map_err(|e| PersistError::io(path, &e))?;
+    Ok(image.checksum)
 }
 
 /// Splits `bytes` at `n` without panicking on short input.
@@ -206,11 +197,17 @@ mod tests {
         dir.join("f.slc")
     }
 
+    /// Writes `frames` as the whole of a freshly created `path`.
+    fn write_image(path: &Path, frames: &[Vec<u8>]) -> [u8; 32] {
+        let file = std::fs::File::create(path).unwrap();
+        write_frames_at(&file, path, 0, frames).unwrap()
+    }
+
     #[test]
     fn roundtrip_preserves_frames_and_checksum() {
         let path = tmp("rt");
         let frames = vec![vec![1u8, 2, 3], Vec::new(), vec![0u8; 100]];
-        let sum = write_frames(&path, &frames).unwrap();
+        let sum = write_image(&path, &frames);
         let (back, read_sum) = read_frames(&path).unwrap();
         assert_eq!(back, frames);
         assert_eq!(sum, read_sum);
@@ -219,7 +216,7 @@ mod tests {
     #[test]
     fn truncation_is_corrupt() {
         let path = tmp("trunc");
-        write_frames(&path, &[vec![7u8; 64]]).unwrap();
+        write_image(&path, &[vec![7u8; 64]]);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
         assert!(matches!(
@@ -231,7 +228,7 @@ mod tests {
     #[test]
     fn flipped_payload_bit_is_corrupt() {
         let path = tmp("flip");
-        write_frames(&path, &[vec![7u8; 64]]).unwrap();
+        write_image(&path, &[vec![7u8; 64]]);
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[SEGMENT_MAGIC.len() + 8 + 3] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
@@ -243,7 +240,7 @@ mod tests {
     fn dropped_trailing_frame_changes_the_file_checksum() {
         let path = tmp("drop");
         let frames = vec![vec![1u8; 16], vec![2u8; 24]];
-        let sum = write_frames(&path, &frames).unwrap();
+        let sum = write_image(&path, &frames);
         let bytes = std::fs::read(&path).unwrap();
         // Cut exactly one whole frame: the rest still parses frame by frame.
         let kept = bytes.len() - (frames[1].len() + FRAME_OVERHEAD);
@@ -253,9 +250,9 @@ mod tests {
         assert_ne!(read_sum, sum, "a manifest must notice the missing frame");
 
         // Reordered frames and appended bytes are caught the same way.
-        let swapped = write_frames(&path, &[frames[1].clone(), frames[0].clone()]).unwrap();
+        let swapped = write_image(&path, &[frames[1].clone(), frames[0].clone()]);
         assert_ne!(swapped, sum);
-        write_frames(&path, &frames).unwrap();
+        write_image(&path, &frames);
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.extend_from_slice(&encode_frames(&[Vec::new()]).bytes[SEGMENT_MAGIC.len()..]);
         std::fs::write(&path, &bytes).unwrap();

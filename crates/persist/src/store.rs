@@ -188,7 +188,7 @@ impl Delta {
             .index
             .extend(self.entries)
             .map_err(|e| PersistError::corrupt(path, e.to_string()))?;
-        snapshot.cloud.primes.extend(self.primes);
+        append_primes(&mut snapshot.cloud.primes, self.primes, path)?;
         snapshot
             .owner
             .apply(&self.owner)
@@ -230,6 +230,23 @@ fn settle(
             Err(e)
         }
     }
+}
+
+/// Appends a base chunk's or a delta's primes to `X`, which holds each
+/// prime once, as the cloud's ingest does: a repeat would shift every
+/// later index, so it is corruption.
+fn append_primes(
+    primes: &mut PrimeList,
+    chunk: Vec<BigUint>,
+    path: &Path,
+) -> Result<(), PersistError> {
+    for prime in chunk {
+        let index = primes.len();
+        primes.push(prime).ok_or_else(|| {
+            PersistError::corrupt(path, format!("prime list repeats a prime at index {index}"))
+        })?;
+    }
+    Ok(())
 }
 
 fn codec_err(path: &Path, e: &CodecError) -> PersistError {
@@ -709,17 +726,7 @@ impl SegmentStore {
                     SegmentRole::PrimesChunk => {
                         let chunk: Vec<BigUint> =
                             from_bytes(frame).map_err(|e| codec_err(&path, &e))?;
-                        // The snapshot holds each prime once: a repeat
-                        // would shift every later index.
-                        for prime in chunk {
-                            let index = primes.len();
-                            if primes.push_new(prime).is_none() {
-                                return Err(PersistError::corrupt(
-                                    &path,
-                                    format!("primes chunk repeats a prime at index {index}"),
-                                ));
-                            }
-                        }
+                        append_primes(&mut primes, chunk, &path)?;
                     }
                     SegmentRole::Delta => {
                         let delta: Delta = from_bytes(frame).map_err(|e| codec_err(&path, &e))?;
@@ -1063,7 +1070,18 @@ mod tests {
         // An index label the chain already holds.
         let mut dup = delta.clone();
         dup.entries.extend(delta.entries.clone());
-        for (victim, want) in [(bad, "retired"), (dup, "already present")] {
+        // A prime the base holds, and one the delta holds twice: the
+        // cloud's ingest refuses both.
+        let (mut held, mut twice) = (delta.clone(), delta.clone());
+        held.primes
+            .push(live.cloud.storage().primes.as_slice()[0].clone());
+        twice.primes.push(delta.primes[0].clone());
+        for (victim, want) in [
+            (bad, "retired"),
+            (dup, "already present"),
+            (held, "repeats a prime"),
+            (twice, "repeats a prime"),
+        ] {
             let image = image_of(&victim, &dir).unwrap();
             fs::write(dir.join(segment_name(2, 0)), &image.bytes).unwrap();
             let mut m = good.clone();

@@ -20,11 +20,8 @@ pub struct DuplicateLabelError {
 
 impl fmt::Display for DuplicateLabelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "index label {:02x}{:02x}… already present",
-            self.label[0], self.label[1]
-        )
+        let [a, b, ..] = self.label;
+        write!(f, "index label {a:02x}{b:02x}… already present")
     }
 }
 

@@ -4,7 +4,8 @@ use slicer_bignum::BigUint;
 use slicer_crypto::codec::{CodecError, Decode, Encode, Reader};
 use std::collections::HashMap;
 
-/// An append-only list of prime representatives with O(1) index lookup.
+/// An append-only list of prime representatives with O(1) index lookup,
+/// each held once.
 ///
 /// Algorithm 2 never removes primes — superseded keyword states stay
 /// accumulated, and freshness is enforced by the *user's* token pointing at
@@ -30,7 +31,7 @@ impl Decode for PrimeList {
         let mut list = PrimeList::new();
         for prime in Vec::<BigUint>::decode(reader)? {
             let index = list.len();
-            if list.push_new(prime).is_none() {
+            if list.push(prime).is_none() {
                 return Err(CodecError::msg(format!(
                     "prime list repeats a prime at index {index}"
                 )));
@@ -46,30 +47,16 @@ impl PrimeList {
         Self::default()
     }
 
-    /// Appends a prime, returning its index. Re-adding an existing prime
-    /// returns the original index without duplicating it.
-    pub fn push(&mut self, prime: BigUint) -> usize {
-        match self.positions.get(&prime) {
-            Some(&i) => i,
-            None => self.append(prime),
-        }
-    }
-
     /// Appends a prime that is not in the list yet, returning its index,
     /// or `None` (and leaves the list as it was) if it is already there.
-    pub fn push_new(&mut self, prime: BigUint) -> Option<usize> {
+    pub fn push(&mut self, prime: BigUint) -> Option<usize> {
         if self.positions.contains_key(&prime) {
-            None
-        } else {
-            Some(self.append(prime))
+            return None;
         }
-    }
-
-    fn append(&mut self, prime: BigUint) -> usize {
         let i = self.primes.len();
         self.positions.insert(prime.clone(), i);
         self.primes.push(prime);
-        i
+        Some(i)
     }
 
     /// Index of a prime, if present.
@@ -101,24 +88,6 @@ impl PrimeList {
     }
 }
 
-impl FromIterator<BigUint> for PrimeList {
-    fn from_iter<I: IntoIterator<Item = BigUint>>(iter: I) -> Self {
-        let mut list = PrimeList::new();
-        for p in iter {
-            list.push(p);
-        }
-        list
-    }
-}
-
-impl Extend<BigUint> for PrimeList {
-    fn extend<I: IntoIterator<Item = BigUint>>(&mut self, iter: I) {
-        for p in iter {
-            self.push(p);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,38 +99,24 @@ mod tests {
     #[test]
     fn push_and_lookup() {
         let mut list = PrimeList::new();
-        assert_eq!(list.push(p(101)), 0);
-        assert_eq!(list.push(p(103)), 1);
+        assert_eq!(list.push(p(101)), Some(0));
+        // A repeat is refused and leaves the list as it was.
+        assert_eq!(list.push(p(101)), None);
+        assert_eq!(list.push(p(103)), Some(1));
+        assert_eq!(list.len(), 2);
         assert_eq!(list.position(&p(101)), Some(0));
         assert_eq!(list.position(&p(999)), None);
     }
 
     #[test]
-    fn idempotent_push() {
-        let mut list = PrimeList::new();
-        list.push(p(101));
-        assert_eq!(list.push(p(101)), 0);
-        assert_eq!(list.len(), 1);
-        // The strict variant refuses the repeat instead.
-        assert_eq!(list.push_new(p(101)), None);
-        assert_eq!(list.push_new(p(103)), Some(1));
-        assert_eq!(list.len(), 2);
-    }
-
-    #[test]
-    fn collects_from_iterator() {
-        let list: PrimeList = (0u64..5).map(|i| p(100 + i)).collect();
-        assert_eq!(list.len(), 5);
-    }
-
-    #[test]
     fn restored_list_lookup_works() {
         use slicer_crypto::codec::{from_bytes, to_bytes};
-        let list: PrimeList = (0u64..8).map(|i| p(100 + i)).collect();
-        let mut back: PrimeList = from_bytes(&to_bytes(&list).unwrap()).unwrap();
-        assert_eq!(back.position(&p(105)), list.position(&p(105)));
-        // Idempotent push still finds the existing slot after a restore.
-        assert_eq!(back.push(p(100)), 0);
+        let primes: Vec<BigUint> = (100u64..108).map(p).collect();
+        let mut back: PrimeList = from_bytes(&to_bytes(&primes).unwrap()).unwrap();
+        assert_eq!(back.position(&p(105)), Some(5));
+        // A restored list still refuses a prime it holds.
+        assert_eq!(back.push(p(100)), None);
+        assert_eq!(back.push(p(108)), Some(8));
     }
 
     #[test]

@@ -300,6 +300,23 @@ if [ "$growth" -gt $((5 * 64 * 1024)) ]; then
   echo "slicerd smoke FAILED: 5 single-record ingests grew the data directory by $growth bytes" >&2
   exit 1
 fi
+# The prover the restored cloud built for its first search catches up
+# with the five deltas instead of being rebuilt. A rebuild costs a cold
+# build per search, yet its witnesses still verify, so only this counter
+# shows a prover check that fires wrongly.
+cli search gt 200 | grep -q "verified=true" || {
+  echo "slicerd smoke FAILED: search over the delta ingests not verified" >&2
+  exit 1
+}
+smoke_metrics="$(cli metrics)"
+grep -q "^slicer_cloud_witnesses_generated [1-9]" <<<"$smoke_metrics" || {
+  echo "slicerd smoke FAILED: no witnesses counted in the metrics scrape" >&2
+  exit 1
+}
+if grep -E "^slicer_cloud_prover_rebuilds [1-9]" <<<"$smoke_metrics"; then
+  echo "slicerd smoke FAILED: the cloud rebuilt its prover" >&2
+  exit 1
+fi
 digest_before="$(cli stat | grep -o 'digest=[0-9a-f]*')"
 kill -9 "$slicerd_pid"
 wait "$slicerd_pid" 2>/dev/null || true
