@@ -1,9 +1,11 @@
 //! Micro-benchmark behind Fig. 5 / Fig. 6: equality vs order search,
-//! result generation vs VO generation.
+//! result generation vs VO generation, and the whole answer (`respond`)
+//! served from kept answers.
 
 use slicer_core::{CloudServer, DataOwner, Query, RecordId, SlicerConfig, WitnessStrategy};
 use slicer_testkit::bench::{black_box, Bench};
 use slicer_workload::DatasetSpec;
+use std::cell::RefCell;
 
 fn setup(n: usize, bits: u8) -> (DataOwner, CloudServer, u64) {
     let db: Vec<(RecordId, u64)> = DatasetSpec::uniform(n, bits, 1)
@@ -45,5 +47,34 @@ fn main() {
         group.run(&format!("order/vo_batched/{bits}"), || {
             black_box(cloud.prove(&ord_results).expect("bench state is honest"));
         });
+
+        // The same order query again: every token is an exact repeat of
+        // its keyword's kept answer.
+        cloud.respond(&ord_tokens).expect("bench state is honest");
+        group.run(&format!("order/respond_repeat/{bits}"), || {
+            black_box(cloud.respond(&ord_tokens).expect("bench state is honest"));
+        });
+
+        // One single-record insert, then the same query: the tokens of the
+        // keywords it touched join their kept answers.
+        let (owner, cloud) = (RefCell::new(owner), RefCell::new(cloud));
+        let mut next = 1_000_000u64;
+        group.run_batched(
+            &format!("order/respond_after_insert/{bits}"),
+            || {
+                next += 1;
+                let mut owner = owner.borrow_mut();
+                let value = next.wrapping_mul(7_919) % probe.max(1);
+                let out = owner
+                    .insert(&[(RecordId::from_u64(next), value)])
+                    .expect("in-domain");
+                cloud.borrow_mut().ingest(&out).expect("fresh labels");
+                owner.search_tokens(&Query::less_than(probe))
+            },
+            |tokens| {
+                let resp = cloud.borrow_mut().respond(&tokens);
+                black_box(resp.expect("bench state is honest"));
+            },
+        );
     }
 }

@@ -74,6 +74,10 @@ pub const ALLOWED_ATTR_KEYS: &[&str] = &[
     // out before: whether a target repeats is `L^repeat`, already
     // declared leakage.
     "cached",
+    // How many generations of a `cloud.token` answer the cloud served
+    // from that keyword's last answer: a function of the keyword's
+    // earlier tokens, `L^repeat` again.
+    "kept",
 ];
 
 /// The leakage a run *declares*: filled by the auditing caller from

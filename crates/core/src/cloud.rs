@@ -5,14 +5,18 @@ use crate::config::SlicerConfig;
 use crate::error::SlicerError;
 use crate::messages::{BuildOutput, CloudResponse, SearchToken, SliceResult};
 use crate::owner::state_key;
-use slicer_accumulator::{hash_to_prime_counted, result_digest, witness, AccumulatorError};
+use slicer_accumulator::{
+    hash_to_prime_counted, result_digest, result_digest_step, witness, AccumulatorError,
+    EMPTY_RESULT_DIGEST,
+};
 use slicer_bignum::BigUint;
 use slicer_crypto::{sha256, Prf};
 use slicer_par::Pool;
 use slicer_store::CloudState;
-use slicer_telemetry::TelemetryHandle;
+use slicer_telemetry::{Span, TelemetryHandle};
 use slicer_trapdoor::{Trapdoor, TrapdoorPublic};
-use std::collections::BTreeSet;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How the cloud generates membership witnesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -47,8 +51,56 @@ pub struct CloudServer {
     /// handed out, so a repeated target costs a lookup, or a catch-up
     /// with the primes ingested since; a rebuild drops them with it.
     prover: Option<witness::BatchProver>,
+    /// The last answer [`CloudServer::respond`] gave per keyword `(G1, G2)`
+    /// (DESIGN §10, "Kept answers"). Like the prover it lives and dies
+    /// with the cloud, never persisted.
+    kept: BTreeMap<([u8; 32], [u8; 32]), KeptAnswer>,
     telemetry: TelemetryHandle,
     pool: Pool,
+}
+
+/// A keyword's last answer at `j` updates. Generations `0..=j` never
+/// change once shipped, so it is a suffix of every later answer, and a
+/// token that reaches `t_j` at generation `j` only walks the generations
+/// added since.
+#[derive(Debug)]
+struct KeptAnswer {
+    updates: u32,
+    trapdoor: Trapdoor,
+    er: Vec<Vec<u8>>,
+    digest: [u8; 32],
+    prime: BigUint,
+    hint: u16,
+}
+
+/// One token's answer before its prime is known.
+enum Answer {
+    /// An exact repeat of a kept answer: nothing left to derive.
+    Kept {
+        er: Vec<Vec<u8>>,
+        digest: [u8; 32],
+        prime: BigUint,
+        hint: u16,
+    },
+    /// A walked answer: its first `fresh` ciphertexts, folded onto `base`
+    /// from the last to the first, give its digest.
+    Walked {
+        er: Vec<Vec<u8>>,
+        fresh: usize,
+        base: [u8; 32],
+    },
+}
+
+impl Answer {
+    /// The full walk's answer: every ciphertext is fresh.
+    fn full(er: Vec<Vec<u8>>) -> Self {
+        let fresh = er.len();
+        Answer::Walked {
+            er,
+            fresh,
+            base: EMPTY_RESULT_DIGEST,
+        }
+    }
 }
 
 impl CloudServer {
@@ -72,6 +124,7 @@ impl CloudServer {
             trapdoor_pk,
             strategy: WitnessStrategy::default(),
             prover: None,
+            kept: BTreeMap::new(),
             telemetry: TelemetryHandle::disabled(),
             pool,
         }
@@ -99,8 +152,8 @@ impl CloudServer {
     /// # Errors
     ///
     /// Returns [`SlicerError::IndexCorruption`] if the shipment repeats a
-    /// prime of `X` or one of its own, checked before `I` or `X` changes,
-    /// or collides with existing index labels.
+    /// prime or an index label, of the state or its own. A refused
+    /// shipment leaves `I`, `X` and `Ac` as they were.
     pub fn ingest(&mut self, output: &BuildOutput) -> Result<(), SlicerError> {
         let mut span = self.telemetry.span("store.extend");
         span.attr("entries", output.entries.len());
@@ -131,53 +184,107 @@ impl CloudServer {
     /// Algorithm 4's index walk for one token: from the newest trapdoor
     /// `t_j` down to `t_0`, scanning counters until the first miss in each
     /// generation.
-    fn search_one(&self, token: &SearchToken) -> SliceResult {
-        let mut span = self.telemetry.span("cloud.token");
+    ///
+    /// Given a kept answer's `(j', t_j')` with `j' < j`, the walk stops
+    /// before generation `j'` if `forward` reaches `t_j'` there. Returns
+    /// the ciphertexts found and whether it stopped so.
+    fn walk(&self, token: &SearchToken, join: Option<(u32, &Trapdoor)>) -> (Vec<Vec<u8>>, bool) {
         let width = self.trapdoor_pk.trapdoor_bytes();
         let f1 = Prf::new(&token.g1);
         let f2 = Prf::new(&token.g2);
         let mut er = Vec::new();
         let mut t: Trapdoor = token.trapdoor.clone();
-        for gen in (0..=token.updates).rev() {
+        let mut gen = token.updates;
+        let mut walked: u64 = 0;
+        let joined = loop {
             let t_bytes = t.to_bytes(width);
             // One generation shares its trapdoor prefix: absorb it into
             // the PRF midstates once, then walk counters.
             let f1t = f1.stream(&t_bytes);
             let f2t = f2.stream(&t_bytes);
             let mut c: u64 = 0;
-            loop {
-                let label = f1t.eval(&c.to_be_bytes());
-                match self.state.index.get(&label) {
-                    None => break,
-                    Some(d) => {
-                        let pad = f2t.eval(&c.to_be_bytes());
-                        let r: Vec<u8> = d.iter().zip(pad.iter()).map(|(x, p)| x ^ p).collect();
-                        er.push(r);
-                        c += 1;
-                    }
-                }
+            while let Some(d) = self.state.index.get(&f1t.eval(&c.to_be_bytes())) {
+                let pad = f2t.eval(&c.to_be_bytes());
+                er.push(d.iter().zip(pad.iter()).map(|(x, p)| x ^ p).collect());
+                c += 1;
             }
-            if gen > 0 {
-                t = self.trapdoor_pk.forward(&t);
+            walked += 1;
+            if gen == 0 {
+                break false;
             }
-        }
+            gen -= 1;
+            t = self.trapdoor_pk.forward(&t);
+            if join.is_some_and(|(g, tg)| g == gen && t == *tg) {
+                break true;
+            }
+        };
         // Every matched counter is a hit; every generation's walk ends on
         // exactly one miss.
         self.telemetry.count("cloud.index.hits", er.len() as u64);
-        self.telemetry
-            .count("cloud.index.misses", u64::from(token.updates) + 1);
-        // The span records exactly the server's view of this token:
-        // generations walked, entries recovered, and the token's identity
-        // fingerprint — `L^search` and the `L^repeat` input, no more.
+        self.telemetry.count("cloud.index.misses", walked);
+        (er, joined)
+    }
+
+    /// Records exactly the server's view of one token on its span:
+    /// generations, entries recovered, the token's identity fingerprint
+    /// and how many generations a kept answer served — `L^search` and
+    /// `L^repeat`, no more.
+    fn record_token(span: &mut Span, token: &SearchToken, hits: usize, kept: u32) {
         if span.is_recording() {
             span.attr("token.updates", token.updates);
-            span.attr("token.hits", er.len());
+            span.attr("token.hits", hits);
             span.attr("token.fp", token_fingerprint(token));
+            span.attr("kept", kept);
         }
+    }
+
+    /// Algorithm 4's full walk for one token.
+    fn search_one(&self, token: &SearchToken) -> SliceResult {
+        let mut span = self.telemetry.span("cloud.token");
+        let (er, _) = self.walk(token, None);
+        Self::record_token(&mut span, token, er.len(), 0);
         SliceResult {
             token: token.clone(),
             er,
         }
+    }
+
+    /// One token's answer by the cheapest route: an exact repeat of the
+    /// keyword's kept answer, a join onto it, or the full walk.
+    fn answer(&mut self, token: &SearchToken) -> Answer {
+        let mut span = self.telemetry.span("cloud.token");
+        let (answer, kept) = match self.kept.entry((token.g1, token.g2)) {
+            Entry::Occupied(k)
+                if k.get().updates == token.updates && k.get().trapdoor == token.trapdoor =>
+            {
+                let k = k.get();
+                let answer = Answer::Kept {
+                    er: k.er.clone(),
+                    digest: k.digest,
+                    prime: k.prime.clone(),
+                    hint: k.hint,
+                };
+                (answer, k.updates + 1)
+            }
+            Entry::Occupied(k) if k.get().updates < token.updates => {
+                let k = k.remove();
+                match self.walk(token, Some((k.updates, &k.trapdoor))) {
+                    (mut er, true) => {
+                        let fresh = er.len();
+                        er.extend(k.er);
+                        let base = k.digest;
+                        (Answer::Walked { er, fresh, base }, k.updates + 1)
+                    }
+                    (er, false) => (Answer::full(er), 0),
+                }
+            }
+            _ => (Answer::full(self.walk(token, None).0), 0),
+        };
+        let hits = match &answer {
+            Answer::Kept { er, .. } | Answer::Walked { er, .. } => er.len(),
+        };
+        Self::record_token(&mut span, token, hits, kept);
+        answer
     }
 
     /// Searches all tokens of a query.
@@ -199,14 +306,19 @@ impl CloudServer {
     /// property of the result — and [`SlicerError::HintOutOfRange`] if
     /// the walk index does not fit the contract's `u16` hint.
     pub fn prime_for(&self, result: &SliceResult) -> Result<(BigUint, u16), SlicerError> {
+        self.prime_of(&result.token, &result_digest(&result.er))
+    }
+
+    /// [`CloudServer::prime_for`] given the digest `h` of the result.
+    fn prime_of(&self, token: &SearchToken, h: &[u8; 32]) -> Result<(BigUint, u16), SlicerError> {
         let width = self.trapdoor_pk.trapdoor_bytes();
         let mut material = state_key(
-            &result.token.trapdoor.to_bytes(width),
-            result.token.updates,
-            &result.token.g1,
-            &result.token.g2,
+            &token.trapdoor.to_bytes(width),
+            token.updates,
+            &token.g1,
+            &token.g2,
         );
-        material.extend_from_slice(&result_digest(&result.er));
+        material.extend_from_slice(h);
         let (x, index) = hash_to_prime_counted(&material, self.config.prime_bits)
             .map_err(|e| SlicerError::IndexCorruption(e.to_string()))?;
         let hint = u16::try_from(index).map_err(|_| SlicerError::HintOutOfRange(index))?;
@@ -229,16 +341,26 @@ impl CloudServer {
         // Per-result prime derivation (digest + H_prime) is independent:
         // fan it out over the pool. prime_for emits no telemetry, so the
         // transcript stays worker-count independent.
-        let (xs, hints): (Vec<BigUint>, Vec<u16>) = self
+        let primes = self
             .pool
             .run(results, |r| self.prime_for(r))
             .into_iter()
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .unzip();
-        let targets: Vec<usize> = xs
+            .collect::<Result<Vec<_>, _>>()?;
+        let proofs = self.witnesses_for(&primes)?;
+        span.attr("witnesses", proofs.len());
+        Ok(proofs)
+    }
+
+    /// The tail [`CloudServer::prove`] and [`CloudServer::respond`] share:
+    /// each prime's membership witness in `X`, padded to the element
+    /// width, with the prime's hint.
+    fn witnesses_for(
+        &mut self,
+        primes: &[(BigUint, u16)],
+    ) -> Result<Vec<(Vec<u8>, u16)>, SlicerError> {
+        let targets: Vec<usize> = primes
             .iter()
-            .map(|x| {
+            .map(|(x, _)| {
                 self.state.primes.position(x).ok_or_else(|| {
                     SlicerError::IndexCorruption("result prime missing from X".into())
                 })
@@ -261,11 +383,10 @@ impl CloudServer {
         };
         self.telemetry
             .count("cloud.witnesses.generated", witnesses.len() as u64);
-        span.attr("witnesses", witnesses.len());
         Ok(witnesses
             .into_iter()
             .map(|w| w.to_bytes_be_padded(elem))
-            .zip(hints)
+            .zip(primes.iter().map(|&(_, hint)| hint))
             .collect())
     }
 
@@ -300,7 +421,12 @@ impl CloudServer {
         Ok(ws)
     }
 
-    /// Full Algorithm 4: search + VO generation.
+    /// Full Algorithm 4: search + VO generation, equal byte for byte to
+    /// [`CloudServer::search`] then [`CloudServer::prove`]. Each token is
+    /// answered from its keyword's kept answer where it can be: an exact
+    /// repeat costs no index lookup, digest or `H_prime`; a newer token
+    /// walks only the generations added since (DESIGN §10, "Kept
+    /// answers"). The newest answer per keyword is kept.
     ///
     /// # Errors
     ///
@@ -308,8 +434,72 @@ impl CloudServer {
     pub fn respond(&mut self, tokens: &[SearchToken]) -> Result<CloudResponse, SlicerError> {
         let mut span = self.telemetry.span("cloud.respond");
         span.attr("tokens", tokens.len());
-        let results = self.search(tokens);
-        let proofs = self.prove(&results)?;
+        let mut search_span = self.telemetry.span("cloud.search");
+        search_span.attr("tokens", tokens.len());
+        let answers: Vec<(&SearchToken, Answer)> =
+            tokens.iter().map(|t| (t, self.answer(t))).collect();
+        drop(search_span);
+
+        let mut prove_span = self.telemetry.span("cloud.prove");
+        // As in prove: a walked answer's digest and prime fan out over the
+        // pool, which records no telemetry.
+        let (primes, digests): (Vec<(BigUint, u16)>, Vec<[u8; 32]>) = self
+            .pool
+            .run(&answers, |(token, answer)| match answer {
+                Answer::Kept {
+                    digest,
+                    prime,
+                    hint,
+                    ..
+                } => Ok(((prime.clone(), *hint), *digest)),
+                Answer::Walked { er, fresh, base } => {
+                    let h = er
+                        .iter()
+                        .take(*fresh)
+                        .rev()
+                        .fold(*base, |h, r| result_digest_step(r, &h));
+                    Ok((self.prime_of(token, &h)?, h))
+                }
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, SlicerError>>()?
+            .into_iter()
+            .unzip();
+        let proofs = self.witnesses_for(&primes)?;
+        prove_span.attr("witnesses", proofs.len());
+        drop(prove_span);
+
+        let mut results = Vec::with_capacity(answers.len());
+        for (((token, answer), (prime, hint)), digest) in
+            answers.into_iter().zip(primes).zip(digests)
+        {
+            let er = match answer {
+                Answer::Kept { er, .. } => er,
+                Answer::Walked { er, .. } => {
+                    let id = (token.g1, token.g2);
+                    if self
+                        .kept
+                        .get(&id)
+                        .is_none_or(|k| k.updates <= token.updates)
+                    {
+                        let kept = KeptAnswer {
+                            updates: token.updates,
+                            trapdoor: token.trapdoor.clone(),
+                            er: er.clone(),
+                            digest,
+                            prime,
+                            hint,
+                        };
+                        self.kept.insert(id, kept);
+                    }
+                    er
+                }
+            };
+            results.push(SliceResult {
+                token: token.clone(),
+                er,
+            });
+        }
         Ok(CloudResponse { results, proofs })
     }
 }
@@ -394,6 +584,7 @@ mod tests {
     use crate::record::RecordId;
     use slicer_accumulator::Accumulator;
     use slicer_telemetry::{AttrValue, Event, LogicalClock, MemorySink};
+    use slicer_testkit::Gen;
     use std::sync::Arc;
 
     fn setup(n: u64) -> (DataOwner, CloudServer) {
@@ -475,15 +666,15 @@ mod tests {
         }
     }
 
-    /// The `cached` attribute of every `accumulator.witness` span in
-    /// `sink`, in order.
-    fn witness_cached(sink: &MemorySink) -> Vec<u64> {
+    /// The numeric attribute `key` of every `span` span in `sink`, in
+    /// order.
+    fn span_attr(sink: &MemorySink, span: &str, key: &str) -> Vec<u64> {
         sink.events()
             .into_iter()
             .filter_map(|e| match e {
-                Event::SpanEnd { name, attrs, .. } if name == "accumulator.witness" => {
-                    attrs.into_iter().find_map(|(k, v)| match (k, v) {
-                        ("cached", AttrValue::U64(n)) => Some(n),
+                Event::SpanEnd { name, attrs, .. } if name == span => {
+                    attrs.into_iter().find_map(|(k, v)| match v {
+                        AttrValue::U64(n) if k == key => Some(n),
                         _ => None,
                     })
                 }
@@ -509,7 +700,10 @@ mod tests {
         let again = cloud.respond(&tokens).unwrap();
         assert_verifies(&owner, &cloud, &again);
         assert_eq!(first.proofs, again.proofs);
-        assert_eq!(witness_cached(&sink), vec![0, tokens.len() as u64]);
+        assert_eq!(
+            span_attr(&sink, "accumulator.witness", "cached"),
+            vec![0, tokens.len() as u64]
+        );
     }
 
     #[test]
@@ -558,6 +752,194 @@ mod tests {
             .respond(&owner.search_tokens(&Query::equal(9)))
             .unwrap();
         assert_verifies(&owner, &cloud, &resp);
+    }
+
+    #[test]
+    fn shipment_repeating_a_label_is_refused_untouched() {
+        // A shipment whose last entry repeats its first is refused with
+        // `I`, `X` and `Ac` as they were; the true shipment then ingests.
+        use slicer_crypto::codec::to_bytes;
+        let (mut owner, mut cloud) = setup(15);
+        let out = owner.insert(&[(RecordId::from_u64(500), 9)]).unwrap();
+        let before = to_bytes(&cloud.state).unwrap();
+        let mut bad = out.clone();
+        bad.entries.push(out.entries[0].clone());
+        match cloud.ingest(&bad) {
+            Err(SlicerError::IndexCorruption(m)) => assert!(m.contains("already present")),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(to_bytes(&cloud.state).unwrap(), before);
+        cloud.ingest(&out).unwrap();
+        let resp = cloud
+            .respond(&owner.search_tokens(&Query::equal(9)))
+            .unwrap();
+        assert_verifies(&owner, &cloud, &resp);
+    }
+
+    /// `respond`'s outcome next to `search` then `prove` on the same
+    /// cloud: equal byte for byte, or both the same error.
+    fn respond_matches_full_walk(
+        cloud: &mut CloudServer,
+        tokens: &[SearchToken],
+    ) -> Result<Option<CloudResponse>, String> {
+        let got = cloud.respond(tokens);
+        let results = cloud.search(tokens);
+        match (got, cloud.prove(&results)) {
+            (Ok(got), Ok(proofs)) => {
+                let same = got.proofs == proofs
+                    && got.results.len() == results.len()
+                    && got
+                        .results
+                        .iter()
+                        .zip(&results)
+                        .all(|(a, b)| a.token == b.token && a.er == b.er);
+                if same {
+                    Ok(Some(got))
+                } else {
+                    Err("respond differs from search + prove".into())
+                }
+            }
+            (Err(a), Err(b)) if a.to_string() == b.to_string() => Ok(None),
+            (a, b) => Err(format!("respond {a:?}, search + prove {b:?}")),
+        }
+    }
+
+    #[test]
+    fn respond_equals_search_then_prove() {
+        use slicer_testkit::{prop_assert, prop_check};
+        // Random interleavings of inserts and queries: repeats, keywords
+        // touched since their last search, stale tokens (an older `j`),
+        // tokens whose trapdoor does not join, and kept answers that are
+        // not on their keyword's trapdoor chain.
+        prop_check!(0x3101, 48, |g| {
+            let mut owner = DataOwner::new(SlicerConfig::test_8bit(), g.u64_in(0, 999));
+            let db: Vec<(RecordId, u64)> = (0..g.u64_in(1, 10))
+                .map(|i| (RecordId::from_u64(i), g.u64_in(0, 255)))
+                .collect();
+            let mut cloud = CloudServer::new(
+                owner.config().clone(),
+                owner.keys().trapdoor().public().clone(),
+            );
+            cloud.ingest(&owner.build(&db).unwrap()).unwrap();
+            let mut sent: Vec<Vec<SearchToken>> = Vec::new();
+            for id in 100..100 + g.u64_in(4, 12) {
+                let fresh = |g: &mut Gen, owner: &DataOwner| {
+                    let v = g.u64_in(0, 255);
+                    let q = [Query::equal(v), Query::less_than(v), Query::greater_than(v)];
+                    owner.search_tokens(&q[g.index(3)])
+                };
+                let tokens = match g.u64_in(0, 5) {
+                    0 => {
+                        let out = owner
+                            .insert(&[(RecordId::from_u64(id), g.u64_in(0, 255))])
+                            .unwrap();
+                        cloud.ingest(&out).unwrap();
+                        continue;
+                    }
+                    // A repeat of an earlier query: the last one, or one
+                    // whose keywords have been updated since.
+                    1 if !sent.is_empty() => sent[g.index(sent.len())].clone(),
+                    // A fresh token whose trapdoor is one generation off.
+                    2 => {
+                        let mut tokens = fresh(g, &owner);
+                        if let Some(t) = tokens.first_mut() {
+                            t.trapdoor = cloud.trapdoor_pk.forward(&t.trapdoor);
+                        }
+                        tokens
+                    }
+                    // A kept answer off its keyword's chain, with a forged
+                    // ciphertext: no route may serve it.
+                    3 if !cloud.kept.is_empty() => {
+                        let at = g.index(cloud.kept.len());
+                        if let Some(k) = cloud.kept.values_mut().nth(at) {
+                            if g.bool() || k.updates == 0 {
+                                k.trapdoor = cloud.trapdoor_pk.forward(&k.trapdoor);
+                            } else {
+                                k.updates -= 1;
+                            }
+                            k.er.push(vec![0x5a; 32]);
+                        }
+                        sent.last().cloned().unwrap_or_default()
+                    }
+                    _ => fresh(g, &owner),
+                };
+                // Every answer verifies against the owner's digest; an
+                // answer that fails does so on both paths alike.
+                if let Some(resp) = respond_matches_full_walk(&mut cloud, &tokens)? {
+                    let params = &owner.config().accumulator;
+                    let acc = Accumulator::from_value(params, owner.accumulator().clone());
+                    for (result, (vo, hint)) in resp.results.iter().zip(&resp.proofs) {
+                        let (x, want) = cloud.prime_for(result).unwrap();
+                        prop_assert!(*hint == want && acc.verify(&x, &BigUint::from_bytes_be(vo)));
+                    }
+                    sent.push(tokens);
+                }
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn routes_skip_the_generations_they_keep() {
+        // An exact repeat makes no index lookup; after a one-record insert
+        // the same query walks only the new generation of each keyword
+        // the insert touched.
+        let (mut owner, mut cloud) = setup(20);
+        let (telemetry, sink) = recording();
+        cloud.set_telemetry(telemetry.clone());
+        let query = Query::less_than(90);
+        let lookups = |t: &TelemetryHandle| {
+            (
+                t.counter_value("cloud.index.hits").unwrap_or(0),
+                t.counter_value("cloud.index.misses").unwrap_or(0),
+            )
+        };
+        let first = cloud.respond(&owner.search_tokens(&query)).unwrap();
+        let cold = lookups(&telemetry);
+        let again = cloud.respond(&owner.search_tokens(&query)).unwrap();
+        assert_eq!(
+            lookups(&telemetry),
+            cold,
+            "an exact repeat looks nothing up"
+        );
+        assert_eq!(first.proofs, again.proofs);
+
+        let out = owner.insert(&[(RecordId::from_u64(900), 3)]).unwrap();
+        cloud.ingest(&out).unwrap();
+        let tokens = owner.search_tokens(&query);
+        let joined = cloud.respond(&tokens).unwrap();
+        assert_verifies(&owner, &cloud, &joined);
+        let (hits, misses) = lookups(&telemetry);
+        // One hit and one miss per keyword the record added: each such
+        // token walks only its new generation.
+        let touched = tokens.iter().filter(|t| t.updates > 0).count() as u64;
+        assert!(touched > 0);
+        assert_eq!((hits - cold.0, misses - cold.1), (touched, touched));
+
+        // The span's `kept`: the first walk served nothing from a kept
+        // answer; after it, every token's generation 0 was kept, whether
+        // it repeated exactly or joined.
+        let kept = span_attr(&sink, "cloud.token", "kept");
+        let n = tokens.len();
+        assert_eq!(kept.len(), 3 * n);
+        assert!(kept[..n].iter().all(|&k| k == 0));
+        assert!(kept[n..].iter().all(|&k| k == 1));
+    }
+
+    #[test]
+    fn a_restored_cloud_keeps_no_answers() {
+        let (owner, mut cloud) = setup(20);
+        let tokens = owner.search_tokens(&Query::less_than(90));
+        let before = cloud.respond(&tokens).unwrap();
+        assert_eq!(cloud.kept.len(), tokens.len());
+        let mut restored = CloudServer::from_state(
+            cloud.config.clone(),
+            cloud.trapdoor_pk.clone(),
+            cloud.storage().clone(),
+        );
+        assert!(restored.kept.is_empty());
+        let after = restored.respond(&tokens).unwrap();
+        assert_eq!(before.proofs, after.proofs);
     }
 
     #[test]
@@ -621,7 +1003,7 @@ mod tests {
             // call served no target from kept witnesses.
             cloud.respond(&tokens).unwrap();
             assert_eq!(telemetry.counter_value("cloud.prover.rebuilds"), Some(1));
-            let cached = witness_cached(&sink);
+            let cached = span_attr(&sink, "accumulator.witness", "cached");
             assert!(
                 cached.ends_with(&[0, targets.len() as u64]),
                 "{name}: {cached:?}"

@@ -1,5 +1,6 @@
 //! The history-independent encrypted index `I`.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -87,20 +88,37 @@ impl EncryptedIndex {
         self.entries.is_empty()
     }
 
-    /// Merges a batch of new entries (the `Insert` protocol's index delta).
+    /// Merges a batch of new entries (the `Insert` protocol's index
+    /// delta), all or nothing.
     ///
     /// # Errors
     ///
-    /// Returns the first duplicate label encountered; entries before the
-    /// failure remain applied (the protocol treats this as fatal corruption
-    /// and re-syncs).
+    /// Returns the first label that is already present or repeats an
+    /// earlier label of the batch; the batch's own inserts are undone
+    /// first, so a refused batch leaves the index as it was.
     pub fn extend(
         &mut self,
         batch: impl IntoIterator<Item = (IndexLabel, Vec<u8>)>,
     ) -> Result<(), DuplicateLabelError> {
-        for (l, d) in batch {
-            self.put(l, d)?;
+        let batch = batch.into_iter();
+        let mut added: Vec<IndexLabel> = Vec::with_capacity(batch.size_hint().0);
+        let mut bytes = 0;
+        for (label, data) in batch {
+            match self.entries.entry(label) {
+                Entry::Vacant(slot) => {
+                    bytes += data.len();
+                    slot.insert(data);
+                    added.push(label);
+                }
+                Entry::Occupied(_) => {
+                    for l in &added {
+                        self.entries.remove(l);
+                    }
+                    return Err(DuplicateLabelError { label });
+                }
+            }
         }
+        self.value_bytes += bytes;
         Ok(())
     }
 
@@ -152,6 +170,26 @@ mod tests {
         let mut idx = EncryptedIndex::new();
         idx.extend((0u8..10).map(|i| ([i; 32], vec![i]))).unwrap();
         assert_eq!(idx.len(), 10);
+    }
+
+    #[test]
+    fn refused_batch_leaves_the_index_untouched() {
+        let mut idx = EncryptedIndex::new();
+        idx.put([9u8; 32], vec![9]).unwrap();
+        let size = idx.size_bytes();
+        // A repeat within the batch, then a repeat of a held label.
+        for repeat in [[0u8; 32], [9u8; 32]] {
+            let batch = (0u8..4)
+                .map(|i| ([i; 32], vec![i]))
+                .chain([(repeat, vec![7])]);
+            assert!(idx.extend(batch).is_err());
+            assert_eq!(idx.len(), 1);
+            assert_eq!(idx.size_bytes(), size);
+            assert_eq!(idx.get(&[9u8; 32]), Some([9].as_slice()));
+        }
+        idx.extend((0u8..4).map(|i| ([i; 32], vec![i]))).unwrap();
+        assert_eq!(idx.len(), 5);
+        assert_eq!(idx.size_bytes(), size + 4 * 33);
     }
 
     #[test]

@@ -291,10 +291,23 @@ cli search lt 25 | grep -q "verified=true" || {
 # must land on the last one (identical digest, every record searchable)
 # and the data directory may grow by at most 64 KB per ingest.
 data_bytes() { du -sb "$smoke_tmp/data" | cut -f1; }
+index_hits() { cli metrics | awk '$1 == "slicer_cloud_index_hits" { print $2 }'; }
+records_of() { grep -o 'records=\[[^]]*\]' <<<"$1"; }
 bytes_before="$(data_bytes)"
+# A `search gt 200` after each ingest: the keywords of `gt 200` first
+# appear with these records and then gain one generation at a time, so
+# over the wire the searches walk a keyword afresh, repeat a kept answer
+# exactly, and join one (walk only the generation an ingest added).
 for i in 1 2 3 4 5; do
   cli ingest "$((100 + i)):$((200 + i))" >/dev/null
+  hits_before="$(index_hits)"
+  joined_search="$(cli search gt 200)"
+  grep -q "verified=true" <<<"$joined_search" || {
+    echo "slicerd smoke FAILED: search between the delta ingests not verified" >&2
+    exit 1
+  }
 done
+joined_hits=$(($(index_hits) - ${hits_before:-0}))
 growth=$(($(data_bytes) - bytes_before))
 if [ "$growth" -gt $((5 * 64 * 1024)) ]; then
   echo "slicerd smoke FAILED: 5 single-record ingests grew the data directory by $growth bytes" >&2
@@ -304,10 +317,6 @@ fi
 # with the five deltas instead of being rebuilt. A rebuild costs a cold
 # build per search, yet its witnesses still verify, so only this counter
 # shows a prover check that fires wrongly.
-cli search gt 200 | grep -q "verified=true" || {
-  echo "slicerd smoke FAILED: search over the delta ingests not verified" >&2
-  exit 1
-}
 smoke_metrics="$(cli metrics)"
 grep -q "^slicer_cloud_witnesses_generated [1-9]" <<<"$smoke_metrics" || {
   echo "slicerd smoke FAILED: no witnesses counted in the metrics scrape" >&2
@@ -315,6 +324,17 @@ grep -q "^slicer_cloud_witnesses_generated [1-9]" <<<"$smoke_metrics" || {
 }
 if grep -E "^slicer_cloud_prover_rebuilds [1-9]" <<<"$smoke_metrics"; then
   echo "slicerd smoke FAILED: the cloud rebuilt its prover" >&2
+  exit 1
+fi
+# An immediately repeated search is served whole from kept answers: it
+# looks nothing up in the index.
+hits_before="$(index_hits)"
+cli search gt 200 | grep -q "verified=true" || {
+  echo "slicerd smoke FAILED: repeated search not verified" >&2
+  exit 1
+}
+if [ -z "$hits_before" ] || [ "$(index_hits)" != "$hits_before" ]; then
+  echo "slicerd smoke FAILED: a repeated search looked up the index ($hits_before -> $(index_hits) hits)" >&2
   exit 1
 fi
 digest_before="$(cli stat | grep -o 'digest=[0-9a-f]*')"
@@ -340,6 +360,20 @@ for id in 101 102 103 104 105; do
     exit 1
   }
 done
+# The restored cloud keeps no answers, so this search walked every
+# generation. The answer built from kept answers before the kill must
+# name the same records in the same order, with fewer index hits.
+if [ "$(records_of "$joined_search")" != "$(records_of "$delta_search")" ]; then
+  echo "slicerd smoke FAILED: the joined answer differs from the restored cloud's full walk" >&2
+  echo "  joined:   $joined_search" >&2
+  echo "  restored: $delta_search" >&2
+  exit 1
+fi
+cold_hits="$(index_hits)"
+if [ -z "$cold_hits" ] || [ "$joined_hits" -ge "$cold_hits" ]; then
+  echo "slicerd smoke FAILED: the last search between the ingests walked $joined_hits entries, a full walk $cold_hits" >&2
+  exit 1
+fi
 cli shutdown >/dev/null
 wait "$slicerd_pid"
 slicerd_pid=""
