@@ -331,10 +331,11 @@ impl CloudServer {
     ///
     /// # Errors
     ///
-    /// Returns [`SlicerError::IndexCorruption`] if a result's prime is not
-    /// in the stored prime list — that means the cloud's own search output
-    /// is inconsistent with what the owner accumulated, i.e. local state
-    /// corruption — and [`SlicerError::HintOutOfRange`] as
+    /// Returns [`SlicerError::UnaccumulatedResult`] if a result's prime is
+    /// not in the stored prime list — its token's trapdoor is not on its
+    /// keyword's chain, so the owner never accumulated that answer —
+    /// [`SlicerError::IndexCorruption`] when witness generation fails on
+    /// the cloud's own state, and [`SlicerError::HintOutOfRange`] as
     /// [`CloudServer::prime_for`] does.
     pub fn prove(&mut self, results: &[SliceResult]) -> Result<Vec<(Vec<u8>, u16)>, SlicerError> {
         let mut span = self.telemetry.span("cloud.prove");
@@ -360,10 +361,12 @@ impl CloudServer {
     ) -> Result<Vec<(Vec<u8>, u16)>, SlicerError> {
         let targets: Vec<usize> = primes
             .iter()
-            .map(|(x, _)| {
-                self.state.primes.position(x).ok_or_else(|| {
-                    SlicerError::IndexCorruption("result prime missing from X".into())
-                })
+            .enumerate()
+            .map(|(index, (x, _))| {
+                self.state
+                    .primes
+                    .position(x)
+                    .ok_or(SlicerError::UnaccumulatedResult { index })
             })
             .collect::<Result<_, _>>()?;
         let params = &self.config.accumulator;
@@ -430,7 +433,9 @@ impl CloudServer {
     ///
     /// # Errors
     ///
-    /// Propagates [`CloudServer::prove`] state-corruption errors.
+    /// The errors of [`CloudServer::prove`]: an answer off its keyword's
+    /// trapdoor chain is [`SlicerError::UnaccumulatedResult`] on both
+    /// paths.
     pub fn respond(&mut self, tokens: &[SearchToken]) -> Result<CloudResponse, SlicerError> {
         let mut span = self.telemetry.span("cloud.respond");
         span.attr("tokens", tokens.len());
@@ -777,11 +782,12 @@ mod tests {
     }
 
     /// `respond`'s outcome next to `search` then `prove` on the same
-    /// cloud: equal byte for byte, or both the same error.
+    /// cloud: equal byte for byte, or both the same error (returned as
+    /// `[respond's, prove's]`).
     fn respond_matches_full_walk(
         cloud: &mut CloudServer,
         tokens: &[SearchToken],
-    ) -> Result<Option<CloudResponse>, String> {
+    ) -> Result<Result<CloudResponse, [SlicerError; 2]>, String> {
         let got = cloud.respond(tokens);
         let results = cloud.search(tokens);
         match (got, cloud.prove(&results)) {
@@ -794,12 +800,12 @@ mod tests {
                         .zip(&results)
                         .all(|(a, b)| a.token == b.token && a.er == b.er);
                 if same {
-                    Ok(Some(got))
+                    Ok(Ok(got))
                 } else {
                     Err("respond differs from search + prove".into())
                 }
             }
-            (Err(a), Err(b)) if a.to_string() == b.to_string() => Ok(None),
+            (Err(a), Err(b)) if a.to_string() == b.to_string() => Ok(Err([a, b])),
             (a, b) => Err(format!("respond {a:?}, search + prove {b:?}")),
         }
     }
@@ -828,6 +834,8 @@ mod tests {
                     let q = [Query::equal(v), Query::less_than(v), Query::greater_than(v)];
                     owner.search_tokens(&q[g.index(3)])
                 };
+                // Whether the first token's trapdoor is off its chain.
+                let mut off_chain = false;
                 let tokens = match g.u64_in(0, 5) {
                     0 => {
                         let out = owner
@@ -844,6 +852,7 @@ mod tests {
                         let mut tokens = fresh(g, &owner);
                         if let Some(t) = tokens.first_mut() {
                             t.trapdoor = cloud.trapdoor_pk.forward(&t.trapdoor);
+                            off_chain = true;
                         }
                         tokens
                     }
@@ -863,16 +872,29 @@ mod tests {
                     }
                     _ => fresh(g, &owner),
                 };
-                // Every answer verifies against the owner's digest; an
-                // answer that fails does so on both paths alike.
-                if let Some(resp) = respond_matches_full_walk(&mut cloud, &tokens)? {
-                    let params = &owner.config().accumulator;
-                    let acc = Accumulator::from_value(params, owner.accumulator().clone());
-                    for (result, (vo, hint)) in resp.results.iter().zip(&resp.proofs) {
-                        let (x, want) = cloud.prime_for(result).unwrap();
-                        prop_assert!(*hint == want && acc.verify(&x, &BigUint::from_bytes_be(vo)));
+                // Every answer verifies against the owner's digest. Only an
+                // off-chain token fails, typed alike on both paths.
+                match respond_matches_full_walk(&mut cloud, &tokens)? {
+                    Ok(resp) => {
+                        let params = &owner.config().accumulator;
+                        let acc = Accumulator::from_value(params, owner.accumulator().clone());
+                        for (result, (vo, hint)) in resp.results.iter().zip(&resp.proofs) {
+                            let (x, want) = cloud.prime_for(result).unwrap();
+                            prop_assert!(
+                                *hint == want && acc.verify(&x, &BigUint::from_bytes_be(vo))
+                            );
+                        }
+                        sent.push(tokens);
                     }
-                    sent.push(tokens);
+                    Err(errors) => {
+                        prop_assert!(
+                            off_chain
+                                && errors.iter().all(|e| matches!(
+                                    e,
+                                    SlicerError::UnaccumulatedResult { index: 0 }
+                                ))
+                        );
+                    }
                 }
             }
             Ok(())

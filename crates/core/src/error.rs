@@ -25,8 +25,16 @@ pub enum SlicerError {
     MalformedResult(slicer_crypto::CryptoError),
     /// An underlying blockchain operation failed.
     Chain(ChainError),
-    /// The cloud shipped an index batch with colliding labels.
+    /// The cloud's own state is inconsistent: an index batch with
+    /// colliding labels, or a prover that disagrees with the prime list.
     IndexCorruption(String),
+    /// Result `index` of an answer has no prime in the accumulated list
+    /// `X`: its token's trapdoor is not on its keyword's chain (a
+    /// malformed or forged request), so no membership witness exists.
+    UnaccumulatedResult {
+        /// Position of the result in the answer.
+        index: usize,
+    },
     /// A result's `H_prime` walk index does not fit the contract's `u16`
     /// hint, so the result cannot be settled.
     HintOutOfRange(u64),
@@ -50,6 +58,10 @@ impl fmt::Display for SlicerError {
             SlicerError::MalformedResult(e) => write!(f, "malformed result: {e}"),
             SlicerError::Chain(e) => write!(f, "chain error: {e}"),
             SlicerError::IndexCorruption(m) => write!(f, "index corruption: {m}"),
+            SlicerError::UnaccumulatedResult { index } => write!(
+                f,
+                "result {index} has no accumulated prime: its token is not on its keyword's trapdoor chain"
+            ),
             SlicerError::HintOutOfRange(k) => {
                 write!(f, "H_prime walk index {k} does not fit the u16 hint")
             }

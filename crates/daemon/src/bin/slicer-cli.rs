@@ -30,15 +30,33 @@
 use slicer_core::Query;
 use slicer_daemon::{hex, DaemonClient, DaemonError, Endpoint, FlightRecording, IN_FLIGHT};
 use slicer_telemetry::Snapshot;
+use std::io::{ErrorKind, Write};
 use std::path::Path;
 
 fn main() {
-    match run(std::env::args().skip(1).collect()) {
+    let mut out = Vec::new();
+    let result = run(std::env::args().skip(1).collect(), &mut out);
+    write_stdout(&out);
+    match result {
         Ok(code) => std::process::exit(code),
         Err(e) => {
             eprintln!("slicer-cli: {e}");
             std::process::exit(2);
         }
+    }
+}
+
+/// Writes a subcommand's output to stdout. A reader that closes early
+/// (`slicer-cli flightrec <path> | head`) ends the output; it is not an
+/// error, so the exit status stays the subcommand's own.
+fn write_stdout(bytes: &[u8]) {
+    let mut stdout = std::io::stdout().lock();
+    match stdout.write_all(bytes).and_then(|()| stdout.flush()) {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+            eprintln!("slicer-cli: cannot write output: {e}");
+            std::process::exit(2);
+        }
+        _ => {}
     }
 }
 
@@ -50,7 +68,8 @@ const USAGE: &str = "usage: slicer-cli --connect <endpoint> \
                      — or: slicer-cli flightrec <path> \
                      — or: slicer-cli bench-diff <baseline.json> <candidate.json> [--timing-rel <pct>]";
 
-fn run(args: Vec<String>) -> Result<i32, DaemonError> {
+/// Runs the command in `args`, writing what it prints into `out`.
+fn run(args: Vec<String>, out: &mut Vec<u8>) -> Result<i32, DaemonError> {
     let mut it = args.iter();
     let mut connect = None;
     let mut command = None;
@@ -73,25 +92,25 @@ fn run(args: Vec<String>) -> Result<i32, DaemonError> {
     // The flight-recorder decoder and the bench comparator read files,
     // not a socket.
     if name == "flightrec" {
-        return flightrec(&rest);
+        return flightrec(&rest, out);
     }
     if name == "bench-diff" {
-        return bench_diff(&rest);
+        return bench_diff(&rest, out);
     }
     let endpoint = connect.ok_or_else(|| DaemonError::Config("--connect is required".into()))?;
     let mut client = DaemonClient::connect(&endpoint)?;
     match name.as_str() {
-        "ingest" => ingest(&mut client, &rest),
-        "search" => search(&mut client, &rest),
-        "verify" => verify(&mut client),
-        "stat" => stat(&mut client),
-        "metrics" => metrics(&mut client, &rest),
-        "tail" => tail(&mut client, &rest),
-        "top" => top(&mut client, &rest),
-        "profile" => profile(&mut client, &rest),
+        "ingest" => ingest(&mut client, &rest, out),
+        "search" => search(&mut client, &rest, out),
+        "verify" => verify(&mut client, out),
+        "stat" => stat(&mut client, out),
+        "metrics" => metrics(&mut client, &rest, out),
+        "tail" => tail(&mut client, &rest, out),
+        "top" => top(&mut client, &rest, out),
+        "profile" => profile(&mut client, &rest, out),
         "shutdown" => {
             client.shutdown()?;
-            println!("shutdown acknowledged");
+            writeln!(out, "shutdown acknowledged")?;
             Ok(0)
         }
         other => Err(DaemonError::Config(format!(
@@ -100,7 +119,11 @@ fn run(args: Vec<String>) -> Result<i32, DaemonError> {
     }
 }
 
-fn ingest(client: &mut DaemonClient, rest: &[String]) -> Result<i32, DaemonError> {
+fn ingest(
+    client: &mut DaemonClient,
+    rest: &[String],
+    out: &mut Vec<u8>,
+) -> Result<i32, DaemonError> {
     if rest.is_empty() {
         return Err(DaemonError::Config(
             "ingest wants at least one <id>:<value> pair".into(),
@@ -117,14 +140,19 @@ fn ingest(client: &mut DaemonClient, rest: &[String]) -> Result<i32, DaemonError
         ));
     }
     let (count, generation, digest) = client.ingest(records)?;
-    println!(
+    writeln!(
+        out,
         "ingested records={count} generation={generation} digest={}",
         hex(&digest)
-    );
+    )?;
     Ok(0)
 }
 
-fn search(client: &mut DaemonClient, rest: &[String]) -> Result<i32, DaemonError> {
+fn search(
+    client: &mut DaemonClient,
+    rest: &[String],
+    out: &mut Vec<u8>,
+) -> Result<i32, DaemonError> {
     let mut it = rest.iter();
     let op = it
         .next()
@@ -160,7 +188,8 @@ fn search(client: &mut DaemonClient, rest: &[String]) -> Result<i32, DaemonError
     };
     let reply = client.search(query, payment)?;
     let ids: Vec<String> = reply.ids.iter().map(u64::to_string).collect();
-    println!(
+    writeln!(
+        out,
         "verified={} records=[{}] paid_cloud={} request_gas={} verify_gas={} digest={}",
         reply.verified,
         ids.join(","),
@@ -168,29 +197,31 @@ fn search(client: &mut DaemonClient, rest: &[String]) -> Result<i32, DaemonError
         reply.request_gas,
         reply.verify_gas,
         hex(&reply.digest)
-    );
+    )?;
     Ok(if reply.verified { 0 } else { 1 })
 }
 
-fn verify(client: &mut DaemonClient) -> Result<i32, DaemonError> {
+fn verify(client: &mut DaemonClient, out: &mut Vec<u8>) -> Result<i32, DaemonError> {
     let (chain_ok, height, digest) = client.verify()?;
-    println!(
+    writeln!(
+        out,
         "chain_ok={chain_ok} height={height} digest={}",
         hex(&digest)
-    );
+    )?;
     Ok(if chain_ok { 0 } else { 1 })
 }
 
-fn stat(client: &mut DaemonClient) -> Result<i32, DaemonError> {
+fn stat(client: &mut DaemonClient, out: &mut Vec<u8>) -> Result<i32, DaemonError> {
     let reply = client.stat()?;
-    println!(
+    writeln!(
+        out,
         "index_entries={} primes={} generation={} chain_height={} digest={}",
         reply.index_entries,
         reply.primes,
         reply.generation,
         reply.chain_height,
         hex(&reply.digest)
-    );
+    )?;
     Ok(0)
 }
 
@@ -198,47 +229,53 @@ fn stat(client: &mut DaemonClient) -> Result<i32, DaemonError> {
 /// exposition; `--json` prints the JSON export; `--check` validates both
 /// renderings (JSON via the in-crate RFC 8259 parser, Prometheus via a
 /// line-shape check) and prints machine-readable `metrics-check` markers.
-fn metrics(client: &mut DaemonClient, rest: &[String]) -> Result<i32, DaemonError> {
+fn metrics(
+    client: &mut DaemonClient,
+    rest: &[String],
+    out: &mut Vec<u8>,
+) -> Result<i32, DaemonError> {
     let reply = client.metrics()?;
     let snap = reply.snapshot();
     match rest.first().map(String::as_str) {
         None => {
-            print!("{}", snap.to_prometheus_text());
+            write!(out, "{}", snap.to_prometheus_text())?;
             Ok(0)
         }
         Some("--json") => {
-            println!("{}", snap.to_json());
+            writeln!(out, "{}", snap.to_json())?;
             Ok(0)
         }
         Some("--check") => {
             let mut ok = true;
             let json = snap.to_json();
             match slicer_telemetry::json::parse(&json) {
-                Ok(_) => println!("metrics-check json=ok bytes={}", json.len()),
+                Ok(_) => writeln!(out, "metrics-check json=ok bytes={}", json.len())?,
                 Err(e) => {
                     ok = false;
-                    println!("metrics-check json=INVALID error={e}");
+                    writeln!(out, "metrics-check json=INVALID error={e}")?;
                 }
             }
             match check_prometheus(&snap.to_prometheus_text()) {
-                Ok(samples) => println!("metrics-check prometheus=ok samples={samples}"),
+                Ok(samples) => writeln!(out, "metrics-check prometheus=ok samples={samples}")?,
                 Err(e) => {
                     ok = false;
-                    println!("metrics-check prometheus=INVALID error={e}");
+                    writeln!(out, "metrics-check prometheus=INVALID error={e}")?;
                 }
             }
-            println!(
+            writeln!(
+                out,
                 "metrics-check uptime_ns={} version={} boot={} generation={}",
                 reply.uptime_ns, reply.version, reply.boot, reply.generation
-            );
+            )?;
             let counter = |name: &str| snap.counter(name).unwrap_or(0);
-            println!(
+            writeln!(
+                out,
                 "metrics-check persist commits_base={} commits_delta={} commit_bytes={} fallbacks={}",
                 counter("persist.commits.base"),
                 counter("persist.commits.delta"),
                 counter("persist.commit.bytes"),
                 counter("persist.recovery.fallbacks")
-            );
+            )?;
             Ok(if ok { 0 } else { 2 })
         }
         Some(other) => Err(DaemonError::Config(format!(
@@ -285,14 +322,14 @@ fn check_prometheus(text: &str) -> Result<u64, String> {
 
 /// `tail [<n>]` — print the last `n` (default 20) structured-log records
 /// as JSON lines, newest last, plus a trailing drop count to stderr.
-fn tail(client: &mut DaemonClient, rest: &[String]) -> Result<i32, DaemonError> {
+fn tail(client: &mut DaemonClient, rest: &[String], out: &mut Vec<u8>) -> Result<i32, DaemonError> {
     let count = match rest.first() {
         Some(n) => parse_u64(n, "tail count")?,
         None => 20,
     };
     let (lines, dropped) = client.tail(count)?;
     for line in &lines {
-        println!("{line}");
+        writeln!(out, "{line}")?;
     }
     if dropped > 0 {
         eprintln!("slicer-cli: ring dropped {dropped} older records");
@@ -303,7 +340,7 @@ fn tail(client: &mut DaemonClient, rest: &[String]) -> Result<i32, DaemonError> 
 /// `top [--interval-ms <n>]` — one-shot dashboard: two metrics samples
 /// `interval` apart, printed as request/error/byte rates plus per-RPC
 /// latency quantiles.
-fn top(client: &mut DaemonClient, rest: &[String]) -> Result<i32, DaemonError> {
+fn top(client: &mut DaemonClient, rest: &[String], out: &mut Vec<u8>) -> Result<i32, DaemonError> {
     let mut interval_ms: u64 = 1_000;
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
@@ -326,50 +363,55 @@ fn top(client: &mut DaemonClient, rest: &[String]) -> Result<i32, DaemonError> {
     let second = client.metrics()?;
 
     let window_ns = second.uptime_ns.saturating_sub(first.uptime_ns).max(1);
-    println!(
+    writeln!(
+        out,
         "slicerd {} boot={} generation={} uptime={:.1}s window={}ms",
         second.version,
         second.boot,
         second.generation,
         second.uptime_ns as f64 / 1e9,
         window_ns / 1_000_000
-    );
+    )?;
     let (before, after) = (first.snapshot(), second.snapshot());
     let rate = |value: fn(&Snapshot, &str) -> Option<u64>, name: &str| {
         let at = |snap| value(snap, name).unwrap_or(0);
         at(&after).saturating_sub(at(&before)) as f64 * 1e9 / window_ns as f64
     };
-    println!(
+    writeln!(
+        out,
         "req/s {:>8.1}   conn/s {:>6.1}   in {:>10.0} B/s   out {:>10.0} B/s",
         rate(Snapshot::counter, "rpc.requests"),
         rate(Snapshot::counter, "net.connections"),
         rate(Snapshot::gauge, "net.bytes_in"),
         rate(Snapshot::gauge, "net.bytes_out"),
-    );
+    )?;
     let errors: Vec<String> = second
         .counters
         .iter()
         .filter(|(n, _)| n.starts_with("rpc.error."))
         .map(|(n, v)| format!("{}={v}", n.trim_start_matches("rpc.error.")))
         .collect();
-    println!(
+    writeln!(
+        out,
         "errors {}",
         if errors.is_empty() {
             "none".to_string()
         } else {
             errors.join(" ")
         }
-    );
+    )?;
     let gauge = |name: &str| after.gauge(name).unwrap_or(0);
-    println!(
+    writeln!(
+        out,
         "inflight {}   dropped_events {}",
         gauge("rpc.inflight"),
         gauge("telemetry.events.dropped")
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:<22} {:>8} {:>10} {:>10} {:>10}",
         "rpc", "count", "p50us", "p90us", "p99us"
-    );
+    )?;
     // Per-RPC service latency, plus the connection-lifetime histogram so
     // long-lived client connections are visible next to the request mix.
     for (name, h) in &second.histograms {
@@ -377,14 +419,15 @@ fn top(client: &mut DaemonClient, rest: &[String]) -> Result<i32, DaemonError> {
         if !shown || h.count == 0 {
             continue;
         }
-        println!(
+        writeln!(
+            out,
             "{:<22} {:>8} {:>10} {:>10} {:>10}",
             name.trim_end_matches(".ns"),
             h.count,
             h.p50 / 1_000,
             h.p90 / 1_000,
             h.p99 / 1_000
-        );
+        )?;
     }
     Ok(0)
 }
@@ -397,7 +440,11 @@ fn top(client: &mut DaemonClient, rest: &[String]) -> Result<i32, DaemonError> {
 /// against the metrics surface instead of printing it: gas totals must
 /// equal the `phase.*.gas` counters exactly, and wall totals must stay
 /// within the `rpc.*.ns` histogram envelope.
-fn profile(client: &mut DaemonClient, rest: &[String]) -> Result<i32, DaemonError> {
+fn profile(
+    client: &mut DaemonClient,
+    rest: &[String],
+    out: &mut Vec<u8>,
+) -> Result<i32, DaemonError> {
     let mut svg = false;
     let mut gas = false;
     let mut check = false;
@@ -414,12 +461,12 @@ fn profile(client: &mut DaemonClient, rest: &[String]) -> Result<i32, DaemonErro
         }
     }
     if check {
-        return profile_check(client);
+        return profile_check(client, out);
     }
     let reply = client.profile(svg, gas)?;
-    print!("{}", reply.rendered);
+    write!(out, "{}", reply.rendered)?;
     if !reply.rendered.ends_with('\n') {
-        println!();
+        writeln!(out)?;
     }
     eprintln!(
         "slicer-cli: profile format={} mode={} total={} stacks={} dropped_stacks={}",
@@ -438,7 +485,7 @@ fn profile(client: &mut DaemonClient, rest: &[String]) -> Result<i32, DaemonErro
 /// * `gas` — the profile's gas total equals the summed `phase.*.gas`
 ///   counters exactly; both surfaces are fed by the same span
 ///   attributes, so any drift means lost or double-counted gas.
-fn profile_check(client: &mut DaemonClient) -> Result<i32, DaemonError> {
+fn profile_check(client: &mut DaemonClient, out: &mut Vec<u8>) -> Result<i32, DaemonError> {
     let wall = client.profile(false, false)?;
     let gas = client.profile(false, true)?;
     let metrics = client.metrics()?;
@@ -460,10 +507,16 @@ fn profile_check(client: &mut DaemonClient) -> Result<i32, DaemonError> {
         .map(|(_, h)| h.sum)
         .sum();
     if wall_root <= rpc_ns {
-        println!("profile-check wall=ok profile_ns={wall_root} rpc_ns={rpc_ns}");
+        writeln!(
+            out,
+            "profile-check wall=ok profile_ns={wall_root} rpc_ns={rpc_ns}"
+        )?;
     } else {
         ok = false;
-        println!("profile-check wall=INVALID profile_ns={wall_root} rpc_ns={rpc_ns}");
+        writeln!(
+            out,
+            "profile-check wall=INVALID profile_ns={wall_root} rpc_ns={rpc_ns}"
+        )?;
     }
 
     let phase_gas: u64 = metrics
@@ -473,21 +526,24 @@ fn profile_check(client: &mut DaemonClient) -> Result<i32, DaemonError> {
         .map(|(_, v)| *v)
         .sum();
     if gas.total == phase_gas {
-        println!(
+        writeln!(
+            out,
             "profile-check gas=ok profile_gas={} counters_gas={phase_gas}",
             gas.total
-        );
+        )?;
     } else {
         ok = false;
-        println!(
+        writeln!(
+            out,
             "profile-check gas=INVALID profile_gas={} counters_gas={phase_gas}",
             gas.total
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "profile-check stacks={} dropped_stacks={}",
         wall.stacks, wall.dropped_stacks
-    );
+    )?;
     Ok(if ok { 0 } else { 2 })
 }
 
@@ -496,7 +552,7 @@ fn profile_check(client: &mut DaemonClient) -> Result<i32, DaemonError> {
 /// metrics (counters, gauges, histogram counts) must match exactly;
 /// timing metrics are informational unless `--timing-rel` supplies a
 /// tolerance in percent. Exit 0 when clean, 1 on regression.
-fn bench_diff(rest: &[String]) -> Result<i32, DaemonError> {
+fn bench_diff(rest: &[String], out: &mut Vec<u8>) -> Result<i32, DaemonError> {
     let mut paths = Vec::new();
     let mut config = slicer_testkit::DiffConfig::default();
     let mut it = rest.iter();
@@ -528,7 +584,7 @@ fn bench_diff(rest: &[String]) -> Result<i32, DaemonError> {
     let old = load(baseline)?;
     let new = load(candidate)?;
     let report = slicer_testkit::diff(&old, &new, &config);
-    print!("{}", report.render());
+    write!(out, "{}", report.render())?;
     Ok(if report.ok() { 0 } else { 1 })
 }
 
@@ -537,26 +593,28 @@ fn bench_diff(rest: &[String]) -> Result<i32, DaemonError> {
 /// folded wall and gas profiles the daemon held when it wrote the
 /// segment. Log lines are not in the recording: they are on `slicerd`'s
 /// stderr and behind `tail`.
-fn flightrec(rest: &[String]) -> Result<i32, DaemonError> {
+fn flightrec(rest: &[String], out: &mut Vec<u8>) -> Result<i32, DaemonError> {
     let path = rest
         .first()
         .ok_or_else(|| DaemonError::Config("flightrec wants a segment path".into()))?;
     let rec = FlightRecording::load(Path::new(path))?;
-    println!(
+    writeln!(
+        out,
         "flightrec reason={} requests={} next_seq={}",
         rec.reason,
         rec.requests.len(),
         rec.next_seq
-    );
+    )?;
     let mut crashed = false;
     for r in &rec.requests {
         if r.outcome == IN_FLIGHT {
             crashed = true;
         }
-        println!(
+        writeln!(
+            out,
             "  seq={} kind={} trace={} start_ns={} duration_ns={} outcome={}",
             r.seq, r.kind, r.trace_id, r.start_ns, r.duration_ns, r.outcome
-        );
+        )?;
     }
     // The recording embeds the daemon's final profile, so a crash dump
     // carries its own flamegraph input.
@@ -565,10 +623,10 @@ fn flightrec(rest: &[String]) -> Result<i32, DaemonError> {
         ("gas profile (folded)", &rec.profile_gas),
     ] {
         if !folded.is_empty() {
-            println!("--- {title} ---");
-            print!("{folded}");
+            writeln!(out, "--- {title} ---")?;
+            write!(out, "{folded}")?;
             if !folded.ends_with('\n') {
-                println!();
+                writeln!(out)?;
             }
         }
     }

@@ -231,8 +231,9 @@ impl Daemon {
     /// survives them.
     ///
     /// Accounting per request: `rpc.requests` counter, the per-kind
-    /// `rpc.<kind>.ns` histogram, `rpc.error.internal` on a domain
-    /// failure, a flight-recorder entry persisted in-flight *before*
+    /// `rpc.<kind>.ns` histogram, `rpc.error.internal` and a warn-level
+    /// log line with the full error on a domain failure, a
+    /// flight-recorder entry persisted in-flight *before*
     /// dispatch (so `kill -9` mid-request names the request on disk) and
     /// finalized after, each persist timed into `flightrec.persist.ns`,
     /// and a warn-level log line above the configured slow-request
@@ -265,6 +266,14 @@ impl Daemon {
         let outcome = match &body {
             ResponseBody::Error(msg) => {
                 self.telemetry.count("rpc.error.internal", 1);
+                // The flight recording clips an outcome to its slot; the
+                // log keeps the whole error.
+                self.telemetry.log(
+                    Level::Warn,
+                    "slicerd.rpc",
+                    format!("request failed: {msg}"),
+                    vec![("rpc.kind", kind.into()), ("trace", trace_id.into())],
+                );
                 format!("error: {msg}")
             }
             _ => "ok".to_string(),
@@ -701,11 +710,12 @@ mod tests {
 
     #[test]
     fn ingests_commit_deltas_and_persist_reports_through_metrics() {
-        use slicer_telemetry::{LogicalClock, NullSink};
+        use slicer_telemetry::{AttrValue, Event, LogicalClock, MemorySink, NullSink, Sink};
         let dir = tmp("deltas");
         let _ = std::fs::remove_dir_all(&dir);
-        let live =
-            || TelemetryHandle::with(Arc::new(LogicalClock::with_step(1_000)), Arc::new(NullSink));
+        let live = |sink: Arc<dyn Sink>| {
+            TelemetryHandle::with(Arc::new(LogicalClock::with_step(1_000)), sink)
+        };
         let ingest = |daemon: &mut Daemon, records: Vec<(u64, u64)>| {
             daemon.handle(&Request {
                 trace_id: 0,
@@ -714,7 +724,8 @@ mod tests {
         };
         let counter = |daemon: &Daemon, name: &str| daemon.telemetry.counter_value(name);
 
-        let mut daemon = Daemon::open(&dir, cfg(), live(), Arc::default()).unwrap();
+        let sink = Arc::new(MemorySink::new());
+        let mut daemon = Daemon::open(&dir, cfg(), live(sink.clone()), Arc::default()).unwrap();
         // A base large enough that small deltas do not outgrow it.
         ingest(&mut daemon, (100..140).map(|id| (id, id)).collect());
         for id in 4..7 {
@@ -730,12 +741,33 @@ mod tests {
         let digest = daemon.digest();
         ingest(&mut daemon, vec![(8, 80)]);
         assert_eq!(counter(&daemon, "persist.commits.delta"), Some(4));
-        let prometheus = daemon.metrics_report().snapshot().to_prometheus_text();
+        // One fsync sample per fsync the six commits report.
+        let reported: u64 = sink
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                Event::SpanEnd { name, attrs, .. } if name == "persist.commit" => {
+                    attrs.iter().find_map(|(key, value)| match value {
+                        AttrValue::U64(n) if *key == "fsyncs" => Some(*n),
+                        _ => None,
+                    })
+                }
+                _ => None,
+            })
+            .sum();
+        let snapshot = daemon.metrics_report().snapshot();
+        let fsyncs = snapshot
+            .histogram("persist.fsync.ns")
+            .expect("fsync histogram");
+        assert!(reported >= 6 * 4, "{reported}");
+        assert_eq!(fsyncs.count, reported);
+        let prometheus = snapshot.to_prometheus_text();
         for name in [
             "slicer_persist_commits_base 2",
             "slicer_persist_commits_delta 4",
             "slicer_persist_commit_bytes",
             "slicer_persist_commit_ns",
+            "slicer_persist_fsync_ns",
             "slicer_persist_load_ns",
         ] {
             assert!(
@@ -750,7 +782,7 @@ mod tests {
         let victim = dir.join("seg-0000000006-0000.slc");
         let bytes = std::fs::read(&victim).unwrap();
         std::fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
-        let daemon = Daemon::open(&dir, cfg(), live(), Arc::default()).unwrap();
+        let daemon = Daemon::open(&dir, cfg(), live(Arc::new(NullSink)), Arc::default()).unwrap();
         assert_eq!(daemon.boot(), Boot::Restored(5));
         assert_eq!(daemon.digest(), digest);
         assert_eq!(counter(&daemon, "persist.recovery.fallbacks"), Some(1));
@@ -780,6 +812,43 @@ mod tests {
             body: RequestBody::Stat,
         });
         assert!(matches!(resp.body, ResponseBody::Stats(_)));
+    }
+
+    #[test]
+    fn a_failed_request_logs_its_full_error_once() {
+        use slicer_telemetry::{LogicalClock, NullSink};
+        let dir = tmp("failed");
+        let telemetry =
+            TelemetryHandle::with(Arc::new(LogicalClock::with_step(1)), Arc::new(NullSink));
+        let mut daemon = Daemon::open(&dir, cfg(), telemetry, Arc::default()).unwrap();
+        let resp = daemon.handle(&Request {
+            trace_id: 77,
+            body: RequestBody::Ingest {
+                records: vec![(1, 300)],
+            },
+        });
+        let ResponseBody::Error(msg) = resp.body else {
+            panic!("want Error, got {:?}", resp.body);
+        };
+
+        let ResponseBody::LogTail { lines, .. } = daemon.tail(50) else {
+            panic!("want LogTail");
+        };
+        let failed: Vec<&String> = lines.iter().filter(|l| l.contains(&msg)).collect();
+        assert_eq!(failed.len(), 1, "{lines:?}");
+        for field in [
+            r#""level":"warn""#,
+            r#""target":"slicerd.rpc""#,
+            r#""rpc.kind":"ingest""#,
+            r#""trace":77"#,
+        ] {
+            assert!(failed[0].contains(field), "{field} missing: {}", failed[0]);
+        }
+        // The recording holds the error clipped to its slot.
+        let rec = crate::flightrec::FlightRecording::load(daemon.flightrec.path()).unwrap();
+        let outcome = &rec.requests[0].outcome;
+        assert!(outcome.len() < msg.len(), "{outcome}");
+        assert!(format!("error: {msg}").starts_with(outcome.as_str()));
     }
 
     #[test]

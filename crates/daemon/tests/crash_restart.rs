@@ -4,7 +4,7 @@
 //! digest — no rebuild.
 
 use slicer_core::Query;
-use slicer_daemon::{DaemonClient, Endpoint, FlightRecording, FLIGHTREC_FILE};
+use slicer_daemon::{DaemonClient, Endpoint, FlightRecorder, FlightRecording, FLIGHTREC_FILE};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -128,6 +128,30 @@ fn kill_nine_then_restart_serves_identical_verifiable_results() {
     client.shutdown().unwrap();
     let status = child.wait().unwrap();
     assert!(status.success(), "clean shutdown exit: {status}");
+}
+
+#[test]
+fn cli_output_into_a_closed_pipe_exits_cleanly() {
+    // A recording of finished requests: the decoder's own exit status is 0.
+    let path = temp_dir("pipe").join(FLIGHTREC_FILE);
+    let recorder = FlightRecorder::new(path.clone(), 64, Default::default());
+    for trace in 1..=64 {
+        let (seq, _) = recorder.begin(trace, "search", trace);
+        assert!(recorder.end(seq, 1, "ok").is_none());
+    }
+
+    // `slicer-cli flightrec <path> | head -0`: the reader is gone before
+    // the first write.
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_slicer-cli"))
+        .args(["flightrec", &path.display().to_string()])
+        .stdout(writer)
+        .output()
+        .expect("run slicer-cli flightrec");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.status.success(), "{out:?}");
 }
 
 #[test]

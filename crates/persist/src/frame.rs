@@ -30,8 +30,9 @@ const MAGIC_PREFIX: &[u8; 6] = b"SLCSEG";
 /// Per-frame overhead: the length prefix and the payload digest.
 const FRAME_OVERHEAD: usize = 8 + 32;
 
-/// Size of a segment file holding one frame of `payload` bytes.
-pub(crate) const fn single_frame_len(payload: usize) -> usize {
+/// Size of a segment file holding one frame of `payload` bytes — the
+/// image [`write_frames_at`] writes for one frame.
+pub const fn single_frame_len(payload: usize) -> usize {
     SEGMENT_MAGIC.len() + FRAME_OVERHEAD + payload
 }
 
@@ -66,18 +67,12 @@ pub(crate) fn encode_frames(frames: &[Vec<u8>]) -> Image {
     }
 }
 
-/// Writes `bytes` to `path` and fsyncs it.
-pub(crate) fn write_synced(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
+/// Creates `path` holding `bytes` and returns it open, not yet synced.
+pub(crate) fn write_new(path: &Path, bytes: &[u8]) -> Result<fs::File, PersistError> {
     let mut file = fs::File::create(path).map_err(|e| PersistError::io(path, &e))?;
     file.write_all(bytes)
         .map_err(|e| PersistError::io(path, &e))?;
-    file.sync_all().map_err(|e| PersistError::io(path, &e))
-}
-
-/// Length in bytes of the image [`write_frames_at`] writes for `frames`.
-pub fn image_len(frames: &[Vec<u8>]) -> u64 {
-    let total: usize = frames.iter().map(|f| f.len() + FRAME_OVERHEAD).sum();
-    (SEGMENT_MAGIC.len() + total) as u64
+    Ok(file)
 }
 
 /// Writes the image of `frames` into the already open `file` at
@@ -270,7 +265,7 @@ mod tests {
         write_frames_at(&file, &path, 100, &frames).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let at = &bytes[100..];
-        assert!(at.len() as u64 > image_len(&frames));
+        assert!(at.len() > encode_frames(&frames).bytes.len());
         let (back, sum) = parse_frames(&path, at, frames.len()).unwrap();
         assert_eq!(back, frames);
         assert_eq!(sum, encode_frames(&frames).checksum);
@@ -279,10 +274,6 @@ mod tests {
             parse_frames(&path, at, usize::MAX),
             Err(PersistError::Corrupt { .. })
         ));
-        assert_eq!(
-            image_len(&frames),
-            encode_frames(&frames).bytes.len() as u64
-        );
     }
 
     #[test]

@@ -56,6 +56,6 @@ mod snapshot;
 mod store;
 
 pub use error::PersistError;
-pub use frame::{image_len, parse_frames, read_frames, write_frames_at};
+pub use frame::{parse_frames, read_frames, single_frame_len, write_frames_at};
 pub use snapshot::{Snapshot, SnapshotMeta};
 pub use store::{Delta, Manifest, SegmentEntry, SegmentRole, SegmentStore};

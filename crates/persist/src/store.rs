@@ -30,7 +30,7 @@
 //! three files: its delta segment, the manifest and `CURRENT`.
 
 use crate::error::PersistError;
-use crate::frame::{encode_frames, read_frames, single_frame_len, write_synced, Image};
+use crate::frame::{encode_frames, read_frames, single_frame_len, write_new, Image};
 use crate::snapshot::{Snapshot, SnapshotMeta};
 use slicer_bignum::BigUint;
 use slicer_core::{InsertOutcome, OwnerDelta, OwnerState};
@@ -307,8 +307,9 @@ impl SegmentStore {
 
     /// Installs a telemetry context. Commits then record a
     /// `persist.commit` span (attributes `kind`, `bytes`, `files`,
-    /// `fsyncs`) and the counters `persist.commits.{base,delta}` and
-    /// `persist.commit.bytes`; loads record a `persist.load` span
+    /// `fsyncs`), the counters `persist.commits.{base,delta}` and
+    /// `persist.commit.bytes`, and one `persist.fsync.ns` sample per
+    /// fsync (each file and the directory); loads record a `persist.load` span
     /// (`generation`, `deltas`, `fallbacks`) and count and log every
     /// fallback with its reason in `persist.recovery.fallbacks`.
     pub fn set_telemetry(&mut self, telemetry: TelemetryHandle) {
@@ -481,7 +482,7 @@ impl SegmentStore {
         self.inject_failure(&current, None)?;
         fs::rename(&tmp, &current).map_err(|e| PersistError::io(&current, &e))?;
         if let Ok(d) = fs::File::open(&self.dir) {
-            let _ = d.sync_all();
+            let _ = self.fsync(&d);
         }
         bytes += (image.bytes.len() + pointer.len()) as u64;
         files += 2;
@@ -502,7 +503,19 @@ impl SegmentStore {
     /// Writes one file (fsynced), subject to the test write budget.
     fn write_file(&self, path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
         self.inject_failure(path, Some(bytes))?;
-        write_synced(path, bytes)
+        let file = write_new(path, bytes)?;
+        self.fsync(&file).map_err(|e| PersistError::io(path, &e))
+    }
+
+    /// Fsyncs `file`, timing it into the `persist.fsync.ns` histogram.
+    fn fsync(&self, file: &fs::File) -> std::io::Result<()> {
+        let start = self.telemetry.now_nanos();
+        let synced = file.sync_all();
+        self.telemetry.observe_ns(
+            "persist.fsync.ns",
+            self.telemetry.now_nanos().saturating_sub(start),
+        );
+        synced
     }
 
     /// Spends one file operation of the test write budget. When the
